@@ -29,10 +29,14 @@ from .polymat import (
     reversal,
     row_degrees,
     s1_stack,
-    highest_row_degree_matrix,
 )
 from .robust import Thetas, thetas
-from .sylvester import rank_nullity, sylvester
+from .sylvester import (
+    highest_row_degree_rank,
+    sylvester,
+    sylvester_rank,
+    sylvester_right_vectors,
+)
 
 __all__ = [
     "DualPair",
@@ -106,15 +110,15 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
     )
 
 
-def _nullspace(data: np.ndarray, expected_dim: int, tol: float | None) -> np.ndarray:
-    dec = rank_nullity(data, tol)
+def _nullspace(M: PolyMat, k: int, expected_dim: int, tol: float | None) -> np.ndarray:
+    """Orthonormal basis of the right nullspace of S_k(M), as columns."""
+    dec = sylvester_rank(M, k, tol)
     if dec.nullity != expected_dim:
         raise NumericalInconsistencyError(
             f"nullspace dimension {dec.nullity}, expected {expected_dim}; "
             "rank tolerance breakdown"
         )
-    _, _, vh = np.linalg.svd(data, full_matrices=True)
-    return vh[dec.rank :].conj().T
+    return sylvester_right_vectors(M, k)[dec.rank :].conj().T
 
 
 def _canonicalize_stack(vec: np.ndarray) -> np.ndarray:
@@ -146,10 +150,10 @@ def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
 
     x_stacks = []
     if t > 0:
-        basis = _nullspace(sylvester(M, kp).data, t, tol)
+        basis = _nullspace(M, kp, t, tol)
         x_stacks = [_canonicalize_stack(basis[:, j]) for j in range(t)]
 
-    big = _nullspace(sylvester(M, kp + 1).data, n + t, tol)
+    big = _nullspace(M, kp + 1, n + t, tol)
     if t > 0:
         shifts = np.zeros(((kp + 1) * q, 2 * t), dtype=big.dtype)
         for j, v in enumerate(x_stacks):
@@ -218,9 +222,7 @@ def admissible_radius(M: PolyMat, N: PolyMat, theta: Thetas | None = None,
     """Half of theta1 scaled by the conditioning of N's leading rows."""
     if theta is None:
         theta = thetas(M, tol)
-    n = N.rows
-    hr = highest_row_degree_matrix(N)
-    sigma_n = float(np.linalg.svd(hr, compute_uv=False)[n - 1])
+    sigma_n = highest_row_degree_rank(N, tol).singular_values[N.rows - 1]
     return 0.5 * theta.theta1 * sigma_n / float(np.linalg.norm(s1_stack(N)))
 
 

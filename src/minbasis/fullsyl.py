@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError, PropertyViolationError, ShapeError
-from .minimal import right_minimal_indices
 from .polymat import PolyMat
-from .sylvester import rank_nullity, sylvester
+from .sylvester import sylvester_rank
 
 __all__ = [
     "KPrimeT",
@@ -25,6 +24,7 @@ __all__ = [
     "GenericityResult",
     "kprime_t",
     "has_full_sylvester_rank",
+    "decisive_rank_tests",
     "predicted_minimal_indices",
     "index_sum_check",
     "genericity_experiment",
@@ -78,13 +78,21 @@ def predicted_minimal_indices(m: int, n: int, d: int) -> list[int]:
     return [kt.k_prime - 1] * kt.t + [kt.k_prime] * (n - kt.t)
 
 
-def has_full_sylvester_rank(M: PolyMat, tol: float | None = None) -> FullSylReport:
-    """Decide the property with the minimal set of rank tests.
+def decisive_rank_tests(kt: KPrimeT, m: int, q: int, d: int) -> list[tuple[int, int, str]]:
+    """The rank tests that decide the property, in order, as (k, required
+    rank, kind): full column rank of the (k'-1)-th Sylvester matrix when
+    k' > 1 and t > 0, then full row rank of the k'-th one."""
+    plan = []
+    if kt.k_prime > 1 and kt.t > 0:
+        plan.append((kt.k_prime - 1, (kt.k_prime - 1) * q, "column"))
+    plan.append((kt.k_prime, (kt.k_prime + d) * m, "row"))
+    return plan
 
-    When k' > 1 and t > 0 the tests are full column rank of the (k'-1)-th
-    Sylvester matrix and full row rank of the k'-th one; otherwise full row
-    rank of the k'-th suffices.
-    """
+
+def has_full_sylvester_rank(M: PolyMat, tol: float | None = None) -> FullSylReport:
+    """Decide the property with the minimal set of rank tests (see
+    ``decisive_rank_tests``); both tests are reported even when the first
+    fails."""
     m, q, d = M.rows, M.cols, M.degree_bound
     if m >= q:
         raise ShapeError(f"property requires a wide matrix, got {m}x{q}")
@@ -93,17 +101,12 @@ def has_full_sylvester_rank(M: PolyMat, tol: float | None = None) -> FullSylRepo
     n = q - m
     kt = kprime_t(m, n, d)
 
-    plan: list[tuple[int, int, str]] = []
-    if kt.k_prime > 1 and kt.t > 0:
-        plan.append((kt.k_prime - 1, (kt.k_prime - 1) * q, "column"))
-    plan.append((kt.k_prime, (kt.k_prime + d) * m, "row"))
-
     checks = []
     margin = float("inf")
     tol_used = 0.0
     ok = True
-    for k, required, kind in plan:
-        dec = rank_nullity(sylvester(M, k), tol)
+    for k, required, kind in decisive_rank_tests(kt, m, q, d):
+        dec = sylvester_rank(M, k, tol)
         checks.append(RankCheck(k=k, rank=dec.rank, required=required, kind=kind))
         tol_used = max(tol_used, dec.tolerance_used)
         sigma_req = dec.singular_values[required - 1]
@@ -125,6 +128,8 @@ def has_full_sylvester_rank(M: PolyMat, tol: float | None = None) -> FullSylRepo
 
 def index_sum_check(M: PolyMat, tol: float | None = None) -> bool:
     """Assert that the right minimal indices sum to m*d (Index Sum consequence)."""
+    from .minimal import right_minimal_indices  # minimal imports this module
+
     report = has_full_sylvester_rank(M, tol)
     if not report.has_full_sylvester_rank:
         raise PreconditionError("index_sum_check requires full-Sylvester-rank input")

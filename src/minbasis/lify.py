@@ -27,7 +27,7 @@ from .polymat import (
     vstack_polymats,
 )
 from .robust import _sigma
-from .sylvester import rank_nullity, sylvester
+from .sylvester import rank_nullity
 
 __all__ = [
     "Lification",
@@ -133,7 +133,7 @@ def backward_error_map(
     norm_N = float(np.linalg.norm(s1_stack(N)))
     norm_K = float(np.linalg.norm(s1_stack(K)))
     norm_dK = float(np.linalg.norm(s1_stack(delta_K)))
-    sigma_next = _sigma(sylvester(M, kp + 1), (kp + 1 + ell) * m)
+    sigma_next = _sigma(M, kp + 1, (kp + 1 + ell) * m)
     delta_L = vstack_polymats([delta_K, delta_M])
     norm_dL = float(np.linalg.norm(s1_stack(delta_L)))
 

@@ -20,8 +20,15 @@ from .errors import (
     LeadingCoefficientError,
     ShapeError,
 )
-from .polymat import PolyMat, evaluate, highest_row_degree_matrix, row_degrees
-from .sylvester import RankDecision, rank_nullity, sylvester
+from .fullsyl import decisive_rank_tests, kprime_t
+from .polymat import PolyMat, evaluate, row_degrees
+from .sylvester import (
+    RankDecision,
+    full_leading_rank,
+    highest_row_degree_rank,
+    rank_nullity,
+    sylvester_rank,
+)
 
 __all__ = [
     "RankProfile",
@@ -91,6 +98,40 @@ def _alphas_from_nullities(nullities: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
+def _full_sylvester_profile(M: PolyMat, tol: float | None) -> RankProfile | None:
+    """The profile that full-Sylvester-rank implies, or None without it.
+
+    Full row rank of S_k' forces full row rank of the leading coefficient,
+    so the attempt is skipped unless that holds, and it stops at the first
+    failing rank test.  The scan that follows a failed attempt reuses the
+    tested S_k, unless the input's largest minimal index stops it first (a
+    common factor can do that).  With the property every S_k has full rank,
+    r_k = min((k+d)m, kq), and the scan would stop at k = k'+1 with d' = k'.
+    """
+    if full_leading_rank(M, tol) is None:
+        return None
+    m, q, d = M.rows, M.cols, M.degree_bound
+    kt = kprime_t(m, q - m, d)
+    decisions = []
+    for k, required, _ in decisive_rank_tests(kt, m, q, d):
+        dec = sylvester_rank(M, k, tol)
+        if dec.rank != required:
+            return None
+        decisions.append(dec)
+    ranks = tuple(min((k + d) * m, k * q) for k in range(1, kt.k_prime + 2))
+    nullities = tuple(k * q - r for k, r in enumerate(ranks, start=1))
+    return RankProfile(
+        ranks=ranks,
+        nullities=nullities,
+        alphas=_alphas_from_nullities(nullities),
+        d_prime=kt.k_prime,
+        normal_rank_full=True,
+        stabilized_increment=None,
+        decisions=tuple(decisions),
+        tolerance=tol,
+    )
+
+
 def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None) -> RankProfile:
     """Scan Sylvester ranks r_1, r_2, ... until the increment drops to m.
 
@@ -99,12 +140,21 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
     input because the minimal-index sum is bounded by m*d.  If the increments
     stabilize below m instead, the matrix does not have full row normal rank
     and ``alphas`` is left empty.
+
+    Without ``k_max`` the one or two full-Sylvester-rank tests run first;
+    when they pass, the profile is read off the theorem and ``decisions``
+    holds only those tests.  Otherwise, and always with ``k_max``, the scan
+    runs, reusing every S_k the tests already factored.
     """
     m, q, d = M.rows, M.cols, M.degree_bound
     if m >= q:
         raise ShapeError(f"rank_profile requires a wide matrix, got {m}x{q}")
     if d < 1:
         raise ShapeError("rank_profile requires degree_bound >= 1")
+    if k_max is None:
+        profile = _full_sylvester_profile(M, tol)
+        if profile is not None:
+            return profile
     cap = k_max if k_max is not None else m * d + 2
     if cap < 1:
         raise ShapeError(f"scan cap must be positive, got {cap}")
@@ -115,7 +165,7 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
     d_prime = None
     prev = 0
     for k in range(1, cap + 1):
-        dec = rank_nullity(sylvester(M, k), tol)
+        dec = sylvester_rank(M, k, tol)
         ranks.append(dec.rank)
         nullities.append(dec.nullity)
         decisions.append(dec)
@@ -234,7 +284,7 @@ def certify_minimal_basis(M: PolyMat, tol: float | None = None) -> Certificate:
     """
     if not M.is_wide:
         raise ShapeError(f"certification requires a wide matrix, got {M.rows}x{M.cols}")
-    hr_dec = rank_nullity(highest_row_degree_matrix(M), tol)
+    hr_dec = highest_row_degree_rank(M, tol)
     profile = rank_profile(M, tol=tol)
     expected = int(sum(row_degrees(M)))
     marginal = profile.marginal or hr_dec.gap_ratio < MARGINAL_GAP
@@ -277,8 +327,8 @@ def certify_full_leading(M: PolyMat, tol: float | None = None) -> Certificate:
     m, q, d = M.rows, M.cols, M.degree_bound
     if d < 1:
         raise ShapeError("certify_full_leading requires degree_bound >= 1")
-    lead_dec = rank_nullity(M.coeffs[d], tol)
-    if lead_dec.rank < m:
+    lead_dec = full_leading_rank(M, tol)
+    if lead_dec is None:
         raise LeadingCoefficientError(
             "leading coefficient rank deficient -- use certify_minimal_basis"
         )
@@ -289,7 +339,7 @@ def certify_full_leading(M: PolyMat, tol: float | None = None) -> Certificate:
     decisions = []
     found = None
     for k in range(k_start, cap + 1):
-        dec = rank_nullity(sylvester(M, k), tol)
+        dec = sylvester_rank(M, k, tol)
         decisions.append(dec)
         if dec.rank == (k + d) * m:
             found = k
@@ -363,7 +413,7 @@ def classical_check(
         raise ShapeError(f"classical_check requires a wide matrix, got {M.rows}x{M.cols}")
     if num_samples < 1:
         raise ShapeError("num_samples must be positive")
-    hr_dec = rank_nullity(highest_row_degree_matrix(M), tol)
+    hr_dec = highest_row_degree_rank(M, tol)
     rng = np.random.default_rng(seed)
     m = M.rows
     drops = 0

@@ -9,7 +9,7 @@ perturbation analysis depends on the ambient grade, not the achieved degree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,6 +53,9 @@ class PolyMat:
     """
 
     coeffs: np.ndarray
+    # Sylvester factorizations keyed by k, filled by ``sylvester.py``.  The
+    # coefficients never change, so an entry stays valid as long as the matrix.
+    _sylvester_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs)
@@ -152,23 +155,14 @@ def degree(P: PolyMat) -> int:
 
 def row_degrees(P: PolyMat) -> list[int]:
     """Degree of each row; zero rows have row degree 0 by convention."""
-    degs = []
-    for j in range(P.rows):
-        dj = 0
-        for i in range(P.degree_bound, -1, -1):
-            if np.any(P.coeffs[i, j, :]):
-                dj = i
-                break
-        degs.append(dj)
-    return degs
+    nonzero = P.coeffs.any(axis=2)  # [i, j]: coefficient i of row j is nonzero
+    top = P.degree_bound - nonzero[::-1].argmax(axis=0)
+    return np.where(nonzero.any(axis=0), top, 0).tolist()
 
 
 def highest_row_degree_matrix(P: PolyMat) -> np.ndarray:
     """Constant matrix whose row j is the coefficient of lambda^{d_j} in row j."""
-    out = np.empty((P.rows, P.cols), dtype=P.coeffs.dtype)
-    for j, dj in enumerate(row_degrees(P)):
-        out[j, :] = P.coeffs[dj, j, :]
-    return out
+    return P.coeffs[row_degrees(P), np.arange(P.rows), :]
 
 
 def evaluate(P: PolyMat, lam) -> np.ndarray:

@@ -23,7 +23,12 @@ from .errors import (
 from .fullsyl import has_full_sylvester_rank
 from .minimal import certify_minimal_basis
 from .polymat import PolyMat, evaluate, s1_stack
-from .sylvester import rank_nullity, singular_values, sylvester
+from .sylvester import (
+    full_leading_rank,
+    rank_nullity,
+    sylvester_rank,
+    sylvester_singular_values,
+)
 
 __all__ = [
     "RadiusReport",
@@ -45,8 +50,9 @@ def distance(A: PolyMat, B: PolyMat) -> float:
     return float(np.linalg.norm(diff, 2))
 
 
-def _sigma(A, index_one_based: int) -> float:
-    sv = singular_values(A)
+def _sigma(M: PolyMat, k: int, index_one_based: int) -> float:
+    """The index-th largest singular value of S_k(M), read from M's memo."""
+    sv = sylvester_singular_values(M, k)
     if not 1 <= index_one_based <= len(sv):
         raise IndexError(
             f"singular value index {index_one_based} out of range (have {len(sv)})"
@@ -84,8 +90,7 @@ def robustness_radius_minimal(
     m, d = M.rows, M.degree_bound
     if scan_extra < 0:
         raise ShapeError("scan_extra must be non-negative")
-    lead_dec = rank_nullity(M.coeffs[d], tol)
-    if lead_dec.rank < m:
+    if full_leading_rank(M, tol) is None:
         raise LeadingCoefficientError(
             "leading coefficient rank deficient: no robustness neighborhood exists"
         )
@@ -95,8 +100,7 @@ def robustness_radius_minimal(
     n = M.cols - m
     k0 = None
     for k in range(-(-m * d // n), m * d + 3):
-        dec = rank_nullity(sylvester(M, k), tol)
-        if dec.rank == (k + d) * m:
+        if sylvester_rank(M, k, tol).rank == (k + d) * m:
             k0 = k
             break
     if k0 is None:
@@ -106,7 +110,7 @@ def robustness_radius_minimal(
         )
     scanned = []
     for k in range(k0, k0 + scan_extra + 1):
-        cand = _sigma(sylvester(M, k), (k + d) * m) / math.sqrt(k)
+        cand = _sigma(M, k, (k + d) * m) / math.sqrt(k)
         scanned.append((k, cand))
     k_used, radius = max(scanned, key=lambda kv: kv[1])
     return RadiusReport(
@@ -123,8 +127,8 @@ def robustness_radius_fullsyl(M: PolyMat, tol: float | None = None) -> RadiusRep
     m, q, d = M.rows, M.cols, M.degree_bound
     scanned = []
     if kp > 1 and t > 0:
-        scanned.append((kp - 1, _sigma(sylvester(M, kp - 1), (kp - 1) * q) / math.sqrt(kp - 1)))
-    scanned.append((kp, _sigma(sylvester(M, kp), (kp + d) * m) / math.sqrt(kp)))
+        scanned.append((kp - 1, _sigma(M, kp - 1, (kp - 1) * q) / math.sqrt(kp - 1)))
+    scanned.append((kp, _sigma(M, kp, (kp + d) * m) / math.sqrt(kp)))
     k_used, radius = min(scanned, key=lambda kv: kv[1])
     return RadiusReport(
         radius=radius, k_used=k_used, scanned=tuple(scanned), kind="full_sylvester"
@@ -184,7 +188,7 @@ def thetas(M: PolyMat, tol: float | None = None) -> Thetas:
     m, q, d = M.rows, M.cols, M.degree_bound
 
     def scaled(k: int, index: int) -> float:
-        return _sigma(sylvester(M, k), index) / math.sqrt(k)
+        return _sigma(M, k, index) / math.sqrt(k)
 
     s_kp = scaled(kp, (kp + d) * m)
     s_kp1 = scaled(kp + 1, (kp + 1 + d) * m)
@@ -242,14 +246,14 @@ def classical_lower_bound_check(
     """Check sigma_{(d+d')m}(S_{d'}) against the leading coefficient and
     sampled evaluations on circles of the given radii."""
     m, d = M.rows, M.degree_bound
-    lead_dec = rank_nullity(M.coeffs[d], tol)
-    if lead_dec.rank < m:
+    lead_dec = full_leading_rank(M, tol)
+    if lead_dec is None:
         raise LeadingCoefficientError("lower bound requires a full-rank leading coefficient")
     cert = certify_minimal_basis(M, tol)
     if not cert.is_minimal_basis:
         raise PreconditionError(f"input is not a minimal basis ({cert.reason})")
     dp = cert.d_prime
-    lower = _sigma(sylvester(M, dp), (d + dp) * m)
+    lower = _sigma(M, dp, (d + dp) * m)
     sigma_lead = float(lead_dec.singular_values[m - 1])
     violations = 0
     if lower > sigma_lead + _SLACK:

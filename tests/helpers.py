@@ -107,3 +107,35 @@ def random_perturbation(
     )
     current = np.linalg.norm(s1_stack(raw), 2)
     return scale(raw, target_norm / current)
+
+
+def common_factor_2x4() -> PolyMat:
+    """(lam - 2) * C for C = [[1, 2, 0, 1], [0, 1, 1, 3]]: full-rank leading
+    coefficient, but every row vanishes at lam = 2, so not a minimal basis."""
+    C = np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 1.0, 3.0]])
+    return PolyMat.from_coeff_list([-2.0 * C, C])
+
+
+def planted_indices(epsilons, rng: np.random.Generator) -> PolyMat:
+    """Minimal basis of grade 1 with right minimal indices ``epsilons``.
+
+    Block-diagonal L_eps = lam [I 0] - [0 I] (eps x (eps+1), one index eps
+    each; eps = 0 is a zero column) mixed as U L V by constant integer
+    unimodular U and V, so the structure is hidden but exact.
+    """
+    m = sum(epsilons)
+    q = m + len(epsilons)
+    L = np.zeros((2, m, q))
+    r = c = 0
+    for eps in epsilons:
+        L[1, r : r + eps, c : c + eps] = np.eye(eps)
+        L[0, r : r + eps, c + 1 : c + eps + 1] = -np.eye(eps)
+        r, c = r + eps, c + eps + 1
+
+    def unimodular(size):
+        lower = np.tril(rng.integers(-1, 2, (size, size)), -1) + np.eye(size)
+        upper = np.triu(rng.integers(-1, 2, (size, size)), 1) + np.eye(size)
+        return (lower @ upper)[rng.permutation(size)]
+
+    U, V = unimodular(m), unimodular(q)
+    return PolyMat(np.stack([U @ C @ V for C in L]))

@@ -7,7 +7,7 @@ import minbasis as mb
 from minbasis.cli import main
 from minbasis.polymat import save, PolyMat
 
-from helpers import example1, example2, example3, random_perturbation
+from helpers import common_factor_2x4, example1, example2, example3, random_perturbation
 
 
 @pytest.fixture
@@ -198,6 +198,21 @@ def test_tol_flag_beats_env_var(capsys, ex1_file, monkeypatch):
     assert code == 0
     assert report["results"]["is_minimal_basis"] is True
     assert report["tolerances"]["tol"] == 1e-10
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_invalid_tolerance_exits_2(capsys, tmp_path, monkeypatch, value):
+    # (lam - 2) C is not a minimal basis; a bad tolerance must not say it is.
+    path = tmp_path / "cf.json"
+    save(common_factor_2x4(), path)
+    assert main(["certify", str(path), "--tol", value, "--strict"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert repr(float(value)) in captured.err
+    monkeypatch.setenv("MINBASIS_TOL", value)
+    assert main(["certify", str(path), "--strict"]) == 2
+    assert repr(float(value)) in capsys.readouterr().err
+    assert main(["analyze", str(path), "--json"]) == 2
 
 
 def test_missing_file_exits_2(capsys):

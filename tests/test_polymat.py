@@ -43,6 +43,22 @@ def test_row_degrees_examples():
     assert mb.row_degrees(example3()) == [1, 1, 1, 1, 2, 2]
 
 
+def test_row_degrees_and_highest_row_degree_matrix_match_loop_reference():
+    # Sparse random stacks: zero rows, zero leading and trailing coefficients.
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        d, m, q = rng.integers(0, 4), rng.integers(1, 5), rng.integers(1, 5)
+        coeffs = rng.standard_normal((d + 1, m, q)) * (rng.random((d + 1, m, 1)) < 0.4)
+        P = PolyMat(coeffs)
+        degs = []
+        for j in range(m):
+            nonzero = [i for i in range(d + 1) if np.any(coeffs[i, j])]
+            degs.append(max(nonzero, default=0))
+        assert mb.row_degrees(P) == degs
+        hr = mb.highest_row_degree_matrix(P)
+        assert np.array_equal(hr, np.array([coeffs[degs[j], j] for j in range(m)]))
+
+
 def test_highest_row_degree_matrix_single_row():
     hr = mb.highest_row_degree_matrix(one_lambda())
     assert np.array_equal(hr, [[0.0, 1.0]])

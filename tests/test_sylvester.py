@@ -5,9 +5,15 @@ import pytest
 
 import minbasis as mb
 from minbasis.polymat import PolyMat, s1_norms, s1_stack
-from minbasis.sylvester import min_singular_value, rank_nullity, singular_values, sylvester
+from minbasis.sylvester import (
+    min_singular_value,
+    rank_nullity,
+    singular_values,
+    sylvester,
+    sylvester_rank,
+)
 
-from helpers import example1, example2, flat_1311, one_lambda
+from helpers import common_factor_2x4, example1, example2, flat_1311, one_lambda
 
 
 def test_sylvester_sizes_match_block_formula():
@@ -68,6 +74,32 @@ def test_explicit_tolerance_is_respected():
     A = np.diag([1.0, 1e-6])
     assert rank_nullity(A).rank == 2
     assert rank_nullity(A, tol=1e-3).rank == 1
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), -0.5e-300])
+def test_invalid_tolerance_is_rejected_on_every_path(tol):
+    # A negative threshold counts every singular value and used to certify
+    # the common factor (lam - 2) C as a minimal basis; NaN and inf count none.
+    M = common_factor_2x4()
+    mb.certify_minimal_basis(M)  # fills the memo at the default tolerance
+    calls = [
+        lambda: rank_nullity(np.diag([1.0, 1e-6]), tol),
+        lambda: sylvester_rank(M, 1, tol),
+        lambda: mb.certify_minimal_basis(M, tol),
+        lambda: mb.certify_minimal_basis(mb.PolyMat(M.coeffs), tol),
+        lambda: mb.rank_profile(M, k_max=4, tol=tol),
+        lambda: mb.has_full_sylvester_rank(M, tol),
+        lambda: mb.right_minimal_indices(example1(), tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(mb.InputFormatError, match="rank tolerance") as info:
+            call()
+        assert repr(tol) in str(info.value)
+
+
+def test_zero_tolerance_is_accepted():
+    assert rank_nullity(np.diag([1.0, 1e-300, 0.0]), 0.0).rank == 2
+    assert sylvester_rank(example1(), 3, 0).rank == 24
 
 
 def test_min_singular_value_identity():
