@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, PropertyViolationError, ShapeError
+from .errors import InputFormatError, PreconditionError, PropertyViolationError, ShapeError
 from .polymat import PolyMat
-from .sylvester import sylvester_rank
+from .sylvester import clearance, stacked_ranks, sylvester_array, sylvester_rank
 
 __all__ = [
     "KPrimeT",
@@ -35,6 +35,11 @@ __all__ = [
 # Rejection sampling keeps only samples whose smallest decisive singular value
 # clears the rank tolerance by this factor, so perturbation radii stay usable.
 SAMPLE_MARGIN = 1e3
+
+# Bytes of Sylvester matrices that genericity_experiment holds at once.  A
+# block of trials, decided by one batched SVD per rank test, holds this budget
+# over the size of one S_k', so memory stays bounded for any trial count.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -109,11 +114,7 @@ def has_full_sylvester_rank(M: PolyMat, tol: float | None = None) -> FullSylRepo
         dec = sylvester_rank(M, k, tol)
         checks.append(RankCheck(k=k, rank=dec.rank, required=required, kind=kind))
         tol_used = max(tol_used, dec.tolerance_used)
-        sigma_req = dec.singular_values[required - 1]
-        margin = min(
-            margin,
-            sigma_req / dec.tolerance_used if dec.tolerance_used > 0 else 0.0,
-        )
+        margin = min(margin, clearance(dec.singular_values[required - 1], dec.tolerance_used))
         if dec.rank != required:
             ok = False
     return FullSylReport(
@@ -145,6 +146,32 @@ def index_sum_check(M: PolyMat, tol: float | None = None) -> bool:
 # -- random sampling -------------------------------------------------------------
 
 
+def _check_sampling(dist: str, field: str) -> None:
+    if dist not in ("gaussian", "uniform"):
+        raise ShapeError(f"unknown distribution {dist!r}")
+    if field not in ("real", "complex"):
+        raise InputFormatError(f"unknown field tag {field!r}")
+
+
+def _draw(
+    rng: np.random.Generator,
+    shape: tuple[int, int, int],
+    dist: str,
+    field: str,
+    zero_leading: bool,
+) -> np.ndarray:
+    """One coefficient stack C_0 .. C_d, drawn from ``rng``; ``dist`` and
+    ``field`` must already have passed ``_check_sampling``."""
+    if dist == "gaussian":
+        draw = lambda: rng.standard_normal(shape)  # noqa: E731
+    else:
+        draw = lambda: rng.uniform(-1.0, 1.0, shape)  # noqa: E731
+    arr = draw() + 1j * draw() if field == "complex" else draw()
+    if zero_leading:
+        arr[-1] = 0.0
+    return arr
+
+
 def sample_polymat(
     rng: np.random.Generator,
     rows: int,
@@ -155,17 +182,8 @@ def sample_polymat(
     zero_leading: bool = False,
 ) -> PolyMat:
     """Draw i.i.d. coefficient entries; complex samples re/im independently."""
-    shape = (degree_bound + 1, rows, cols)
-    if dist == "gaussian":
-        draw = lambda: rng.standard_normal(shape)  # noqa: E731
-    elif dist == "uniform":
-        draw = lambda: rng.uniform(-1.0, 1.0, shape)  # noqa: E731
-    else:
-        raise ShapeError(f"unknown distribution {dist!r}")
-    arr = draw() + 1j * draw() if field == "complex" else draw()
-    if zero_leading:
-        arr[degree_bound] = 0.0
-    return PolyMat(arr)
+    _check_sampling(dist, field)
+    return PolyMat(_draw(rng, (degree_bound + 1, rows, cols), dist, field, zero_leading))
 
 
 @dataclass(frozen=True)
@@ -214,25 +232,48 @@ def genericity_experiment(
     """Monte Carlo frequency of the full-Sylvester-rank property.
 
     Trials use independent RNG streams derived from (seed, trial index), so
-    results do not depend on execution order.  ``zero_leading`` constrains
-    sampling to the degenerate stratum with vanishing leading coefficient,
-    where the property is impossible.
+    results do not depend on execution order or on the trial count.  Trials
+    are decided in blocks of at most ``BLOCK_BYTES`` of Sylvester matrices,
+    with one batched SVD per decisive rank test, by the same rank decisions
+    and margins as ``has_full_sylvester_rank`` on each trial's matrix.
+    ``zero_leading`` constrains sampling to the degenerate stratum with
+    vanishing leading coefficient, where the property is impossible.
     """
     if trials < 1:
         raise ShapeError("trials must be positive")
-    kprime_t(m, n, d)
+    _check_sampling(dist, field_tag)
+    q = m + n
+    plan = decisive_rank_tests(kprime_t(m, n, d), m, q, d)
+    k_prime = plan[-1][0]
+    itemsize = 16 if field_tag == "complex" else 8
+    block = max(1, BLOCK_BYTES // ((k_prime + d) * m * k_prime * q * itemsize))
     successes = 0
     failures: list[dict] = []
     min_margin = float("inf")
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        M = sample_polymat(rng, m, m + n, d, dist=dist, field=field_tag, zero_leading=zero_leading)
-        report = has_full_sylvester_rank(M, tol)
-        min_margin = min(min_margin, report.margin)
-        if report.has_full_sylvester_rank:
-            successes += 1
-        else:
-            failures.append({"trial": trial, "margin": report.margin})
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        coeffs = np.stack([
+            _draw(np.random.default_rng([seed, trial]), (d + 1, m, q), dist, field_tag,
+                  zero_leading)
+            for trial in range(start, stop)
+        ])
+        if not np.isfinite(coeffs).all():
+            raise InputFormatError("coefficient entries must be finite (no NaN/Inf)")
+        # The same decisive tests and margins as has_full_sylvester_rank, for
+        # the whole block at once.
+        ok = np.ones(stop - start, dtype=bool)
+        margin = np.full(stop - start, np.inf)
+        for k, required, _ in plan:
+            sv = np.linalg.svd(sylvester_array(coeffs, k), compute_uv=False)
+            ranks, tau, _ = stacked_ranks(sv, ((k + d) * m, k * q), tol)
+            ok &= ranks == required
+            margin = np.minimum(margin, clearance(sv[:, required - 1], tau))
+        successes += int(ok.sum())
+        min_margin = min(min_margin, float(margin.min()))
+        failures.extend(
+            {"trial": start + int(i), "margin": float(margin[i])}
+            for i in np.flatnonzero(~ok)
+        )
     return GenericityResult(
         m=m,
         n=n,

@@ -43,9 +43,6 @@ __all__ = [
     "classical_check",
 ]
 
-# Gap ratio below which a rank decision is reported as marginal.
-MARGINAL_GAP = 1e3
-
 REASON_OK = "ok"
 REASON_HR = "hr_rank_deficient"
 REASON_DEGREE_SUM = "degree_sum_mismatch"
@@ -75,7 +72,7 @@ class RankProfile:
 
     @property
     def marginal(self) -> bool:
-        return any(dec.gap_ratio < MARGINAL_GAP for dec in self.decisions)
+        return any(dec.marginal for dec in self.decisions)
 
 
 def _evaluation_rank(M: PolyMat, tol: float | None) -> int:
@@ -287,7 +284,7 @@ def certify_minimal_basis(M: PolyMat, tol: float | None = None) -> Certificate:
     hr_dec = highest_row_degree_rank(M, tol)
     profile = rank_profile(M, tol=tol)
     expected = int(sum(row_degrees(M)))
-    marginal = profile.marginal or hr_dec.gap_ratio < MARGINAL_GAP
+    marginal = profile.marginal or hr_dec.marginal
 
     if not profile.normal_rank_full:
         verdict, reason, observed = False, REASON_NOT_FULL_RANK, None
@@ -344,7 +341,7 @@ def certify_full_leading(M: PolyMat, tol: float | None = None) -> Certificate:
         if dec.rank == (k + d) * m:
             found = k
             break
-    marginal = any(dec.gap_ratio < MARGINAL_GAP for dec in decisions)
+    marginal = any(dec.marginal for dec in decisions)
     expected = int(sum(row_degrees(M)))
     if found is not None:
         r_found = decisions[-1].rank

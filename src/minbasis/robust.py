@@ -25,6 +25,7 @@ from .minimal import certify_minimal_basis
 from .polymat import PolyMat, evaluate, s1_stack
 from .sylvester import (
     full_leading_rank,
+    rank_decision,
     rank_nullity,
     sylvester_rank,
     sylvester_singular_values,
@@ -147,10 +148,9 @@ def sharp_witness_flat(M: PolyMat, tol: float | None = None) -> tuple[PolyMat, f
     if m * d > n:
         raise PreconditionError(f"flat case requires m*d <= n, got {m}*{d} > {n}")
     stack = s1_stack(M)
-    dec = rank_nullity(stack, tol)
-    if dec.rank < (d + 1) * m:
-        raise PreconditionError("first coefficient stack is not of full row rank")
     u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    if rank_decision(s, stack.shape, tol).rank < (d + 1) * m:
+        raise PreconditionError("first coefficient stack is not of full row rank")
     dist = float(s[-1])
     s_mod = s.copy()
     s_mod[-1] = 0.0

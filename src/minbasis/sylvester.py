@@ -21,6 +21,10 @@ __all__ = [
     "SylvesterMatrix",
     "RankDecision",
     "sylvester",
+    "sylvester_array",
+    "stacked_ranks",
+    "rank_decision",
+    "clearance",
     "rank_nullity",
     "min_singular_value",
     "default_tolerance",
@@ -56,17 +60,29 @@ class SylvesterMatrix:
         return self.k * self.q
 
 
+def sylvester_array(coeffs: np.ndarray, k: int) -> np.ndarray:
+    """The k-th Sylvester matrix of a coefficient array of shape
+    (..., d + 1, m, q), as a new array of shape (..., (k + d) * m, k * q).
+
+    Leading dimensions index a batch of matrices of one shape.  Block column
+    j holds C_0 .. C_d stacked from block row j down, so it takes one slice
+    assignment.
+    """
+    *batch, grade, m, q = coeffs.shape
+    column = coeffs.reshape(*batch, grade * m, q)
+    data = np.zeros((*batch, (k + grade - 1) * m, k * q), dtype=coeffs.dtype)
+    for j in range(k):
+        data[..., j * m : (j + grade) * m, j * q : (j + 1) * q] = column
+    return data
+
+
 def sylvester(P: PolyMat, k: int) -> SylvesterMatrix:
     """Build the k-th Sylvester matrix of P using its ambient grade."""
     if not isinstance(k, int) or k < 1:
         raise ShapeError(f"block-column count k must be a positive integer, got {k!r}")
-    m, q, d = P.rows, P.cols, P.degree_bound
-    data = np.zeros(((k + d) * m, k * q), dtype=P.coeffs.dtype)
-    for j in range(k):
-        for i in range(d + 1):
-            data[(j + i) * m : (j + i + 1) * m, j * q : (j + 1) * q] = P.coeffs[i]
+    data = sylvester_array(P.coeffs, k)
     data.flags.writeable = False
-    return SylvesterMatrix(k=k, m=m, q=q, d=d, data=data)
+    return SylvesterMatrix(k=k, m=P.rows, q=P.cols, d=P.degree_bound, data=data)
 
 
 def _as_array(A) -> np.ndarray:
@@ -76,9 +92,13 @@ def _as_array(A) -> np.ndarray:
     return arr
 
 
-def default_tolerance(shape: tuple[int, int], sigma1: float) -> float:
-    """Standard numerical-rank threshold max(p, q) * eps * sigma1."""
-    return max(shape) * float(np.finfo(np.float64).eps) * sigma1
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def default_tolerance(shape: tuple[int, int], sigma1):
+    """Standard numerical-rank threshold max(p, q) * eps * sigma1; elementwise
+    for an array of sigma1."""
+    return sigma1 * (max(shape) * _EPS)
 
 
 def singular_values(A) -> np.ndarray:
@@ -86,14 +106,24 @@ def singular_values(A) -> np.ndarray:
     return np.linalg.svd(_as_array(A), compute_uv=False)
 
 
+# Gap ratio below which a rank decision is reported as marginal.
+MARGINAL_GAP = 1e3
+
+
 @dataclass(frozen=True)
 class RankDecision:
-    """Numerical rank verdict with the full spectrum kept for diagnostics."""
+    """Numerical rank verdict with the full spectrum kept for diagnostics.
+
+    ``roundoff_floor`` is the default threshold max(shape) * eps * sigma_1 of
+    the decided matrix: singular values below it are indistinguishable from
+    round-off, so a tolerance below it decides nothing.
+    """
 
     rank: int
     nullity: int
     singular_values: tuple[float, ...]
     tolerance_used: float
+    roundoff_floor: float
 
     @property
     def gap_ratio(self) -> float:
@@ -103,25 +133,59 @@ class RankDecision:
             return float("inf")
         return sv[self.rank - 1] / sv[self.rank]
 
+    @property
+    def marginal(self) -> bool:
+        """True when the tolerance is below round-off or the gap is small."""
+        return self.tolerance_used < self.roundoff_floor or self.gap_ratio < MARGINAL_GAP
 
-def _decide(sv: np.ndarray, shape: tuple[int, int], tol: float | None) -> RankDecision:
+
+def stacked_ranks(
+    sv: np.ndarray, shape: tuple[int, int], tol: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerical ranks of matrices of one shape from their descending singular
+    values ``sv[..., :]``, with the thresholds used and the round-off floors.
+
+    The rank counts singular values above ``tol``, which must be a finite
+    number >= 0; when ``tol`` is None the threshold is the round-off floor
+    max(shape) * eps * sigma_1 of each matrix.
+    """
     # The one place a tolerance meets singular values, so the one place it is
     # checked: a negative, NaN or infinite threshold would count every or no
     # singular value and turn any input into a confident wrong verdict.
+    floor = default_tolerance(shape, sv[..., 0])
     if tol is None:
-        tau = default_tolerance(shape, float(sv[0]))
+        tau = floor
     else:
-        tau = float(tol)
-        if not (math.isfinite(tau) and tau >= 0.0):
+        value = float(tol)
+        if not (math.isfinite(value) and value >= 0.0):
             raise InputFormatError(
                 f"rank tolerance must be a finite number >= 0, got {tol!r}"
             )
-    rank = int(np.count_nonzero(sv > tau))
+        tau = np.full(floor.shape, value)
+    # Counting over the whole array is several times faster for one matrix.
+    ranks = np.count_nonzero(sv > tau[..., None], axis=-1 if sv.ndim > 1 else None)
+    return ranks, tau, floor
+
+
+def clearance(sigma, tau):
+    """sigma / tau, and 0 where the threshold tau is 0: how far a singular
+    value that a rank test needs clears the threshold.  Elementwise for
+    arrays; a float threshold gives a float."""
+    if isinstance(tau, float):
+        return sigma / tau if tau > 0 else 0.0
+    return np.divide(sigma, tau, out=np.zeros(tau.shape), where=tau > 0)
+
+
+def rank_decision(sv: np.ndarray, shape: tuple[int, int], tol: float | None) -> RankDecision:
+    """``stacked_ranks`` for one matrix, as a RankDecision."""
+    rank, tau, floor = stacked_ranks(sv, shape, tol)
+    rank = int(rank)
     return RankDecision(
         rank=rank,
         nullity=shape[1] - rank,
         singular_values=tuple(sv.tolist()),
-        tolerance_used=tau,
+        tolerance_used=float(tau),
+        roundoff_floor=float(floor),
     )
 
 
@@ -133,7 +197,7 @@ def rank_nullity(A, tol: float | None = None) -> RankDecision:
     max(rows, cols) * eps * sigma_1.
     """
     arr = _as_array(A)
-    return _decide(np.linalg.svd(arr, compute_uv=False), arr.shape, tol)
+    return rank_decision(np.linalg.svd(arr, compute_uv=False), arr.shape, tol)
 
 
 def min_singular_value(A, which: int = 0) -> float:
@@ -186,7 +250,7 @@ def _memo_rank(P: PolyMat, key: int | str, tol: float | None) -> RankDecision:
     entry = _factored(P, key)
     dec = entry.decisions.get(tol)
     if dec is None:
-        dec = entry.decisions[tol] = _decide(entry.sv, entry.shape, tol)
+        dec = entry.decisions[tol] = rank_decision(entry.sv, entry.shape, tol)
     return dec
 
 

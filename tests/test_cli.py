@@ -209,10 +209,26 @@ def test_invalid_tolerance_exits_2(capsys, tmp_path, monkeypatch, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert repr(float(value)) in captured.err
+    generic = ["generic", "--m", "3", "--n", "2", "--d", "2", "--trials", "5"]
+    assert main(generic + ["--tol", value]) == 2
     monkeypatch.setenv("MINBASIS_TOL", value)
     assert main(["certify", str(path), "--strict"]) == 2
     assert repr(float(value)) in capsys.readouterr().err
     assert main(["analyze", str(path), "--json"]) == 2
+    assert main(generic) == 2
+
+
+def test_zero_tolerance_certificate_is_marginal(capsys, tmp_path):
+    # tol = 0 lets round-off pass (lam - 2) C; the report must say marginal.
+    path = tmp_path / "cf.json"
+    save(common_factor_2x4(), path)
+    code, report = run_json(capsys, ["certify", str(path), "--tol", "0", "--json"])
+    assert code == 0
+    assert report["results"]["is_minimal_basis"] is True
+    assert report["results"]["marginal"] is True
+    code, report = run_json(capsys, ["certify", str(path), "--json"])
+    assert report["results"]["is_minimal_basis"] is False
+    assert report["results"]["marginal"] is False
 
 
 def test_missing_file_exits_2(capsys):

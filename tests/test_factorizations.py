@@ -8,6 +8,7 @@ import pytest
 
 import minbasis as mb
 from minbasis.dual import admissible_radius
+from minbasis.fullsyl import BLOCK_BYTES, decisive_rank_tests
 from minbasis.polymat import PolyMat
 
 from helpers import random_perturbation
@@ -98,3 +99,29 @@ def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch)
     # matrix, and never values-only once the vectors are known.
     for kinds in per_matrix.values():
         assert kinds in ([False], [True], [False, True]), kinds
+
+
+def test_genericity_experiment_runs_one_svd_per_decisive_test_and_block(monkeypatch):
+    m, n, d, trials = 3, 2, 2, 50
+    plan = decisive_rank_tests(mb.kprime_t(m, n, d), m, m + n, d)
+    k = plan[-1][0]
+    block = BLOCK_BYTES // ((k + d) * m * k * (m + n) * 8)
+    spy = SvdSpy(monkeypatch)
+    assert mb.genericity_experiment(m, n, d, trials=trials, seed=42).successes == trials
+    assert 0 < len(spy.take()) <= len(plan) * -(-trials // block)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_genericity_experiment_rejects_invalid_tolerance(tol):
+    with pytest.raises(mb.InputFormatError, match="rank tolerance"):
+        mb.genericity_experiment(3, 2, 2, trials=5, seed=1, tol=tol)
+
+
+def test_sharp_witness_flat_factors_its_stack_once(monkeypatch):
+    M = PolyMat.from_coeff_list([[[1.0, 0.0, 0.0, 0.0]], [[0.0, 1.0, 0.0, 0.0]]])
+    spy = SvdSpy(monkeypatch)
+    _, dist = mb.sharp_witness_flat(M)
+    assert dist == pytest.approx(1.0)
+    # Only the stack's SVD is unkeyed: the witness check that follows factors
+    # S_1 of the witness through ``sylvester``, which the spy keys.
+    assert [call for call in spy.take() if call[0] is None] == [(None, True)]

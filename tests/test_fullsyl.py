@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 import minbasis as mb
+from minbasis import fullsyl
 from minbasis.fullsyl import (
+    decisive_rank_tests,
     genericity_experiment,
     has_full_sylvester_rank,
     index_sum_check,
     kprime_t,
     predicted_minimal_indices,
     sample_full_sylvester,
+    sample_polymat,
 )
 
 from helpers import example1, example3, flat_1311
@@ -165,3 +168,81 @@ def test_sampler_margin_and_profile_shape():
 def test_sampler_gives_up_on_degenerate_tolerance():
     with pytest.raises(RuntimeError, match="margin"):
         sample_full_sylvester(2, 2, 1, seed=0, tol=1e6, max_rejects=5)
+
+
+def test_unknown_field_tag_is_rejected_before_any_draw():
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    calls = [
+        lambda: sample_polymat(rng, 3, 5, 2, field="quaternion"),
+        lambda: genericity_experiment(3, 2, 2, trials=5, seed=1, field_tag="quaternion"),
+        lambda: sample_full_sylvester(3, 2, 2, seed=1, field_tag="quaternion"),
+    ]
+    for call in calls:
+        with pytest.raises(mb.InputFormatError, match="'quaternion'"):
+            call()
+    assert rng.bit_generator.state == state
+
+
+def _per_trial_reference(m, n, d, trials, seed, dist, field, zero_leading, tol):
+    """The experiment's counts, one has_full_sylvester_rank call per trial."""
+    successes, failures, min_margin = 0, [], float("inf")
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        M = sample_polymat(rng, m, m + n, d, dist=dist, field=field, zero_leading=zero_leading)
+        report = has_full_sylvester_rank(M, tol)
+        min_margin = min(min_margin, report.margin)
+        if report.has_full_sylvester_rank:
+            successes += 1
+        else:
+            failures.append({"trial": trial, "margin": report.margin})
+    return successes, failures, min_margin
+
+
+def _s_kprime_bytes(m, n, d, field):
+    k = kprime_t(m, n, d).k_prime
+    return (k + d) * m * k * (m + n) * (16 if field == "complex" else 8)
+
+
+def _assert_matches_reference(m, n, d, trials, seed, dist, field, zero_leading, tol):
+    got = genericity_experiment(
+        m, n, d, trials=trials, seed=seed, dist=dist, field_tag=field,
+        zero_leading=zero_leading, tol=tol,
+    ).to_dict()
+    successes, failures, min_margin = _per_trial_reference(
+        m, n, d, trials, seed, dist, field, zero_leading, tol
+    )
+    assert got["successes"] == successes
+    assert got["failures"] == failures
+    assert got["min_margin"] == min_margin
+
+
+# (m, n, d, dist, field, zero_leading); (4, 3, 2) and (2, 3, 2) have t > 0 and
+# k' > 1, so both decisive tests run; (2, 3, 1) and (3, 2, 2) run one.
+BLOCKED_CASES = [
+    (4, 3, 2, "gaussian", "real", False),
+    (4, 3, 2, "uniform", "complex", True),
+    (2, 3, 2, "gaussian", "complex", False),
+    (2, 3, 2, "uniform", "real", True),
+    (2, 3, 1, "uniform", "complex", False),
+    (3, 2, 2, "gaussian", "real", True),
+]
+
+
+# tol = 1.0 fails most trials, with non-zero margins.
+@pytest.mark.parametrize("tol", [None, 1e-12, 0.0, 1.0])
+@pytest.mark.parametrize("case", BLOCKED_CASES)
+def test_blocked_experiment_matches_per_trial_reference(case, tol, monkeypatch):
+    m, n, d, dist, field, zero_leading = case
+    tests = len(decisive_rank_tests(kprime_t(m, n, d), m, m + n, d))
+    assert tests == (2 if (m, n, d) in ((4, 3, 2), (2, 3, 2)) else 1)
+    # Blocks of three trials: seven trials end one past a block boundary.
+    monkeypatch.setattr(fullsyl, "BLOCK_BYTES", 3 * _s_kprime_bytes(m, n, d, field))
+    _assert_matches_reference(m, n, d, 7, 5, dist, field, zero_leading, tol)
+
+
+def test_blocked_experiment_matches_reference_past_the_default_block():
+    block = fullsyl.BLOCK_BYTES // _s_kprime_bytes(4, 3, 2, "complex")
+    assert block > 1
+    _assert_matches_reference(4, 3, 2, block + 1, 3, "gaussian", "complex", True, None)
+    _assert_matches_reference(4, 3, 2, block + 1, 4, "uniform", "complex", False, 1e-12)

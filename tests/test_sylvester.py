@@ -7,9 +7,12 @@ import minbasis as mb
 from minbasis.polymat import PolyMat, s1_norms, s1_stack
 from minbasis.sylvester import (
     min_singular_value,
+    rank_decision,
     rank_nullity,
     singular_values,
+    stacked_ranks,
     sylvester,
+    sylvester_array,
     sylvester_rank,
 )
 
@@ -100,6 +103,49 @@ def test_invalid_tolerance_is_rejected_on_every_path(tol):
 def test_zero_tolerance_is_accepted():
     assert rank_nullity(np.diag([1.0, 1e-300, 0.0]), 0.0).rank == 2
     assert sylvester_rank(example1(), 3, 0).rank == 24
+
+
+def test_tolerance_below_roundoff_is_marginal():
+    # With tol = 0 round-off singular values of the rank-deficient S_k count,
+    # so the common factor passes; the verdict must not look confident.
+    M = common_factor_2x4()
+    assert not mb.certify_minimal_basis(M).marginal
+    cert = mb.certify_minimal_basis(M, tol=0.0)
+    assert cert.is_minimal_basis and cert.marginal and cert.profile.marginal
+    assert rank_nullity(np.eye(3), 0.0).marginal
+    assert not rank_nullity(np.eye(3)).marginal
+
+
+def _sylvester_loop(coeffs: np.ndarray, k: int) -> np.ndarray:
+    grade, m, q = coeffs.shape
+    data = np.zeros(((k + grade - 1) * m, k * q), dtype=coeffs.dtype)
+    for j in range(k):
+        for i in range(grade):
+            data[(j + i) * m : (j + i + 1) * m, j * q : (j + 1) * q] = coeffs[i]
+    return data
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_batched_sylvester_build_matches_block_loop(k):
+    rng = np.random.default_rng(41)
+    coeffs = rng.standard_normal((2, 3, 4, 3, 5)) + 1j * rng.standard_normal((2, 3, 4, 3, 5))
+    stack = sylvester_array(coeffs, k)
+    assert stack.shape == (2, 3, (k + 3) * 3, k * 5)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(stack[index], _sylvester_loop(coeffs[index], k))
+    P = PolyMat(coeffs[1, 2])
+    assert np.array_equal(sylvester(P, k).data, stack[1, 2])
+
+
+@pytest.mark.parametrize("tol", [None, 1e-3, 0.0])
+def test_stacked_ranks_match_single_decisions(tol):
+    rng = np.random.default_rng(43)
+    stack = rng.standard_normal((6, 4, 7)) * np.logspace(0, -8, 7)
+    sv = np.linalg.svd(stack, compute_uv=False)
+    ranks, tau, floor = stacked_ranks(sv, (4, 7), tol)
+    for b in range(6):
+        dec = rank_decision(sv[b], (4, 7), tol)
+        assert (dec.rank, dec.tolerance_used, dec.roundoff_floor) == (ranks[b], tau[b], floor[b])
 
 
 def test_min_singular_value_identity():
