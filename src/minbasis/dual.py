@@ -6,6 +6,10 @@ the perturbation of M stays inside an admissible radius, a dual basis of the
 perturbed matrix exists whose relative change is bounded by 2/theta2 times
 the applied perturbation norm.  The propagation below realizes exactly the
 minimum-Frobenius-norm construction that yields that guarantee.
+
+Every Sylvester matrix factored here is wide with full row rank, as its
+singular values certify first, so QR factorizations of S_k^H give both the
+nullspaces the dual is built from and the minimum-norm corrections.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import (
     ShapeError,
 )
 from .fullsyl import KPrimeT, has_full_sylvester_rank, kprime_t
-from .minimal import certify_minimal_basis
+from .minimal import REASON_DEGREE_SUM, REASON_HR, certify_minimal_basis
 from .polymat import (
     PolyMat,
     add,
@@ -34,8 +38,8 @@ from .robust import Thetas, thetas
 from .sylvester import (
     highest_row_degree_rank,
     sylvester,
+    sylvester_nullspace,
     sylvester_rank,
-    sylvester_right_vectors,
 )
 
 __all__ = [
@@ -50,7 +54,7 @@ __all__ = [
 ]
 
 RESIDUAL_FACTOR = 1e-10
-LSTSQ_RESIDUAL_FACTOR = 1e-8
+CORRECTION_RESIDUAL_FACTOR = 1e-8
 
 
 def product_residual(M: PolyMat, N: PolyMat) -> float:
@@ -82,7 +86,13 @@ class DualPair:
 
 
 def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair:
-    """Check dimension sum, product residual, and both minimality certificates."""
+    """Check dimension sum, product residual, and that M and N are minimal bases.
+
+    Once M is certified minimal and the first two checks pass, N is a minimal
+    basis exactly when it is row reduced, so that its rows are a polynomial
+    basis of M's right nullspace, and its row degrees sum to M's, the least
+    degree sum such a basis can have.  Only otherwise is N certified alone.
+    """
     failures = []
     if M.cols != N.cols:
         raise ShapeError(f"column counts differ ({M.cols} vs {N.cols})")
@@ -96,9 +106,17 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
     cert_m = certify_minimal_basis(M, tol)
     if not cert_m.is_minimal_basis:
         failures.append(f"M is not a minimal basis ({cert_m.reason})")
-    cert_n = certify_minimal_basis(N, tol)
-    if not cert_n.is_minimal_basis:
-        failures.append(f"N is not a minimal basis ({cert_n.reason})")
+    if failures:
+        cert_n = certify_minimal_basis(N, tol)
+        reason_n = None if cert_n.is_minimal_basis else cert_n.reason
+    elif highest_row_degree_rank(N, tol).rank < N.rows:
+        reason_n = REASON_HR
+    elif sum(row_degrees(N)) != cert_m.degree_sum_expected:
+        reason_n = REASON_DEGREE_SUM
+    else:
+        reason_n = None
+    if reason_n is not None:
+        failures.append(f"N is not a minimal basis ({reason_n})")
     kt = kprime_t(M.rows, max(M.cols - M.rows, 1), max(M.degree_bound, 1))
     return DualPair(
         M=M,
@@ -118,19 +136,14 @@ def _nullspace(M: PolyMat, k: int, expected_dim: int, tol: float | None) -> np.n
             f"nullspace dimension {dec.nullity}, expected {expected_dim}; "
             "rank tolerance breakdown"
         )
-    return sylvester_right_vectors(M, k)[dec.rank :].conj().T
+    return sylvester_nullspace(M, k, tol)
 
 
-def _canonicalize_stack(vec: np.ndarray) -> np.ndarray:
-    # Unit norm with the largest-magnitude entry made real positive, so the
-    # extracted basis is deterministic despite nullspace non-uniqueness.
-    nrm = np.linalg.norm(vec)
-    if nrm == 0.0:
-        return vec
-    vec = vec / nrm
-    pivot = int(np.argmax(np.abs(vec)))
-    phase = vec[pivot] / abs(vec[pivot])
-    return vec / phase
+def _fix_phases(basis: np.ndarray) -> np.ndarray:
+    # Make each column's largest-magnitude entry real positive, so the
+    # extracted basis does not depend on the signs or phases QR picks.
+    pivots = basis[np.abs(basis).argmax(axis=0), np.arange(basis.shape[1])]
+    return basis * (np.abs(pivots) / pivots)
 
 
 def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
@@ -148,35 +161,26 @@ def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
     n = q - m
     kp, t = report.k_prime_t.k_prime, report.k_prime_t.t
 
-    x_stacks = []
+    # Column j of a nullspace basis of S_k stacks the coefficients of one
+    # row of N, constant term first.
+    coeffs = np.zeros((kp + 1, n, q), dtype=M.coeffs.dtype)
     if t > 0:
-        basis = _nullspace(M, kp, t, tol)
-        x_stacks = [_canonicalize_stack(basis[:, j]) for j in range(t)]
-
+        x = _fix_phases(_nullspace(M, kp, t, tol))
+        coeffs[:kp, :t] = x.reshape(kp, q, t).transpose(0, 2, 1)
     big = _nullspace(M, kp + 1, n + t, tol)
     if t > 0:
         shifts = np.zeros(((kp + 1) * q, 2 * t), dtype=big.dtype)
-        for j, v in enumerate(x_stacks):
-            shifts[: kp * q, 2 * j] = v
-            shifts[q:, 2 * j + 1] = v
-        q_shift, _ = np.linalg.qr(shifts)
-        big = big - q_shift @ (q_shift.conj().T @ big)
-    u, s, _ = np.linalg.svd(big, full_matrices=False)
-    keep = n - t
-    if keep > 0 and s[keep - 1] < 1e-8:
-        raise NumericalInconsistencyError(
-            f"degree-k' nullspace directions nearly vanished (sigma={s[keep - 1]:.3e})"
-        )
-    y_stacks = [_canonicalize_stack(u[:, j]) for j in range(keep)]
-
-    dtype = M.coeffs.dtype
-    coeffs = np.zeros((kp + 1, n, q), dtype=dtype)
-    for row, v in enumerate(x_stacks):
-        for i in range(kp):
-            coeffs[i, row, :] = v[i * q : (i + 1) * q]
-    for row, v in enumerate(y_stacks, start=t):
-        for i in range(kp + 1):
-            coeffs[i, row, :] = v[i * q : (i + 1) * q]
+        shifts[: kp * q, :t] = x
+        shifts[q:, t:] = x
+        # The shifts lie in the nullspace: keep the part orthogonal to them.
+        coords, r = np.linalg.qr(big.conj().T @ shifts, mode="complete")
+        smallest = float(np.abs(np.diag(r)).min())
+        if smallest < 1e-8:
+            raise NumericalInconsistencyError(
+                f"shifted degree-k'-1 rows nearly dependent (|r_ii| = {smallest:.3e})"
+            )
+        big = big @ coords[:, 2 * t :]
+    coeffs[:, t:] = _fix_phases(big).reshape(kp + 1, q, n - t).transpose(0, 2, 1)
     N = PolyMat(coeffs)
 
     pair = verify_duality(M, N, tol)
@@ -226,17 +230,20 @@ def admissible_radius(M: PolyMat, N: PolyMat, theta: Thetas | None = None,
     return 0.5 * theta.theta1 * sigma_n / float(np.linalg.norm(s1_stack(N)))
 
 
-def _coeff_stack_of_transpose(P: PolyMat, rows: list[int], grade: int) -> np.ndarray:
-    # S_1 of the transposed row subset: blocks C_i^T restricted to the rows.
-    return np.vstack([P.coeffs[i][rows, :].T for i in range(grade + 1)])
-
-
 def _min_norm_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    X, _, _, _ = np.linalg.lstsq(A, B, rcond=None)
-    resid = np.linalg.norm(A @ X - B)
-    if resid > LSTSQ_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(B)):
+    # Minimum-norm solution of A X = B for a wide A of full row rank: with
+    # the reduced QR A^H = QR, A = R^H Q^H and X = Q R^{-H} B.
+    q, r = np.linalg.qr(A.conj().T)
+    smallest = float(np.abs(np.diag(r)).min())
+    if not smallest > 0.0:
         raise NumericalInconsistencyError(
-            f"least-squares system inconsistent (residual {resid:.3e}); the "
+            f"correction system of shape {A.shape} is singular (min |r_ii| = {smallest:.3e})"
+        )
+    X = q @ np.linalg.solve(r.conj().T, B)
+    resid = np.linalg.norm(A @ X - B)
+    if resid > CORRECTION_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(B)):
+        raise NumericalInconsistencyError(
+            f"correction system inconsistent (residual {resid:.3e}); the "
             "perturbed matrix may have lost full-Sylvester-rank"
         )
     return X
@@ -283,19 +290,13 @@ def propagate_perturbation(
 
     M_new = add(M, delta_M)
     delta_coeffs = np.zeros_like(N.coeffs)
-    if t > 0:
-        A = sylvester(M_new, kp).data
-        rhs = -sylvester(delta_M, kp).data @ _coeff_stack_of_transpose(N, x_rows, kp - 1)
-        dX = _min_norm_solve(A, rhs)
-        for i in range(kp):
-            delta_coeffs[i][x_rows, :] = dX[i * q : (i + 1) * q, :].T
-    if n - t > 0:
-        A = sylvester(M_new, kp + 1).data
-        rhs = -sylvester(delta_M, kp + 1).data @ _coeff_stack_of_transpose(N, y_rows, kp)
-        dY = _min_norm_solve(A, rhs)
-        for i in range(kp + 1):
-            delta_coeffs[i][y_rows, :] = dY[i * q : (i + 1) * q, :].T
-
+    for rows, k in ((x_rows, kp), (y_rows, kp + 1)):
+        if rows:
+            # S_1 of the transposed rows: blocks C_i^T for i = 0 .. k - 1.
+            stack = N.coeffs[:k, rows].transpose(0, 2, 1).reshape(k * q, len(rows))
+            rhs = -sylvester(delta_M, k).data @ stack
+            delta = _min_norm_solve(sylvester(M_new, k).data, rhs)
+            delta_coeffs[:k, rows] = delta.reshape(k, q, len(rows)).transpose(0, 2, 1)
     delta_N = PolyMat(delta_coeffs)
     N_new = add(N, delta_N)
     new_pair = verify_duality(M_new, N_new, tol)

@@ -148,7 +148,7 @@ def index_sum_check(M: PolyMat, tol: float | None = None) -> bool:
 
 def _check_sampling(dist: str, field: str) -> None:
     if dist not in ("gaussian", "uniform"):
-        raise ShapeError(f"unknown distribution {dist!r}")
+        raise InputFormatError(f"unknown distribution {dist!r}")
     if field not in ("real", "complex"):
         raise InputFormatError(f"unknown field tag {field!r}")
 

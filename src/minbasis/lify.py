@@ -17,17 +17,15 @@ import numpy as np
 from .errors import PreconditionError, PropertyViolationError, ShapeError
 from .dual import DualPair, dual_minimal_basis, propagate_perturbation
 from .fullsyl import has_full_sylvester_rank
-from .minimal import rank_profile, indices_from_profile
+from .minimal import _evaluation_rank, indices_from_profile, rank_profile
 from .polymat import (
     PolyMat,
     add,
-    evaluate,
     poly_multiply_transpose,
     s1_stack,
     vstack_polymats,
 )
 from .robust import _sigma
-from .sylvester import rank_nullity
 
 __all__ = [
     "Lification",
@@ -174,12 +172,7 @@ def _right_indices_or_none(Q: PolyMat, tol: float | None) -> list[int] | None:
         raise ShapeError("right indices computed only for wide or square matrices")
     if Q.rows == Q.cols:
         # Square: full normal rank means an empty right nullspace.
-        rng = np.random.default_rng(0xA11CE)
-        for _ in range(2):
-            lam = complex(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5))
-            if rank_nullity(evaluate(Q, lam), tol).rank == Q.rows:
-                return []
-        return None
+        return [] if _evaluation_rank(Q, tol) == Q.rows else None
     profile = rank_profile(Q, tol=tol)
     if not profile.normal_rank_full or profile.d_prime is None:
         return None

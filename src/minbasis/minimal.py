@@ -171,23 +171,14 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
             break
         prev = dec.rank
 
-    normal_rank_full = True
-    stabilized = None
-    if d_prime is not None:
-        # Guard against a transient m-increment on a rank-deficient input.
-        eval_rank = _evaluation_rank(M, tol)
-        if eval_rank < m:
-            normal_rank_full = False
-            stabilized = eval_rank
-            d_prime = None
-    else:
-        # Cap reached without the stopping test firing: either the scan was
-        # truncated by a small user cap (evaluation still shows full rank) or
-        # the increments stabilized below m and the matrix is rank deficient.
-        eval_rank = _evaluation_rank(M, tol)
-        if eval_rank < m:
-            normal_rank_full = False
-            stabilized = eval_rank
+    # Evaluation guards a stop against a transient m-increment of a rank-
+    # deficient input; without a stop, it tells a scan truncated by a small
+    # user cap (full rank) from increments that stabilized below m.
+    eval_rank = _evaluation_rank(M, tol)
+    normal_rank_full = eval_rank >= m
+    stabilized = None if normal_rank_full else eval_rank
+    if not normal_rank_full:
+        d_prime = None
 
     alphas = (
         _alphas_from_nullities(tuple(nullities))

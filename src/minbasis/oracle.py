@@ -224,19 +224,11 @@ def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
             d_prime = k - 1
             break
         prev = r
-    normal_rank_full = True
-    stabilized = None
-    if d_prime is not None:
-        rank = _exact_normal_rank(M)
-        if rank < m:
-            normal_rank_full = False
-            stabilized = rank
-            d_prime = None
-    else:
-        rank = _exact_normal_rank(M)
-        if rank < m:
-            normal_rank_full = False
-            stabilized = rank
+    rank = _exact_normal_rank(M)
+    normal_rank_full = rank >= m
+    stabilized = None if normal_rank_full else rank
+    if not normal_rank_full:
+        d_prime = None
     alphas = (
         _alphas_from_nullities(tuple(nullities))
         if normal_rank_full and d_prime is not None

@@ -2,9 +2,9 @@
 
 Every rank or singular-value read of a Sylvester matrix S_k(P), and of P's
 highest-row-degree matrix, goes through a memo held by P itself: singular
-values are computed once per matrix, right singular vectors once a caller
-first asks for them, and the memo is freed with the matrix.  The memo never
-keeps the factored arrays themselves.
+values are computed once per matrix, a right nullspace basis (by QR, as only
+S_k of full row rank have it taken) once a caller first asks for it, and the
+memo is freed with the matrix.  It never keeps the factored arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputFormatError, ShapeError
+from .errors import InputFormatError, NumericalInconsistencyError, ShapeError
 from .polymat import PolyMat, highest_row_degree_matrix
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
     "highest_row_degree_rank",
     "full_leading_rank",
     "sylvester_singular_values",
-    "sylvester_right_vectors",
+    "sylvester_nullspace",
 ]
 
 
@@ -217,32 +217,24 @@ _HR = "hr"
 
 @dataclass(eq=False, slots=True)
 class _Factored:
-    """Memo entry for one matrix: its shape, descending singular values, the
-    conjugate-transposed right singular vectors once asked for, and the rank
-    decisions already taken, keyed by tolerance."""
+    """Memo entry for one matrix: its shape, descending singular values, an
+    orthonormal right nullspace basis once asked for, and the rank decisions
+    already taken, keyed by tolerance."""
 
     shape: tuple[int, int]
     sv: np.ndarray
-    vh: np.ndarray | None = None
+    null: np.ndarray | None = None
     decisions: dict = field(default_factory=dict)
 
 
-def _factored(P: PolyMat, key: int | str, vectors: bool = False) -> _Factored:
+def _factored(P: PolyMat, key: int | str) -> _Factored:
     memo = P._sylvester_memo
     entry = memo.get(key)
-    if entry is not None and (entry.vh is not None or not vectors):
-        return entry
-    data = highest_row_degree_matrix(P) if key == _HR else sylvester(P, key).data
-    if vectors:
-        # Full V^H: a wide S_k's nullspace lies in the rows past its rank.
-        _, sv, vh = np.linalg.svd(data, full_matrices=True)
-        vh.flags.writeable = False
-    else:
-        sv, vh = np.linalg.svd(data, compute_uv=False), None
     if entry is None:
+        data = highest_row_degree_matrix(P) if key == _HR else sylvester(P, key).data
+        sv = np.linalg.svd(data, compute_uv=False)
         sv.flags.writeable = False
         entry = memo[key] = _Factored(shape=data.shape, sv=sv)
-    entry.vh = vh
     return entry
 
 
@@ -259,10 +251,26 @@ def sylvester_singular_values(P: PolyMat, k: int) -> np.ndarray:
     return _factored(P, k).sv
 
 
-def sylvester_right_vectors(P: PolyMat, k: int) -> np.ndarray:
-    """Full V^H of S_k(P), whose rows are the conjugated right singular
-    vectors in the order of the singular values; computed once per matrix."""
-    return _factored(P, k, vectors=True).vh
+def sylvester_nullspace(P: PolyMat, k: int, tol: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the right nullspace of S_k(P), as columns.
+
+    S_k(P) must have full row rank at ``tol``; then the nullspace is the
+    orthogonal complement of its row space, the trailing cols - rows columns
+    of a complete QR of S_k^H.  Computed once per matrix.
+    """
+    dec = sylvester_rank(P, k, tol)
+    entry = P._sylvester_memo[k]
+    rows = entry.shape[0]
+    if dec.rank < rows:
+        raise NumericalInconsistencyError(
+            f"S_{k} has rank {dec.rank} below its {rows} rows (nullity "
+            f"{dec.nullity}); a QR nullspace needs full row rank"
+        )
+    if entry.null is None:
+        q, _ = np.linalg.qr(sylvester(P, k).data.conj().T, mode="complete")
+        entry.null = q[:, rows:].copy()  # not a view that keeps all of q
+        entry.null.flags.writeable = False
+    return entry.null
 
 
 def sylvester_rank(P: PolyMat, k: int, tol: float | None = None) -> RankDecision:

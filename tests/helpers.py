@@ -1,4 +1,8 @@
-"""Shared builders for the block-bidiagonal worked examples and random inputs."""
+"""Shared builders for the block-bidiagonal worked examples and random
+inputs, and a spy on the package's factorizations."""
+
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,3 +143,64 @@ def planted_indices(epsilons, rng: np.random.Generator) -> PolyMat:
 
     U, V = unimodular(m), unimodular(q)
     return PolyMat(np.stack([U @ C @ V for C in L]))
+
+
+class Call(NamedTuple):
+    """One logged factorization: ``kind`` is "svd", "qr" or "lstsq"; ``key``
+    is (id(P), k) for S_k(P) or its conjugate transpose, else None;
+    ``detail`` is whether an SVD computes vectors, or the mode of a QR."""
+
+    kind: str
+    key: tuple[int, int] | None
+    detail: bool | str | None
+
+
+class LinalgSpy:
+    """Logs every ``numpy.linalg`` ``svd``, ``qr`` and ``lstsq`` call while
+    installed.
+
+    A call is keyed by content: its input is compared with each S_k(P) that
+    ``sylvester`` in any module of the package built since installation,
+    newest first.  Built matrices are kept alive, so ids stay unique.
+    """
+
+    def __init__(self, monkeypatch):
+        build = sys.modules["minbasis.sylvester"].sylvester
+        originals = {name: getattr(np.linalg, name) for name in ("svd", "qr", "lstsq")}
+        self.calls: list[Call] = []
+        self._built: list[tuple[object, np.ndarray]] = []
+
+        def spy_build(P, k):
+            S = build(P, k)
+            self._built.append((P, S.data))
+            return S
+
+        def spy(kind, detail):
+            def call(a, *args, **kwargs):
+                self.calls.append(Call(kind, self._key(a), detail(args, kwargs)))
+                return originals[kind](a, *args, **kwargs)
+            return call
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("minbasis.") and getattr(module, "sylvester", None) is build:
+                monkeypatch.setattr(module, "sylvester", spy_build)
+        monkeypatch.setattr(np.linalg, "svd", spy("svd", lambda args, kw: bool(
+            kw.get("compute_uv", args[1] if len(args) > 1 else True))))
+        monkeypatch.setattr(np.linalg, "qr", spy("qr", lambda args, kw: kw.get(
+            "mode", args[0] if args else "reduced")))
+        monkeypatch.setattr(np.linalg, "lstsq", spy("lstsq", lambda args, kw: None))
+
+    def _key(self, a) -> tuple[int, int] | None:
+        a = np.asarray(a)
+        for P, data in reversed(self._built):
+            if (a.shape == data.shape and np.array_equal(a, data)) or (
+                a.shape == data.shape[::-1] and np.array_equal(a, data.conj().T)
+            ):
+                return id(P), data.shape[1] // P.cols
+        return None
+
+    def take(self, *kinds: str) -> list[Call]:
+        """The calls of the given kinds (all when none is given) since the
+        last take; the log is then cleared."""
+        calls, self.calls = self.calls, []
+        return [c for c in calls if not kinds or c.kind in kinds]

@@ -1,7 +1,5 @@
-"""Factorization counts, not times: a hidden extra SVD of a Sylvester matrix
-fails here even when it is too cheap to show in a benchmark."""
-
-import sys
+"""Factorization counts, not times: a hidden extra SVD or QR of a Sylvester
+matrix fails here even when it is too cheap to show in a benchmark."""
 
 import numpy as np
 import pytest
@@ -11,44 +9,7 @@ from minbasis.dual import admissible_radius
 from minbasis.fullsyl import BLOCK_BYTES, decisive_rank_tests
 from minbasis.polymat import PolyMat
 
-from helpers import random_perturbation
-
-
-class SvdSpy:
-    """Logs every ``numpy.linalg.svd`` call while installed.
-
-    Each call is logged as (key, with_vectors); the key is (id(P), k) when
-    the input is S_k(P) as built by ``sylvester`` in any module of the
-    package, and None for any other matrix.  Built matrices are kept alive, so ids stay
-    unique.
-    """
-
-    def __init__(self, monkeypatch):
-        build = sys.modules["minbasis.sylvester"].sylvester
-        svd = np.linalg.svd
-        self.calls: list[tuple[tuple[int, int] | None, bool]] = []
-        self._built: dict[int, tuple[int, int]] = {}
-        self._alive: list = []
-
-        def spy_build(P, k):
-            S = build(P, k)
-            self._alive.append((P, S.data))
-            self._built[id(S.data)] = (id(P), k)
-            return S
-
-        def spy_svd(a, *args, **kwargs):
-            with_vectors = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
-            self.calls.append((self._built.get(id(a)), bool(with_vectors)))
-            return svd(a, *args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("minbasis.") and getattr(module, "sylvester", None) is build:
-                monkeypatch.setattr(module, "sylvester", spy_build)
-        monkeypatch.setattr(np.linalg, "svd", spy_svd)
-
-    def take(self) -> list[tuple[tuple[int, int] | None, bool]]:
-        calls, self.calls = self.calls, []
-        return calls
+from helpers import Call, LinalgSpy, random_perturbation
 
 
 @pytest.fixture
@@ -66,39 +27,81 @@ def generic_633():
 
 def test_certify_factors_at_most_two_sylvester_matrices(generic_633, monkeypatch):
     M = generic_633[0]
-    spy = SvdSpy(monkeypatch)
+    spy = LinalgSpy(monkeypatch)
     cert = mb.certify_minimal_basis(M)
     calls = spy.take()
     assert cert.is_minimal_basis
-    # The highest-row-degree matrix plus at most the two decisive S_k tests.
+    # The highest-row-degree matrix plus at most the two decisive S_k tests,
+    # all values-only SVDs.
     assert len(calls) <= 3
-    assert sum(key is not None for key, _ in calls) <= 2
+    assert all(c.kind == "svd" and c.detail is False for c in calls)
+    assert sum(c.key is not None for c in calls) <= 2
     assert mb.right_minimal_indices(M) == mb.predicted_minimal_indices(6, 3, 3)
     assert mb.has_full_sylvester_rank(M).has_full_sylvester_rank
     assert mb.robustness_radius_fullsyl(M).radius > 0
     assert spy.take() == []
 
 
+def _qr_of(calls, P):
+    """The QR calls among ``calls`` of P's Sylvester matrices, as (k, mode)."""
+    return [(c.key[1], c.detail) for c in calls
+            if c.kind == "qr" and c.key is not None and c.key[0] == id(P)]
+
+
 def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch):
     M, delta, K, delta_K = generic_633
-    spy = SvdSpy(monkeypatch)
+    kp = mb.kprime_t(6, 3, 3).k_prime
+    spy = LinalgSpy(monkeypatch)
     mb.certify_minimal_basis(M)
     mb.right_minimal_indices(M)
     mb.has_full_sylvester_rank(M)
     mb.robustness_radius_minimal(M)
     mb.robustness_radius_fullsyl(M)
     pair = mb.dual_minimal_basis(M)
-    mb.propagate_perturbation(pair, delta)
-    mb.backward_error_map(mb.build_lification(K, M), delta_K, delta)
-    per_matrix: dict[tuple[int, int], list[bool]] = {}
-    for key, with_vectors in spy.take():
-        if key is not None:
-            per_matrix.setdefault(key, []).append(with_vectors)
-    assert per_matrix
-    # At most one values-only and one full factorization of each S_k of each
-    # matrix, and never values-only once the vectors are known.
-    for kinds in per_matrix.values():
-        assert kinds in ([False], [True], [False, True]), kinds
+    dual = spy.take()
+    report = mb.propagate_perturbation(pair, delta)
+    perturb = spy.take()
+    lif = mb.build_lification(K, M)
+    lify = spy.take()
+    mb.backward_error_map(lif, delta_K, delta)
+    backward = spy.take()
+    calls = dual + perturb + lify + backward
+    # Values-only SVDs, each S_k of each matrix at most once; no least squares.
+    assert not [c for c in calls if c.kind == "lstsq"]
+    assert not [c for c in calls if c.kind == "svd" and c.detail]
+    keys = [c.key for c in calls if c.kind == "svd" and c.key is not None]
+    assert keys and len(keys) == len(set(keys))
+    # t = 0: the dual comes from the nullspace of S_{k'+1} alone, one complete
+    # QR, which build_lification then reads from M's memo: it factors no S_k.
+    assert _qr_of(dual, M) == [(kp + 1, "complete")]
+    assert _qr_of(perturb + backward, M) == []
+    assert not [c for c in lify if c.kind == "qr" or c.key is not None]
+    # One reduced QR per correction system, here only the degree-k' one.
+    assert _qr_of(perturb, report.perturbed_pair.M) == [(kp + 1, "reduced")]
+    assert [c.kind for c in perturb if c.kind == "qr"] == ["qr"]
+
+
+def test_dual_and_perturbation_with_t_positive_factor_by_qr(monkeypatch):
+    # (4, 3, 2): k' = 3, t = 1, so both nullspaces and both corrections run.
+    M = PolyMat(mb.sample_full_sylvester(4, 3, 2, seed=5).coeffs)
+    spy = LinalgSpy(monkeypatch)
+    pair = mb.dual_minimal_basis(M)
+    dual = spy.take()
+    delta = random_perturbation(M, 0.25 * admissible_radius(M, pair.N),
+                                np.random.default_rng(6))
+    spy.take()
+    report = mb.propagate_perturbation(pair, delta)
+    perturb = spy.take()
+    calls = dual + perturb
+    assert not [c for c in calls if c.kind == "lstsq" or (c.kind == "svd" and c.detail)]
+    assert _qr_of(dual, M) == [(3, "complete"), (4, "complete")]
+    # The only other QR splits the nullspace of S_4 from the shifted rows.
+    assert [c for c in dual if c.kind == "qr" and c.key is None] == [Call("qr", None, "complete")]
+    assert _qr_of(perturb, report.perturbed_pair.M) == [(3, "reduced"), (4, "reduced")]
+    assert len([c for c in perturb if c.kind == "qr"]) == 2
+    # verify_duality checks each new N by its degrees: no S_k of N is built.
+    duals = {id(pair.N), id(report.perturbed_pair.N)}
+    assert not [c for c in calls if c.key is not None and c.key[0] in duals]
 
 
 def test_genericity_experiment_runs_one_svd_per_decisive_test_and_block(monkeypatch):
@@ -106,9 +109,11 @@ def test_genericity_experiment_runs_one_svd_per_decisive_test_and_block(monkeypa
     plan = decisive_rank_tests(mb.kprime_t(m, n, d), m, m + n, d)
     k = plan[-1][0]
     block = BLOCK_BYTES // ((k + d) * m * k * (m + n) * 8)
-    spy = SvdSpy(monkeypatch)
+    spy = LinalgSpy(monkeypatch)
     assert mb.genericity_experiment(m, n, d, trials=trials, seed=42).successes == trials
-    assert 0 < len(spy.take()) <= len(plan) * -(-trials // block)
+    calls = spy.take()
+    assert all(c.kind == "svd" for c in calls)
+    assert 0 < len(calls) <= len(plan) * -(-trials // block)
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
@@ -119,9 +124,9 @@ def test_genericity_experiment_rejects_invalid_tolerance(tol):
 
 def test_sharp_witness_flat_factors_its_stack_once(monkeypatch):
     M = PolyMat.from_coeff_list([[[1.0, 0.0, 0.0, 0.0]], [[0.0, 1.0, 0.0, 0.0]]])
-    spy = SvdSpy(monkeypatch)
+    spy = LinalgSpy(monkeypatch)
     _, dist = mb.sharp_witness_flat(M)
     assert dist == pytest.approx(1.0)
     # Only the stack's SVD is unkeyed: the witness check that follows factors
     # S_1 of the witness through ``sylvester``, which the spy keys.
-    assert [call for call in spy.take() if call[0] is None] == [(None, True)]
+    assert [c for c in spy.take("svd") if c.key is None] == [Call("svd", None, True)]

@@ -184,6 +184,20 @@ def test_unknown_field_tag_is_rejected_before_any_draw():
     assert rng.bit_generator.state == state
 
 
+def test_unknown_distribution_is_rejected_before_any_draw():
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    calls = [
+        lambda: sample_polymat(rng, 2, 3, 1, dist="cauchy"),
+        lambda: genericity_experiment(3, 2, 2, trials=5, seed=1, dist="cauchy"),
+        lambda: sample_full_sylvester(3, 2, 2, seed=1, dist="cauchy"),
+    ]
+    for call in calls:
+        with pytest.raises(mb.InputFormatError, match="'cauchy'"):
+            call()
+    assert rng.bit_generator.state == state
+
+
 def _per_trial_reference(m, n, d, trials, seed, dist, field, zero_leading, tol):
     """The experiment's counts, one has_full_sylvester_rank call per trial."""
     successes, failures, min_margin = 0, [], float("inf")
