@@ -48,20 +48,15 @@ def _digest(P: PolyMat) -> dict:
     }
 
 
-def _tol_context(tol: float | None) -> dict:
-    return {
-        "tol": tol,
-        "policy": "explicit" if tol is not None else "max(rows,cols)*eps*sigma1",
-    }
-
-
 def _emit(args, command: str, input_digest, results: dict, tol: float | None,
-          started: float) -> None:
+          started: float, policy: str | None = None) -> None:
+    if policy is None:
+        policy = "explicit" if tol is not None else "max(rows,cols)*eps*sigma1"
     report = {
         "command": command,
         "input": input_digest,
         "results": results,
-        "tolerances": _tol_context(tol),
+        "tolerances": {"tol": tol, "policy": policy},
         "wall_time": time.perf_counter() - started,
     }
     if args.json:
@@ -110,21 +105,21 @@ def _cmd_analyze(args) -> int:
         if args.kmax is None
         else minimal_mod.rank_profile(M, k_max=args.kmax, tol=tol)
     )
-    results = {
+    results = _profile_dict(profile)
+    results["certificate"] = _cert_dict(cert)
+    _emit(args, "analyze", _digest(M), results, tol, started)
+    return 0
+
+
+def _profile_dict(profile) -> dict:
+    return {
         "ranks": list(profile.ranks),
         "nullities": list(profile.nullities),
         "alphas": list(profile.alphas),
         "d_prime": profile.d_prime,
         "normal_rank_full": profile.normal_rank_full,
-        "minimal_indices": (
-            minimal_mod.indices_from_profile(profile)
-            if profile.normal_rank_full and profile.d_prime is not None
-            else None
-        ),
-        "certificate": _cert_dict(cert),
+        "minimal_indices": minimal_mod._indices_or_none(profile),
     }
-    _emit(args, "analyze", _digest(M), results, tol, started)
-    return 0
 
 
 def _cert_dict(cert) -> dict:
@@ -259,7 +254,7 @@ def _cmd_lify(args) -> int:
         report = lify_mod.backward_error_map(lif, delta_K, delta_M, tol=tol)
         results["backward_error"] = report.to_dict()
         results["index_shift_check"] = lify_mod.minimal_index_shift_check(
-            lif, delta_K, delta_M, tol=tol
+            lif, delta_K, report.perturbation, tol=tol
         )
     elif args.dk or args.dm:
         raise MinBasisError("--dk and --dm must be given together")
@@ -271,19 +266,8 @@ def _cmd_oracle_rank(args) -> int:
     started = time.perf_counter()
     M = load(args.file)
     profile = oracle_mod.exact_rank_profile(M, k_max=args.kmax)
-    results = {
-        "ranks": list(profile.ranks),
-        "nullities": list(profile.nullities),
-        "alphas": list(profile.alphas),
-        "d_prime": profile.d_prime,
-        "normal_rank_full": profile.normal_rank_full,
-        "minimal_indices": (
-            minimal_mod.indices_from_profile(profile)
-            if profile.normal_rank_full and profile.d_prime is not None
-            else None
-        ),
-    }
-    _emit(args, "oracle-rank", _digest(M), results, None, started)
+    _emit(args, "oracle-rank", _digest(M), _profile_dict(profile), None, started,
+          policy="exact")
     return 0
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, PropertyViolationError, ShapeError
-from .dual import DualPair, dual_minimal_basis, propagate_perturbation
+from .dual import DualPair, PerturbReport, dual_minimal_basis, propagate_perturbation
 from .fullsyl import has_full_sylvester_rank
-from .minimal import _evaluation_rank, indices_from_profile, rank_profile
+from .minimal import _evaluation_rank, _indices_or_none, rank_profile
 from .polymat import (
     PolyMat,
     add,
@@ -81,7 +81,11 @@ def build_lification(K: PolyMat, M: PolyMat, tol: float | None = None) -> Lifica
 
 @dataclass(frozen=True)
 class BackwardErrorReport:
-    """Backward error carried from a perturbation of L to the recovered P."""
+    """Backward error carried from a perturbation of L to the recovered P.
+
+    ``perturbation`` is the propagation of delta_M to the dual basis that
+    the map computed; ``minimal_index_shift_check`` reads it.
+    """
 
     C_PL: float
     prefactor: float
@@ -90,6 +94,7 @@ class BackwardErrorReport:
     bound_rhs: float
     admissible: bool
     factors: dict
+    perturbation: PerturbReport
 
     def to_dict(self) -> dict:
         return {
@@ -162,6 +167,7 @@ def backward_error_map(
             "sigma_next_sylvester": sigma_next,
             "applied_norm_delta_M": pert.applied_norm,
         },
+        perturbation=pert,
     )
 
 
@@ -173,25 +179,26 @@ def _right_indices_or_none(Q: PolyMat, tol: float | None) -> list[int] | None:
     if Q.rows == Q.cols:
         # Square: full normal rank means an empty right nullspace.
         return [] if _evaluation_rank(Q, tol) == Q.rows else None
-    profile = rank_profile(Q, tol=tol)
-    if not profile.normal_rank_full or profile.d_prime is None:
-        return None
-    return indices_from_profile(profile)
+    return _indices_or_none(rank_profile(Q, tol=tol))
 
 
 def minimal_index_shift_check(
-    lif: Lification, delta_K: PolyMat, delta_M: PolyMat, tol: float | None = None
+    lif: Lification,
+    delta_K: PolyMat,
+    perturbation: PerturbReport,
+    tol: float | None = None,
 ) -> bool | None:
     """Verify that the perturbed L's right minimal indices are the perturbed
     P's shifted up by k'.
 
-    Returns None (skipped) when the perturbed P lacks full row normal rank,
-    where the index computation does not apply.
+    ``perturbation`` is the propagation of delta_M to ``lif``'s dual basis
+    (``BackwardErrorReport.perturbation``); M + delta_M and N + delta_N are
+    read from its perturbed pair.  Returns None (skipped) when the perturbed
+    P lacks full row normal rank, where the index computation does not apply.
     """
-    pert = propagate_perturbation(lif.pair, delta_M, tol)
     K_new = add(lif.K, delta_K)
-    M_new = add(lif.M, delta_M)
-    N_new = pert.perturbed_pair.N
+    M_new = perturbation.perturbed_pair.M
+    N_new = perturbation.perturbed_pair.N
     L_new = vstack_polymats([K_new, M_new])
     P_new = poly_multiply_transpose(K_new, N_new)
     p_indices = _right_indices_or_none(P_new, tol)

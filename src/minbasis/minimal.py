@@ -9,7 +9,8 @@ the sum of its row degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -129,6 +130,51 @@ def _full_sylvester_profile(M: PolyMat, tol: float | None) -> RankProfile | None
     )
 
 
+def _scan(
+    M: PolyMat,
+    k_max: int | None,
+    rank_at: Callable[[int], int],
+    normal_rank: Callable[[], int],
+) -> RankProfile:
+    """The rank scan shared by the floating-point and the exact profile.
+
+    ``rank_at(k)`` is the rank of S_k and ``normal_rank()`` the normal rank
+    of M; the profile's ``decisions`` and ``tolerance`` are left empty.
+    """
+    m, q = M.rows, M.cols
+    cap = k_max if k_max is not None else m * M.degree_bound + 2
+    if cap < 1:
+        raise ShapeError(f"scan cap must be positive, got {cap}")
+    ranks: list[int] = []
+    d_prime = None
+    prev = 0
+    for k in range(1, cap + 1):
+        ranks.append(rank_at(k))
+        if ranks[-1] - prev == m:
+            d_prime = k - 1
+            break
+        prev = ranks[-1]
+
+    # Normal rank guards a stop against a transient m-increment of a rank-
+    # deficient input; without a stop, it tells a scan truncated by a small
+    # user cap (full rank) from increments that stabilized below m.
+    rank = normal_rank()
+    normal_rank_full = rank >= m
+    if not normal_rank_full:
+        d_prime = None
+    nullities = tuple(k * q - r for k, r in enumerate(ranks, start=1))
+    return RankProfile(
+        ranks=tuple(ranks),
+        nullities=nullities,
+        alphas=_alphas_from_nullities(nullities) if d_prime is not None else (),
+        d_prime=d_prime,
+        normal_rank_full=normal_rank_full,
+        stabilized_increment=None if normal_rank_full else rank,
+        decisions=(),
+        tolerance=None,
+    )
+
+
 def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None) -> RankProfile:
     """Scan Sylvester ranks r_1, r_2, ... until the increment drops to m.
 
@@ -152,49 +198,14 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
         profile = _full_sylvester_profile(M, tol)
         if profile is not None:
             return profile
-    cap = k_max if k_max is not None else m * d + 2
-    if cap < 1:
-        raise ShapeError(f"scan cap must be positive, got {cap}")
-
-    ranks: list[int] = []
-    nullities: list[int] = []
     decisions: list[RankDecision] = []
-    d_prime = None
-    prev = 0
-    for k in range(1, cap + 1):
-        dec = sylvester_rank(M, k, tol)
-        ranks.append(dec.rank)
-        nullities.append(dec.nullity)
-        decisions.append(dec)
-        if dec.rank - prev == m:
-            d_prime = k - 1
-            break
-        prev = dec.rank
 
-    # Evaluation guards a stop against a transient m-increment of a rank-
-    # deficient input; without a stop, it tells a scan truncated by a small
-    # user cap (full rank) from increments that stabilized below m.
-    eval_rank = _evaluation_rank(M, tol)
-    normal_rank_full = eval_rank >= m
-    stabilized = None if normal_rank_full else eval_rank
-    if not normal_rank_full:
-        d_prime = None
+    def rank_at(k: int) -> int:
+        decisions.append(sylvester_rank(M, k, tol))
+        return decisions[-1].rank
 
-    alphas = (
-        _alphas_from_nullities(tuple(nullities))
-        if normal_rank_full and d_prime is not None
-        else ()
-    )
-    return RankProfile(
-        ranks=tuple(ranks),
-        nullities=tuple(nullities),
-        alphas=alphas,
-        d_prime=d_prime,
-        normal_rank_full=normal_rank_full,
-        stabilized_increment=stabilized,
-        decisions=tuple(decisions),
-        tolerance=tol,
-    )
+    profile = _scan(M, k_max, rank_at, lambda: _evaluation_rank(M, tol))
+    return replace(profile, decisions=tuple(decisions), tolerance=tol)
 
 
 def indices_from_profile(profile: RankProfile) -> list[int]:
@@ -212,6 +223,13 @@ def indices_from_profile(profile: RankProfile) -> list[int]:
             )
         out.extend([j] * count)
     return out
+
+
+def _indices_or_none(profile: RankProfile) -> list[int] | None:
+    """The indices ``profile`` encodes, or None without full normal rank."""
+    if not profile.normal_rank_full or profile.d_prime is None:
+        return None
+    return indices_from_profile(profile)
 
 
 def right_minimal_indices(
@@ -303,69 +321,23 @@ def certify_minimal_basis(M: PolyMat, tol: float | None = None) -> Certificate:
 
 
 def certify_full_leading(M: PolyMat, tol: float | None = None) -> Certificate:
-    """Shortcut certificate for matrices whose leading coefficient has full rank.
+    """The general certificate, for matrices whose leading coefficient has
+    full row rank.
 
-    Searches for a Sylvester matrix with full row rank; the smallest such
-    block count is the largest right minimal index.  Raises
+    Under that precondition the smallest block count whose Sylvester matrix
+    has full row rank is the largest right minimal index d', where the rank
+    scan stops, so no search of its own is needed: the result is
+    ``certify_minimal_basis``'s, profile included.  Raises
     LeadingCoefficientError when the leading coefficient is rank deficient,
     in which case ``certify_minimal_basis`` must be used instead.
     """
     if not M.is_wide:
         raise ShapeError(f"certification requires a wide matrix, got {M.rows}x{M.cols}")
-    m, q, d = M.rows, M.cols, M.degree_bound
-    if d < 1:
-        raise ShapeError("certify_full_leading requires degree_bound >= 1")
-    lead_dec = full_leading_rank(M, tol)
-    if lead_dec is None:
+    if full_leading_rank(M, tol) is None:
         raise LeadingCoefficientError(
             "leading coefficient rank deficient -- use certify_minimal_basis"
         )
-    n = q - m
-    # Full row rank needs at least as many columns as rows: k >= ceil(m*d/n).
-    k_start = -(-m * d // n)
-    cap = m * d + 2
-    decisions = []
-    found = None
-    for k in range(k_start, cap + 1):
-        dec = sylvester_rank(M, k, tol)
-        decisions.append(dec)
-        if dec.rank == (k + d) * m:
-            found = k
-            break
-    marginal = any(dec.marginal for dec in decisions)
-    expected = int(sum(row_degrees(M)))
-    if found is not None:
-        r_found = decisions[-1].rank
-        return Certificate(
-            is_minimal_basis=True,
-            reason=REASON_OK,
-            hr_rank=lead_dec.rank,
-            d_prime=found,
-            degree_sum_expected=expected,
-            degree_sum_observed=r_found - m * found,
-            tolerance_used=lead_dec.tolerance_used,
-            marginal=marginal,
-            profile=None,
-        )
-    # No Sylvester matrix reached full row rank; report the mismatch via the
-    # ordinary profile for diagnostics.
-    profile = rank_profile(M, tol=tol)
-    observed = (
-        minimal_index_sum(profile, m)
-        if profile.normal_rank_full and profile.d_prime is not None
-        else None
-    )
-    return Certificate(
-        is_minimal_basis=False,
-        reason=REASON_DEGREE_SUM if observed is not None else REASON_SCAN_EXHAUSTED,
-        hr_rank=lead_dec.rank,
-        d_prime=profile.d_prime,
-        degree_sum_expected=expected,
-        degree_sum_observed=observed,
-        tolerance_used=lead_dec.tolerance_used,
-        marginal=marginal or profile.marginal,
-        profile=profile,
-    )
+    return certify_minimal_basis(M, tol)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputFormatError, ShapeError
-from .minimal import RankProfile, _alphas_from_nullities
+from .minimal import RankProfile, _scan
 from .polymat import PolyMat
 
 __all__ = [
@@ -204,43 +204,15 @@ def _exact_normal_rank(M: PolyMat) -> int:
 
 
 def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
-    """Tolerance-free counterpart of the floating rank-profile scan."""
+    """Tolerance-free counterpart of ``rank_profile``: the same scan, with
+    exact Sylvester ranks and the exact normal rank.  It always scans (no
+    full-Sylvester-rank shortcut) and records no ``decisions``."""
     _require_rational(M)
     m, q, d = M.rows, M.cols, M.degree_bound
     if m >= q:
         raise ShapeError(f"rank profile requires a wide matrix, got {m}x{q}")
     if d < 1:
         raise ShapeError("rank profile requires degree_bound >= 1")
-    cap = k_max if k_max is not None else m * d + 2
-    ranks: list[int] = []
-    nullities: list[int] = []
-    d_prime = None
-    prev = 0
-    for k in range(1, cap + 1):
-        r = exact_rank(exact_sylvester(M, k))
-        ranks.append(r)
-        nullities.append(k * q - r)
-        if r - prev == m:
-            d_prime = k - 1
-            break
-        prev = r
-    rank = _exact_normal_rank(M)
-    normal_rank_full = rank >= m
-    stabilized = None if normal_rank_full else rank
-    if not normal_rank_full:
-        d_prime = None
-    alphas = (
-        _alphas_from_nullities(tuple(nullities))
-        if normal_rank_full and d_prime is not None
-        else ()
-    )
-    return RankProfile(
-        ranks=tuple(ranks),
-        nullities=tuple(nullities),
-        alphas=alphas,
-        d_prime=d_prime,
-        normal_rank_full=normal_rank_full,
-        stabilized_increment=stabilized,
-        decisions=(),
-        tolerance=None,
+    return _scan(
+        M, k_max, lambda k: exact_rank(exact_sylvester(M, k)), lambda: _exact_normal_rank(M)
     )

@@ -84,8 +84,8 @@ def robustness_radius_minimal(
 ) -> RadiusReport:
     """Largest certified radius within which perturbed matrices stay minimal.
 
-    Starting from the smallest block count whose Sylvester matrix has full
-    row rank, each candidate sigma_{(k+d)m}(S_k)/sqrt(k) certifies a
+    Starting from d', the smallest block count whose Sylvester matrix has
+    full row rank, each candidate sigma_{(k+d)m}(S_k)/sqrt(k) certifies a
     neighborhood; a short scan over larger k keeps the best one.
     """
     m, d = M.rows, M.degree_bound
@@ -98,16 +98,12 @@ def robustness_radius_minimal(
     cert = certify_minimal_basis(M, tol)
     if not cert.is_minimal_basis:
         raise PreconditionError(f"input is not a minimal basis ({cert.reason})")
-    n = M.cols - m
-    k0 = None
-    for k in range(-(-m * d // n), m * d + 3):
-        if sylvester_rank(M, k, tol).rank == (k + d) * m:
-            k0 = k
-            break
-    if k0 is None:
+    k0 = cert.d_prime
+    rank = sylvester_rank(M, k0, tol).rank
+    if rank != (k0 + d) * m:
         raise NumericalInconsistencyError(
-            "certified minimal with full-rank leading coefficient, yet no "
-            "Sylvester matrix reached full row rank"
+            f"certified minimal with full-rank leading coefficient, yet S_{{d'}} "
+            f"for d' = {k0} has rank {rank}, not full row rank {(k0 + d) * m}"
         )
     scanned = []
     for k in range(k0, k0 + scan_extra + 1):
@@ -218,19 +214,6 @@ class LowerBoundReport:
     samples: int
     radii: tuple[float, ...]
     violations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "lower_bound": self.lower_bound,
-            "d_prime": self.d_prime,
-            "sigma_leading": self.sigma_leading,
-            "min_sampled_sigma": self.min_sampled_sigma,
-            "min_sampled_at": [self.min_sampled_at.real, self.min_sampled_at.imag],
-            "tightest_ratio": self.tightest_ratio,
-            "samples": self.samples,
-            "radii": list(self.radii),
-            "violations": self.violations,
-        }
 
 
 _SLACK = 1e-12

@@ -247,7 +247,7 @@ def test_criterion_12_lification_backward_error():
             dk = random_perturbation(lif.K, rng.uniform(0.0, 0.2), rng)
             rep = backward_error_map(lif, dk, dm)
             ok = ok and rep.relative_dP <= rep.bound_rhs
-            shift = minimal_index_shift_check(lif, dk, dm)
+            shift = minimal_index_shift_check(lif, dk, rep.perturbation)
             if shift is None:
                 skipped += 1
             else:

@@ -167,12 +167,55 @@ def test_lify_command(capsys, tmp_path, ex1_file):
     assert report["results"]["p_degree_bound"] == 4
 
 
+def test_lify_with_perturbation_propagates_once(capsys, tmp_path, ex1_file, monkeypatch):
+    from minbasis import lify
+    from minbasis.dual import admissible_radius
+
+    K = PolyMat.from_coeff_list(
+        [np.hstack([np.eye(2), np.zeros((2, 6))]), np.zeros((2, 8))]
+    )
+    M = example1()
+    rng = np.random.default_rng(31)
+    radius = admissible_radius(M, mb.dual_minimal_basis(M).N)
+    paths = {}
+    for name, P in (("k", K), ("dk", random_perturbation(K, 0.01, rng)),
+                    ("dm", random_perturbation(M, 0.1 * radius, rng))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save(P, paths[name])
+    propagate, calls = lify.propagate_perturbation, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(lify, "propagate_perturbation", counting)
+    code, report = run_json(capsys, ["lify", paths["k"], ex1_file, "--dk", paths["dk"],
+                                     "--dm", paths["dm"], "--json"])
+    assert code == 0
+    assert report["results"]["index_shift_check"] is True
+    assert "perturbation" not in report["results"]["backward_error"]
+    assert len(calls) == 1
+
+
 def test_oracle_rank_command(capsys, ex2_file):
     code, report = run_json(capsys, ["oracle-rank", ex2_file, "--json"])
     assert code == 0
     assert report["results"]["ranks"] == [6, 11, 15]
     assert report["results"]["alphas"] == [1, 1, 1]
     assert report["results"]["minimal_indices"] == [0, 1, 2]
+    # The oracle decides ranks exactly; no tolerance policy applies.
+    assert report["tolerances"] == {"tol": None, "policy": "exact"}
+
+
+@pytest.mark.parametrize("k_max", [0, -3])
+@pytest.mark.parametrize("entry", ["rank_profile", "exact_rank_profile", "analyze", "oracle-rank"])
+def test_non_positive_scan_cap_is_rejected(capsys, ex2_file, entry, k_max):
+    if entry in ("analyze", "oracle-rank"):
+        assert main([entry, ex2_file, "--kmax", str(k_max), "--json"]) == 2
+        assert "scan cap must be positive" in capsys.readouterr().err
+    else:
+        with pytest.raises(mb.ShapeError, match="scan cap must be positive"):
+            getattr(mb, entry)(example2(), k_max=k_max)
 
 
 def test_json_reports_are_deterministic(capsys, ex1_file):

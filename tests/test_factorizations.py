@@ -9,7 +9,7 @@ from minbasis.dual import admissible_radius
 from minbasis.fullsyl import BLOCK_BYTES, decisive_rank_tests
 from minbasis.polymat import PolyMat
 
-from helpers import Call, LinalgSpy, random_perturbation
+from helpers import Call, LinalgSpy, planted_indices, random_perturbation
 
 
 @pytest.fixture
@@ -40,6 +40,27 @@ def test_certify_factors_at_most_two_sylvester_matrices(generic_633, monkeypatch
     assert mb.has_full_sylvester_rank(M).has_full_sylvester_rank
     assert mb.robustness_radius_fullsyl(M).radius > 0
     assert spy.take() == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PolyMat(mb.sample_full_sylvester(6, 3, 3, seed=11).coeffs),
+    lambda: planted_indices((1, 2, 5), np.random.default_rng(2024)),
+], ids=["generic", "planted"])
+def test_full_leading_certificate_and_radius_reuse_the_certified_scan(make, monkeypatch):
+    # Both read d' from the general certificate: after it, certify_full_leading
+    # factors no S_k, and the radius only the S_k past d' that it scans.  (The
+    # scan's normal-rank probes evaluate M and are not Sylvester matrices.)
+    M = make()
+    d_prime = mb.certify_minimal_basis(M).d_prime
+    spy = LinalgSpy(monkeypatch)
+    assert mb.certify_full_leading(M).d_prime == d_prime
+    assert [c for c in spy.take() if c.key is not None] == []
+    mb.robustness_radius_minimal(M, scan_extra=3)
+    ks = [c.key[1] for c in spy.take() if c.key is not None]
+    assert all(d_prime < k <= d_prime + 3 for k in ks)
+    assert len(ks) == len(set(ks))
+    mb.robustness_radius_minimal(M, scan_extra=3)
+    assert [c for c in spy.take() if c.key is not None] == []
 
 
 def _qr_of(calls, P):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import minbasis as mb
-from minbasis.dual import admissible_radius
+from minbasis.dual import admissible_radius, propagate_perturbation
 from minbasis.lify import backward_error_map, build_lification, minimal_index_shift_check
 from minbasis.polymat import PolyMat, evaluate, poly_multiply_transpose, s1_stack
 
@@ -124,7 +124,8 @@ def test_index_shift_square_nonsingular_P():
     rng = np.random.default_rng(17)
     lif = build_lification(k_for_example1(), example1())
     ok = minimal_index_shift_check(
-        lif, PolyMat.zeros(2, 8, 1), PolyMat.zeros(6, 8, 1)
+        lif, PolyMat.zeros(2, 8, 1),
+        propagate_perturbation(lif.pair, PolyMat.zeros(6, 8, 1)),
     )
     assert ok is True
 
@@ -139,7 +140,8 @@ def test_index_shift_known_structure():
     indices_L = mb.right_minimal_indices(lif.L)
     assert [e + lif.k_prime for e in indices_P] == indices_L
     ok = minimal_index_shift_check(
-        lif, PolyMat.zeros(1, 8, 1), PolyMat.zeros(6, 8, 1)
+        lif, PolyMat.zeros(1, 8, 1),
+        propagate_perturbation(lif.pair, PolyMat.zeros(6, 8, 1)),
     )
     assert ok is True
 
@@ -165,7 +167,7 @@ def test_index_shift_random_perturbed_instance():
     rng = np.random.default_rng(19)
     dm = random_perturbation(lif.M, 0.1 * radius, rng)
     dk = random_perturbation(lif.K, 0.05, rng)
-    assert minimal_index_shift_check(lif, dk, dm) is True
+    assert minimal_index_shift_check(lif, dk, propagate_perturbation(lif.pair, dm)) is True
 
 
 def test_ell_two_family():
@@ -180,4 +182,4 @@ def test_ell_two_family():
     dk = random_perturbation(K, 0.05, rng)
     rep = backward_error_map(lif, dk, dm)
     assert rep.relative_dP <= rep.bound_rhs
-    assert minimal_index_shift_check(lif, dk, dm) in (True, None)
+    assert minimal_index_shift_check(lif, dk, rep.perturbation) in (True, None)

@@ -13,8 +13,9 @@ from minbasis.minimal import (
     right_minimal_indices,
 )
 from minbasis.polymat import PolyMat
+from minbasis.sylvester import full_leading_rank, sylvester_rank
 
-from helpers import example1, example2, example3, one_lambda
+from helpers import common_factor_2x4, example1, example2, example3, one_lambda, planted_indices
 
 
 def test_rank_profile_example1():
@@ -158,18 +159,45 @@ def test_certify_full_leading_example3_rejects_deficient_leading():
         certify_full_leading(example3())
 
 
-def test_full_leading_agrees_with_general_certificate_on_samples():
+def _full_leading_cases():
+    """(M, expected verdict): inputs whose leading coefficient has full row
+    rank, minimal or not.  Noise of size 1e-9 breaks the common factor."""
+    rng = np.random.default_rng(41)
+    cf = common_factor_2x4()
+    cases = [(example1(), True), (example2(), False), (cf, False),
+             (PolyMat(cf.coeffs + 1e-9 * rng.standard_normal(cf.coeffs.shape)), True)]
+    cases += [(planted_indices(eps, rng), True)
+              for eps in [(0, 1, 3), (1, 2, 5), (2, 2, 2), (1, 1)]]
     for seed in range(100):
         dims = [(3, 2, 2), (4, 3, 1), (2, 2, 1), (1, 3, 1)][seed % 4]
-        M = mb.sample_full_sylvester(*dims, seed=seed)
-        assert certify_full_leading(M).is_minimal_basis
-        assert certify_minimal_basis(M).is_minimal_basis
-    assert certify_full_leading(example1()).is_minimal_basis == certify_minimal_basis(
-        example1()
-    ).is_minimal_basis
-    assert certify_full_leading(example2()).is_minimal_basis == certify_minimal_basis(
-        example2()
-    ).is_minimal_basis
+        cases.append((mb.sample_full_sylvester(*dims, seed=seed), True))
+    return cases
+
+
+_CERT_FIELDS = ("is_minimal_basis", "reason", "hr_rank", "d_prime",
+                "degree_sum_expected", "degree_sum_observed", "tolerance_used")
+
+
+def test_full_leading_agrees_with_general_certificate_on_samples():
+    # With a full-rank leading coefficient, the first k whose S_k has full
+    # row rank is d' of a minimal basis, and no S_k has full row rank
+    # otherwise; every certificate field but the profile and the margin flag
+    # agrees with the general certificate on a fresh copy.
+    for tol in (None, 1e-10):
+        for M, minimal in _full_leading_cases():
+            assert full_leading_rank(M, tol) is not None
+            cert = certify_full_leading(M, tol)
+            ref = certify_minimal_basis(PolyMat(M.coeffs), tol)
+            assert [getattr(cert, f) for f in _CERT_FIELDS] == [
+                getattr(ref, f) for f in _CERT_FIELDS
+            ]
+            assert cert.is_minimal_basis is minimal
+            m, d = M.rows, M.degree_bound
+            full_row = [k for k in range(1, m * d + 3)
+                        if sylvester_rank(M, k, tol).rank == (k + d) * m]
+            assert (full_row[0] if full_row else None) == (
+                ref.d_prime if ref.is_minimal_basis else None
+            )
 
 
 def test_alphas_non_negative_and_sum_to_nullspace_dimension():

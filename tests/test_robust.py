@@ -16,7 +16,14 @@ from minbasis.robust import (
 )
 from minbasis.sylvester import singular_values, sylvester
 
-from helpers import example1, example3, flat_1311, one_lambda, random_perturbation
+from helpers import (
+    example1,
+    example3,
+    flat_1311,
+    one_lambda,
+    planted_indices,
+    random_perturbation,
+)
 
 
 def test_radius_minimal_example1_matches_reported_value():
@@ -31,6 +38,16 @@ def test_radius_minimal_flat_is_one():
     rep = robustness_radius_minimal(flat_1311())
     assert rep.radius == pytest.approx(1.0, rel=1e-12)
     assert rep.k_used == 1
+
+
+def test_radius_minimal_starts_at_the_certified_d_prime():
+    rng = np.random.default_rng(43)
+    cases = [example1(), flat_1311(), one_lambda()]
+    cases += [planted_indices(eps, rng) for eps in [(0, 1, 3), (1, 2, 5), (2, 2, 2)]]
+    cases += [mb.sample_full_sylvester(*dims, seed=seed)
+              for seed, dims in enumerate([(3, 2, 2), (2, 3, 1), (4, 3, 2), (1, 3, 1)])]
+    for M in cases:
+        assert robustness_radius_minimal(M).scanned[0][0] == mb.certify_minimal_basis(M).d_prime
 
 
 def test_radius_minimal_rejects_deficient_leading():
