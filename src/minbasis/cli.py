@@ -8,6 +8,7 @@ invalid input or an operation whose preconditions fail.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,13 +23,15 @@ from . import minimal as minimal_mod
 from . import oracle as oracle_mod
 from . import robust as robust_mod
 from .errors import MinBasisError
-from .polymat import PolyMat, load, to_dict
+from .polymat import PolyMat, load, row_degrees, to_dict
 
 PROG = "minbasis"
 
 
 def _resolve_tol(args) -> float | None:
-    if getattr(args, "tol", None) is not None:
+    if args.policy == "exact":  # exact ranks take no tolerance
+        return None
+    if args.tol is not None:
         return args.tol
     env = os.environ.get("MINBASIS_TOL")
     if env:
@@ -48,12 +51,48 @@ def _digest(P: PolyMat) -> dict:
     }
 
 
-def _emit(args, command: str, input_digest, results: dict, tol: float | None,
-          started: float, policy: str | None = None) -> None:
+def _fields(report, *drop: str) -> dict:
+    """The JSON form of a report dataclass: its fields in order, less ``drop``.
+
+    A nested report dataclass is merged in, less ``drop`` too; a PolyMat takes
+    the file format; a tuple becomes a list, of dicts when it holds records.
+    """
+    out = {}
+    for f in dataclasses.fields(report):
+        if f.name in drop:
+            continue
+        value = getattr(report, f.name)
+        if isinstance(value, PolyMat):
+            out[f.name] = to_dict(value)
+        elif dataclasses.is_dataclass(value):
+            out.update(_fields(value, *drop))
+        elif isinstance(value, tuple):
+            out[f.name] = [_record(item) for item in value]
+        else:
+            out[f.name] = value
+    return out
+
+
+def _record(item):
+    if dataclasses.is_dataclass(item):
+        return _fields(item)
+    return item._asdict() if hasattr(item, "_asdict") else item
+
+
+# Profile and certificate fields left out of the reports: the per-k rank
+# decisions and the tolerances (a report has its own tolerances block), a
+# certificate's profile (analyze prints it beside the certificate) and the
+# scan's stabilized increment.
+_PROFILE_DROP = ("stabilized_increment", "decisions", "tolerance")
+_CERT_DROP = ("tolerance_used", "profile")
+
+
+def _emit(args, input_digest, results: dict, tol: float | None, started: float) -> None:
+    policy = args.policy
     if policy is None:
         policy = "explicit" if tol is not None else "max(rows,cols)*eps*sigma1"
     report = {
-        "command": command,
+        "command": args.command,
         "input": input_digest,
         "results": results,
         "tolerances": {"tol": tol, "policy": policy},
@@ -63,6 +102,8 @@ def _emit(args, command: str, input_digest, results: dict, tol: float | None,
         print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
     else:
         _print_text(report)
+        if args.summary:
+            print(args.summary.format(**results))
 
 
 def _json_default(value):
@@ -93,11 +134,11 @@ def _print_text(report: dict, indent: int = 0) -> None:
 
 
 # -- subcommand bodies -----------------------------------------------------------
+# Each returns (input digest, results, verdict); the verdict is None for
+# commands that --strict does not apply to.
 
 
-def _cmd_analyze(args) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args)
+def _cmd_analyze(args, tol):
     M = load(args.file)
     cert = minimal_mod.certify_minimal_basis(M, tol=tol)
     profile = (
@@ -105,99 +146,47 @@ def _cmd_analyze(args) -> int:
         if args.kmax is None
         else minimal_mod.rank_profile(M, k_max=args.kmax, tol=tol)
     )
-    results = _profile_dict(profile)
-    results["certificate"] = _cert_dict(cert)
-    _emit(args, "analyze", _digest(M), results, tol, started)
-    return 0
-
-
-def _profile_dict(profile) -> dict:
-    return {
-        "ranks": list(profile.ranks),
-        "nullities": list(profile.nullities),
-        "alphas": list(profile.alphas),
-        "d_prime": profile.d_prime,
-        "normal_rank_full": profile.normal_rank_full,
+    results = {
+        **_fields(profile, *_PROFILE_DROP),
         "minimal_indices": minimal_mod._indices_or_none(profile),
+        "certificate": _fields(cert, *_CERT_DROP),
     }
+    return _digest(M), results, None
 
 
-def _cert_dict(cert) -> dict:
-    return {
-        "is_minimal_basis": cert.is_minimal_basis,
-        "reason": cert.reason,
-        "hr_rank": cert.hr_rank,
-        "d_prime": cert.d_prime,
-        "degree_sum_expected": cert.degree_sum_expected,
-        "degree_sum_observed": cert.degree_sum_observed,
-        "marginal": cert.marginal,
-    }
-
-
-def _cmd_certify(args) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args)
+def _cmd_certify(args, tol):
     M = load(args.file)
     cert = minimal_mod.certify_minimal_basis(M, tol=tol)
-    _emit(args, "certify", _digest(M), _cert_dict(cert), tol, started)
-    return 0 if cert.is_minimal_basis or not args.strict else 1
+    return _digest(M), _fields(cert, *_CERT_DROP), cert.is_minimal_basis
 
 
-def _cmd_fullsyl(args) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args)
+def _cmd_fullsyl(args, tol):
     M = load(args.file)
     report = fullsyl_mod.has_full_sylvester_rank(M, tol=tol)
-    results = {
-        "has_full_sylvester_rank": report.has_full_sylvester_rank,
-        "k_prime": report.k_prime_t.k_prime,
-        "t": report.k_prime_t.t,
-        "checked_ranks": [
-            {"k": c.k, "rank": c.rank, "required": c.required, "kind": c.kind}
-            for c in report.checked_ranks
-        ],
-        "predicted_indices": list(report.predicted_indices),
-        "margin": report.margin,
-    }
-    _emit(args, "fullsyl", _digest(M), results, tol, started)
-    return 0 if report.has_full_sylvester_rank or not args.strict else 1
+    return _digest(M), _fields(report, "tolerance_used"), report.has_full_sylvester_rank
 
 
-def _cmd_radius(args) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args)
+def _cmd_radius(args, tol):
     M = load(args.file)
     if args.kind == "fullsyl":
         report = robust_mod.robustness_radius_fullsyl(M, tol=tol)
     else:
         report = robust_mod.robustness_radius_minimal(M, scan_extra=args.scan_extra, tol=tol)
-    _emit(args, "radius", _digest(M), report.to_dict(), tol, started)
-    if not args.json:
-        print(f"radius = {report.radius:.6g} at k = {report.k_used}")
-    return 0
+    return _digest(M), _fields(report), None
 
 
-def _cmd_dual(args) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args)
+def _cmd_dual(args, tol):
     M = load(args.file)
     pair = dual_mod.dual_minimal_basis(M, tol=tol)
-    from .polymat import row_degrees
-
     results = {
         "row_degrees": row_degrees(pair.N),
-        "residual": pair.residual,
-        "k_prime": pair.k_prime_t.k_prime,
-        "t": pair.k_prime_t.t,
+        **_fields(pair, "M", "N", "is_valid", "failures"),
         "dual_basis": to_dict(pair.N),
     }
-    _emit(args, "dual", _digest(M), results, tol, started)
-    return 0
+    return _digest(M), results, None
 
 
-def _cmd_perturb(args) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args)
+def _cmd_perturb(args, tol):
     M = load(args.file)
     delta_M = load(args.delta)
     if args.dual_file:
@@ -209,15 +198,12 @@ def _cmd_perturb(args) -> int:
     else:
         pair = dual_mod.dual_minimal_basis(M, tol=tol)
     report = dual_mod.propagate_perturbation(pair, delta_M, tol=tol)
-    results = report.to_dict()
-    results["delta_N"] = to_dict(report.delta_N)
-    _emit(args, "perturb", _digest(M), results, tol, started)
-    return 0
+    # Of the perturbed pair, only its residual is reported.
+    results = _fields(report, "M", "N", "k_prime_t", "is_valid", "failures")
+    return _digest(M), results, None
 
 
-def _cmd_generic(args) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args)
+def _cmd_generic(args, tol):
     result = fullsyl_mod.genericity_experiment(
         args.m,
         args.n,
@@ -230,19 +216,17 @@ def _cmd_generic(args) -> int:
         tol=tol,
     )
     digest = {"m": args.m, "n": args.n, "d": args.d, "field": args.field}
-    _emit(args, "generic", digest, result.to_dict(), tol, started)
-    return 0
+    # zero_leading is reported only when it was asked for.
+    drop = () if result.zero_leading else ("zero_leading",)
+    return digest, _fields(result, *drop), None
 
 
-def _cmd_lify(args) -> int:
-    started = time.perf_counter()
-    tol = _resolve_tol(args)
+def _cmd_lify(args, tol):
     K = load(args.k_file)
     M = load(args.m_file)
     lif = lify_mod.build_lification(K, M, tol=tol)
     results = {
-        "k_prime": lif.k_prime,
-        "ell": lif.ell,
+        **_fields(lif, "K", "M", "L", "N", "P", "pair"),
         "p_rows": lif.P.rows,
         "p_cols": lif.P.cols,
         "p_degree_bound": lif.P.degree_bound,
@@ -252,23 +236,23 @@ def _cmd_lify(args) -> int:
     if args.dk and args.dm:
         delta_K, delta_M = load(args.dk), load(args.dm)
         report = lify_mod.backward_error_map(lif, delta_K, delta_M, tol=tol)
-        results["backward_error"] = report.to_dict()
+        results["backward_error"] = _fields(report, "delta_P", "perturbation")
         results["index_shift_check"] = lify_mod.minimal_index_shift_check(
             lif, delta_K, report.perturbation, tol=tol
         )
     elif args.dk or args.dm:
         raise MinBasisError("--dk and --dm must be given together")
-    _emit(args, "lify", _digest(M), results, tol, started)
-    return 0
+    return _digest(M), results, None
 
 
-def _cmd_oracle_rank(args) -> int:
-    started = time.perf_counter()
+def _cmd_oracle_rank(args, tol):
     M = load(args.file)
     profile = oracle_mod.exact_rank_profile(M, k_max=args.kmax)
-    _emit(args, "oracle-rank", _digest(M), _profile_dict(profile), None, started,
-          policy="exact")
-    return 0
+    results = {
+        **_fields(profile, *_PROFILE_DROP),
+        "minimal_indices": minimal_mod._indices_or_none(profile),
+    }
+    return _digest(M), results, None
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -286,6 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="RNG seed")
     common.add_argument("--strict", action="store_true",
                         help="exit 1 when a certify-style verdict is negative")
+    # policy: tolerance policy reported in place of the --tol one; summary: a
+    # line printed after the text report, formatted from the results.
+    common.set_defaults(policy=None, summary=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -307,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--kind", choices=["minimal", "fullsyl"], default="minimal")
     p.add_argument("--scan-extra", type=int, default=3)
-    p.set_defaults(func=_cmd_radius)
+    p.set_defaults(func=_cmd_radius, summary="radius = {radius:.6g} at k = {k_used}")
 
     p = sub.add_parser("dual", parents=[common], help="extract a dual minimal basis")
     p.add_argument("file")
@@ -345,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exact rational rank profile")
     p.add_argument("file")
     p.add_argument("--kmax", type=int, default=None)
-    p.set_defaults(func=_cmd_oracle_rank)
+    p.set_defaults(func=_cmd_oracle_rank, policy="exact")
 
     return parser
 
@@ -353,14 +340,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except MinBasisError as exc:
+        tol = _resolve_tol(args)
+        input_digest, results, verdict = args.func(args, tol)
+        _emit(args, input_digest, results, tol, started)
+    except (MinBasisError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
+    return 1 if args.strict and verdict is False else 0
 
 
 if __name__ == "__main__":

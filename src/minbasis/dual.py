@@ -77,10 +77,11 @@ class DualPair:
     dimension sum, duality residual, or either minimality certificate.
     """
 
+    # Fields in the order the CLI reports them.
     M: PolyMat
     N: PolyMat
-    k_prime_t: KPrimeT
     residual: float
+    k_prime_t: KPrimeT
     is_valid: bool = True
     failures: tuple[str, ...] = ()
 
@@ -117,7 +118,7 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
         reason_n = None
     if reason_n is not None:
         failures.append(f"N is not a minimal basis ({reason_n})")
-    kt = kprime_t(M.rows, max(M.cols - M.rows, 1), max(M.degree_bound, 1))
+    kt = kprime_t(M.rows, M.cols - M.rows, M.degree_bound)
     return DualPair(
         M=M,
         N=N,
@@ -198,27 +199,15 @@ def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
 class PerturbReport:
     """Outcome of propagating a perturbation of M to its dual basis."""
 
+    # Fields in the order the CLI reports them.
     thetas: Thetas
     admissible_radius: float
     applied_norm: float
-    delta_N: PolyMat
     relative_change: float
     guaranteed_bound: float
     row_degree_split: tuple[int, int]
     perturbed_pair: DualPair
-
-    def to_dict(self) -> dict:
-        return {
-            "theta1": self.thetas.theta1,
-            "theta2": self.thetas.theta2,
-            "case": self.thetas.case,
-            "admissible_radius": self.admissible_radius,
-            "applied_norm": self.applied_norm,
-            "relative_change": self.relative_change,
-            "guaranteed_bound": self.guaranteed_bound,
-            "row_degree_split": list(self.row_degree_split),
-            "residual": self.perturbed_pair.residual,
-        }
+    delta_N: PolyMat
 
 
 def admissible_radius(M: PolyMat, N: PolyMat, theta: Thetas | None = None,

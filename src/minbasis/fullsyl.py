@@ -201,22 +201,6 @@ class GenericityResult:
     min_margin: float
     zero_leading: bool = field(default=False)
 
-    def to_dict(self) -> dict:
-        out = {
-            "m": self.m,
-            "n": self.n,
-            "d": self.d,
-            "trials": self.trials,
-            "seed": self.seed,
-            "dist": self.dist,
-            "successes": self.successes,
-            "failures": list(self.failures),
-            "min_margin": self.min_margin,
-        }
-        if self.zero_leading:
-            out["zero_leading"] = True
-        return out
-
 
 def genericity_experiment(
     m: int,

@@ -96,16 +96,6 @@ class BackwardErrorReport:
     factors: dict
     perturbation: PerturbReport
 
-    def to_dict(self) -> dict:
-        return {
-            "C_PL": self.C_PL,
-            "prefactor": self.prefactor,
-            "relative_dP": self.relative_dP,
-            "bound_rhs": self.bound_rhs,
-            "admissible": self.admissible,
-            "factors": dict(self.factors),
-        }
-
 
 def backward_error_map(
     lif: Lification, delta_K: PolyMat, delta_M: PolyMat, tol: float | None = None

@@ -25,6 +25,7 @@ from .fullsyl import decisive_rank_tests, kprime_t
 from .polymat import PolyMat, evaluate, row_degrees
 from .sylvester import (
     RankDecision,
+    evaluation_rank,
     full_leading_rank,
     highest_row_degree_rank,
     rank_nullity,
@@ -76,15 +77,15 @@ class RankProfile:
         return any(dec.marginal for dec in self.decisions)
 
 
+# Normal rank equals the evaluation rank away from finitely many points; two
+# fixed pseudo-random probes make an accidental hit vanishingly rare.
+_PROBES = tuple(
+    complex(re, im) for re, im in np.random.default_rng(0x5E_ED).uniform(0.5, 1.5, (2, 2))
+)
+
+
 def _evaluation_rank(M: PolyMat, tol: float | None) -> int:
-    # Normal rank equals the evaluation rank away from finitely many points;
-    # two fixed pseudo-random probes make an accidental hit vanishingly rare.
-    rng = np.random.default_rng(0x5E_ED)
-    best = 0
-    for _ in range(2):
-        lam = complex(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5))
-        best = max(best, rank_nullity(evaluate(M, lam), tol).rank)
-    return best
+    return max(evaluation_rank(M, lam, tol).rank for lam in _PROBES)
 
 
 def _alphas_from_nullities(nullities: tuple[int, ...]) -> tuple[int, ...]:

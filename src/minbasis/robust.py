@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,22 +62,21 @@ def _sigma(M: PolyMat, k: int, index_one_based: int) -> float:
     return float(sv[index_one_based - 1])
 
 
+class RadiusCandidate(NamedTuple):
+    """The radius that S_k certifies, one row of a radius report's scan."""
+
+    k: int
+    candidate: float
+
+
 @dataclass(frozen=True)
 class RadiusReport:
     """A robustness radius together with the candidate table that produced it."""
 
     radius: float
     k_used: int
-    scanned: tuple[tuple[int, float], ...]
+    scanned: tuple[RadiusCandidate, ...]
     kind: str  # "minimal_basis" | "full_sylvester" | "sharp_flat"
-
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "k_used": self.k_used,
-            "scanned": [{"k": k, "candidate": c} for k, c in self.scanned],
-            "kind": self.kind,
-        }
 
 
 def robustness_radius_minimal(
@@ -108,7 +108,7 @@ def robustness_radius_minimal(
     scanned = []
     for k in range(k0, k0 + scan_extra + 1):
         cand = _sigma(M, k, (k + d) * m) / math.sqrt(k)
-        scanned.append((k, cand))
+        scanned.append(RadiusCandidate(k, cand))
     k_used, radius = max(scanned, key=lambda kv: kv[1])
     return RadiusReport(
         radius=radius, k_used=k_used, scanned=tuple(scanned), kind="minimal_basis"
@@ -124,8 +124,10 @@ def robustness_radius_fullsyl(M: PolyMat, tol: float | None = None) -> RadiusRep
     m, q, d = M.rows, M.cols, M.degree_bound
     scanned = []
     if kp > 1 and t > 0:
-        scanned.append((kp - 1, _sigma(M, kp - 1, (kp - 1) * q) / math.sqrt(kp - 1)))
-    scanned.append((kp, _sigma(M, kp, (kp + d) * m) / math.sqrt(kp)))
+        scanned.append(
+            RadiusCandidate(kp - 1, _sigma(M, kp - 1, (kp - 1) * q) / math.sqrt(kp - 1))
+        )
+    scanned.append(RadiusCandidate(kp, _sigma(M, kp, (kp + d) * m) / math.sqrt(kp)))
     k_used, radius = min(scanned, key=lambda kv: kv[1])
     return RadiusReport(
         radius=radius, k_used=k_used, scanned=tuple(scanned), kind="full_sylvester"

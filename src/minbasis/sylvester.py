@@ -1,10 +1,11 @@
 """Sylvester matrices and tolerance-based numerical rank decisions.
 
-Every rank or singular-value read of a Sylvester matrix S_k(P), and of P's
-highest-row-degree matrix, goes through a memo held by P itself: singular
-values are computed once per matrix, a right nullspace basis (by QR, as only
-S_k of full row rank have it taken) once a caller first asks for it, and the
-memo is freed with the matrix.  It never keeps the factored arrays.
+Every rank or singular-value read of a Sylvester matrix S_k(P), of P's
+highest-row-degree matrix and of P at a normal-rank probe point goes through
+a memo held by P itself: singular values are computed once per matrix, a
+right nullspace basis (by QR, as only S_k of full row rank have it taken)
+once a caller first asks for it, and the memo is freed with the matrix.  It
+never keeps the factored arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputFormatError, NumericalInconsistencyError, ShapeError
-from .polymat import PolyMat, highest_row_degree_matrix
+from .polymat import PolyMat, evaluate, highest_row_degree_matrix
 
 __all__ = [
     "SylvesterMatrix",
@@ -31,6 +32,7 @@ __all__ = [
     "singular_values",
     "sylvester_rank",
     "highest_row_degree_rank",
+    "evaluation_rank",
     "full_leading_rank",
     "sylvester_singular_values",
     "sylvester_nullspace",
@@ -127,11 +129,13 @@ class RankDecision:
 
     @property
     def gap_ratio(self) -> float:
-        """Ratio sigma_rank / sigma_{rank+1}; inf when one side is absent."""
+        """Ratio sigma_rank / sigma_{rank+1}, or sigma_rank / tolerance_used
+        at full rank; inf at rank 0 or when the denominator is 0."""
         sv = self.singular_values
-        if self.rank == 0 or self.rank >= len(sv) or sv[self.rank] == 0.0:
+        below = sv[self.rank] if self.rank < len(sv) else self.tolerance_used
+        if self.rank == 0 or below == 0.0:
             return float("inf")
-        return sv[self.rank - 1] / sv[self.rank]
+        return sv[self.rank - 1] / below
 
     @property
     def marginal(self) -> bool:
@@ -211,7 +215,8 @@ def min_singular_value(A, which: int = 0) -> float:
 # -- per-matrix memo -------------------------------------------------------------
 
 
-# Memo key of the highest-row-degree matrix, next to the integer keys k of S_k.
+# Memo key of the highest-row-degree matrix, next to the integer keys k of S_k
+# and the keys (Re lambda, Im lambda) of P(lambda).
 _HR = "hr"
 
 
@@ -227,18 +232,25 @@ class _Factored:
     decisions: dict = field(default_factory=dict)
 
 
-def _factored(P: PolyMat, key: int | str) -> _Factored:
+def _factored(P: PolyMat, key: int | str | tuple[float, float]) -> _Factored:
     memo = P._sylvester_memo
     entry = memo.get(key)
     if entry is None:
-        data = highest_row_degree_matrix(P) if key == _HR else sylvester(P, key).data
+        if key == _HR:
+            data = highest_row_degree_matrix(P)
+        elif isinstance(key, tuple):
+            data = evaluate(P, complex(*key))
+        else:
+            data = sylvester(P, key).data
         sv = np.linalg.svd(data, compute_uv=False)
         sv.flags.writeable = False
         entry = memo[key] = _Factored(shape=data.shape, sv=sv)
     return entry
 
 
-def _memo_rank(P: PolyMat, key: int | str, tol: float | None) -> RankDecision:
+def _memo_rank(
+    P: PolyMat, key: int | str | tuple[float, float], tol: float | None
+) -> RankDecision:
     entry = _factored(P, key)
     dec = entry.decisions.get(tol)
     if dec is None:
@@ -281,6 +293,11 @@ def sylvester_rank(P: PolyMat, k: int, tol: float | None = None) -> RankDecision
 def highest_row_degree_rank(P: PolyMat, tol: float | None = None) -> RankDecision:
     """``rank_nullity(highest_row_degree_matrix(P), tol)`` read from P's memo."""
     return _memo_rank(P, _HR, tol)
+
+
+def evaluation_rank(P: PolyMat, lam: complex, tol: float | None = None) -> RankDecision:
+    """``rank_nullity(evaluate(P, lam), tol)`` read from P's memo."""
+    return _memo_rank(P, (lam.real, lam.imag), tol)
 
 
 def full_leading_rank(P: PolyMat, tol: float | None = None) -> RankDecision | None:

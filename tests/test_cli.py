@@ -7,7 +7,14 @@ import minbasis as mb
 from minbasis.cli import main
 from minbasis.polymat import save, PolyMat
 
-from helpers import common_factor_2x4, example1, example2, example3, random_perturbation
+from helpers import (
+    common_factor_2x4,
+    example1,
+    example2,
+    example3,
+    flat_1311,
+    random_perturbation,
+)
 
 
 @pytest.fixture
@@ -277,3 +284,121 @@ def test_zero_tolerance_certificate_is_marginal(capsys, tmp_path):
 def test_missing_file_exits_2(capsys):
     code = main(["analyze", "/nonexistent/x.json", "--json"])
     assert code == 2
+
+
+# -- report schema ---------------------------------------------------------------
+
+POLYMAT_KEYS = ("field", "rows", "cols", "degree_bound", "coefficients")
+CERT_KEYS = ("is_minimal_basis", "reason", "hr_rank", "d_prime", "degree_sum_expected",
+             "degree_sum_observed", "marginal")
+PROFILE_KEYS = ("ranks", "nullities", "alphas", "d_prime", "normal_rank_full",
+                "minimal_indices")
+RADIUS_KEYS = ("radius", "k_used", "scanned", "scanned.k", "scanned.candidate", "kind")
+GENERIC_KEYS = ("m", "n", "d", "trials", "seed", "dist", "successes", "failures")
+LIFY_KEYS = ("k_prime", "ell", "p_rows", "p_cols", "p_degree_bound", "dual_residual",
+             "recovered_P", *(f"recovered_P.{k}" for k in POLYMAT_KEYS))
+BACKWARD_KEYS = ("C_PL", "prefactor", "relative_dP", "bound_rhs", "admissible", "factors")
+FACTOR_KEYS = ("norm_L", "norm_P", "norm_N", "norm_K", "norm_delta_K", "norm_delta_L",
+               "sigma_next_sylvester", "applied_norm_delta_M")
+
+# (argv with {file} placeholders, the results' key paths in text order); a
+# path joins nested keys with dots, and a list of records adds its keys once.
+SCHEMA_CASES = {
+    "analyze": (["analyze", "{ex1}"],
+                PROFILE_KEYS + ("certificate", *(f"certificate.{k}" for k in CERT_KEYS))),
+    "analyze_common_factor": (
+        ["analyze", "{cf}", "--kmax", "3"],
+        PROFILE_KEYS + ("certificate", *(f"certificate.{k}" for k in CERT_KEYS))),
+    "certify": (["certify", "{ex2}"], CERT_KEYS),
+    "fullsyl": (["fullsyl", "{ex1}"],
+                ("has_full_sylvester_rank", "k_prime", "t", "checked_ranks",
+                 "checked_ranks.k", "checked_ranks.rank", "checked_ranks.required",
+                 "checked_ranks.kind", "predicted_indices", "margin")),
+    "radius": (["radius", "{ex1}"], RADIUS_KEYS),
+    "radius_flat": (["radius", "{flat}", "--kind", "fullsyl"], RADIUS_KEYS),
+    "dual": (["dual", "{ex1}"],
+             ("row_degrees", "residual", "k_prime", "t", "dual_basis",
+              *(f"dual_basis.{k}" for k in POLYMAT_KEYS))),
+    "perturb": (["perturb", "{ex1}", "{dm}"],
+                ("theta1", "theta2", "case", "admissible_radius", "applied_norm",
+                 "relative_change", "guaranteed_bound", "row_degree_split", "residual",
+                 "delta_N", *(f"delta_N.{k}" for k in POLYMAT_KEYS))),
+    "generic": (["generic", "--m", "3", "--n", "2", "--d", "2", "--trials", "4"],
+                GENERIC_KEYS + ("min_margin",)),
+    "generic_zero_leading": (
+        ["generic", "--m", "3", "--n", "2", "--d", "2", "--trials", "4", "--zero-leading"],
+        GENERIC_KEYS + ("failures.trial", "failures.margin", "min_margin", "zero_leading")),
+    "lify": (["lify", "{k}", "{ex1}"], LIFY_KEYS),
+    "lify_perturbed": (
+        ["lify", "{k}", "{ex1}", "--dk", "{dk}", "--dm", "{dm}"],
+        LIFY_KEYS + ("backward_error", *(f"backward_error.{k}" for k in BACKWARD_KEYS),
+                     *(f"backward_error.factors.{k}" for k in FACTOR_KEYS),
+                     "index_shift_check")),
+    "oracle-rank": (["oracle-rank", "{ex2}"], PROFILE_KEYS),
+}
+
+
+@pytest.fixture
+def schema_files(tmp_path):
+    K = PolyMat.from_coeff_list(
+        [np.hstack([np.eye(2), np.zeros((2, 6))]), np.zeros((2, 8))]
+    )
+    M = example1()
+    from minbasis.dual import admissible_radius
+
+    rng = np.random.default_rng(5)
+    radius = admissible_radius(M, mb.dual_minimal_basis(M).N)
+    mats = {"ex1": M, "ex2": example2(), "cf": common_factor_2x4(), "flat": flat_1311(),
+            "k": K, "dk": random_perturbation(K, 0.01, rng),
+            "dm": random_perturbation(M, 0.1 * radius, rng)}
+    paths = {}
+    for name, P in mats.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        save(P, paths[name])
+    return paths
+
+
+def _json_paths(value, prefix=""):
+    if isinstance(value, list):
+        return set().union(*(_json_paths(v, prefix) for v in value if isinstance(v, dict)))
+    if not isinstance(value, dict):
+        return set()
+    out = set()
+    for key, v in value.items():
+        out |= {prefix + key} | _json_paths(v, prefix + key + ".")
+    return out
+
+
+def _text_paths(out: str) -> tuple[list[str], list[str]]:
+    """Top-level report keys and the results' key paths, in printed order."""
+    top, paths, stack, inside = [], [], [], False
+    for line in out.splitlines():
+        if not line.strip():
+            continue
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        key = line.strip().split(":", 1)[0]
+        if depth == 0:
+            top.append(key)
+            inside = key == "results"
+            continue
+        if inside:
+            del stack[depth - 1:]
+            stack.append(key)
+            path = ".".join(stack)
+            if path not in paths:
+                paths.append(path)
+    return top, paths
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+def test_report_schema(capsys, schema_files, case):
+    template, expected = SCHEMA_CASES[case]
+    argv = [arg.format(**schema_files) for arg in template]
+    code, report = run_json(capsys, argv + ["--json"])
+    assert code == 0
+    assert set(report) == {"command", "input", "results", "tolerances", "wall_time"}
+    assert _json_paths(report["results"]) == set(expected)
+    assert main(argv) == 0
+    top, paths = _text_paths(capsys.readouterr().out)
+    assert top[:5] == ["command", "input", "results", "tolerances", "wall_time"]
+    assert paths == list(expected)

@@ -1,6 +1,9 @@
 """Factorization counts, not times: a hidden extra SVD or QR of a Sylvester
 matrix fails here even when it is too cheap to show in a benchmark."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,19 @@ def test_full_leading_certificate_and_radius_reuse_the_certified_scan(make, monk
     assert len(ks) == len(set(ks))
     mb.robustness_radius_minimal(M, scan_extra=3)
     assert [c for c in spy.take() if c.key is not None] == []
+
+
+def test_warm_scan_reuses_its_normal_rank_probes(monkeypatch):
+    # The scan's two probes of M(lambda) are kept in M's memo next to its S_k,
+    # so once M is certified neither a second certificate nor its indices
+    # factor anything.
+    M = planted_indices((1, 2, 5), np.random.default_rng(2024))
+    cert = mb.certify_minimal_basis(M)
+    assert not mb.has_full_sylvester_rank(M).has_full_sylvester_rank
+    spy = LinalgSpy(monkeypatch)
+    assert mb.certify_minimal_basis(M) == cert
+    assert sorted(mb.right_minimal_indices(M)) == [1, 2, 5]
+    assert spy.take("svd") == []
 
 
 def _qr_of(calls, P):
@@ -151,3 +167,19 @@ def test_sharp_witness_flat_factors_its_stack_once(monkeypatch):
     # Only the stack's SVD is unkeyed: the witness check that follows factors
     # S_1 of the witness through ``sylvester``, which the spy keys.
     assert [c for c in spy.take("svd") if c.key is None] == [Call("svd", None, True)]
+
+
+def test_benchmark_span_targets_exist():
+    # The traced benchmark run wraps these public functions by name; deleting
+    # or renaming one breaks it without failing any other test.
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in spans.LAYER_FUNCTIONS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"minbasis.{layer}"), name, None))
+    ]
+    assert missing == []

@@ -116,6 +116,22 @@ def test_tolerance_below_roundoff_is_marginal():
     assert not rank_nullity(np.eye(3)).marginal
 
 
+def test_full_rank_gap_ratio_is_measured_against_the_tolerance():
+    # A 1e-9 perturbation of (lam - 2) C certifies with one full-rank S_1,
+    # whose sigma_min is about 5e-10: the ratio is sigma_min / tau, not inf.
+    C = common_factor_2x4()
+    rng = np.random.default_rng(0)
+    noisy = PolyMat(C.coeffs + 1e-9 * rng.standard_normal(C.coeffs.shape))
+    cert = mb.certify_minimal_basis(noisy)
+    assert cert.reason == "ok"
+    (dec,) = cert.profile.decisions
+    assert dec.rank == len(dec.singular_values) == 4
+    assert dec.gap_ratio == dec.singular_values[-1] / dec.tolerance_used
+    assert dec.gap_ratio == pytest.approx(6.67e4, rel=1e-3)
+    assert rank_nullity(np.diag([1.0, 1e-3]), 1e-5).gap_ratio == pytest.approx(100.0)
+    assert rank_nullity(np.diag([1.0, 1e-3]), 0.0).gap_ratio == math.inf
+
+
 def _sylvester_loop(coeffs: np.ndarray, k: int) -> np.ndarray:
     grade, m, q = coeffs.shape
     data = np.zeros(((k + grade - 1) * m, k * q), dtype=coeffs.dtype)
