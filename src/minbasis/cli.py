@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -222,6 +223,8 @@ def _cmd_generic(args, tol):
 
 
 def _cmd_lify(args, tol):
+    if bool(args.dk) != bool(args.dm):
+        raise MinBasisError("--dk and --dm must be given together")
     K = load(args.k_file)
     M = load(args.m_file)
     lif = lify_mod.build_lification(K, M, tol=tol)
@@ -233,15 +236,13 @@ def _cmd_lify(args, tol):
         "dual_residual": lif.pair.residual,
         "recovered_P": to_dict(lif.P),
     }
-    if args.dk and args.dm:
+    if args.dk:
         delta_K, delta_M = load(args.dk), load(args.dm)
         report = lify_mod.backward_error_map(lif, delta_K, delta_M, tol=tol)
         results["backward_error"] = _fields(report, "delta_P", "perturbation")
         results["index_shift_check"] = lify_mod.minimal_index_shift_check(
             lif, delta_K, report.perturbation, tol=tol
         )
-    elif args.dk or args.dm:
-        raise MinBasisError("--dk and --dm must be given together")
     return _digest(M), results, None
 
 
@@ -258,7 +259,10 @@ def _cmd_oracle_rank(args, tol):
 # -- argument parsing --------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused: parsing
+    leaves it unchanged and gives each call a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog=PROG,
         description="Minimal-basis analysis of polynomial matrices via Sylvester ranks.",

@@ -21,13 +21,14 @@ from .errors import (
     LeadingCoefficientError,
     ShapeError,
 )
-from .fullsyl import decisive_rank_tests, kprime_t
+from .fullsyl import has_full_sylvester_rank
 from .polymat import PolyMat, evaluate, row_degrees
 from .sylvester import (
     RankDecision,
     evaluation_rank,
     full_leading_rank,
     highest_row_degree_rank,
+    memoized,
     rank_nullity,
     sylvester_rank,
 )
@@ -60,7 +61,9 @@ class RankProfile:
     counts the right minimal indices equal to j; it is empty when the matrix
     does not have full row normal rank, where the recursion does not apply.
     ``d_prime`` is the first k with rank increment equal to the row count
-    (the largest right minimal index), or None.
+    (the largest right minimal index), or None.  ``decisions`` holds the
+    rank decisions of the S_k that were factored, in increasing k; ranks
+    between them may be implied (see ``rank_profile``).
     """
 
     ranks: tuple[int, ...]
@@ -74,7 +77,24 @@ class RankProfile:
 
     @property
     def marginal(self) -> bool:
-        return any(dec.marginal for dec in self.decisions)
+        """True when a rank decision is marginal or the ranks are not convex."""
+        return not _convex(self.ranks) or any(dec.marginal for dec in self.decisions)
+
+
+def _convex(ranks) -> bool:
+    """Whether the rank increments r_k - r_{k-1} (with r_0 = 0) never increase.
+
+    Every polynomial matrix has nullities n_k = sum_i max(0, k - eps_i) over
+    the minimal indices eps_i of its right nullspace, so its increments
+    q - #{eps_i <= k-1} do not increase; measured ranks that break this rest
+    on at least one wrong rank decision.
+    """
+    prev, step = 0, float("inf")
+    for r in ranks:
+        if r - prev > step:
+            return False
+        prev, step = r, r - prev
+    return True
 
 
 # Normal rank equals the evaluation rank away from finitely many points; two
@@ -101,34 +121,80 @@ def _full_sylvester_profile(M: PolyMat, tol: float | None) -> RankProfile | None
     """The profile that full-Sylvester-rank implies, or None without it.
 
     Full row rank of S_k' forces full row rank of the leading coefficient,
-    so the attempt is skipped unless that holds, and it stops at the first
-    failing rank test.  The scan that follows a failed attempt reuses the
-    tested S_k, unless the input's largest minimal index stops it first (a
-    common factor can do that).  With the property every S_k has full rank,
-    r_k = min((k+d)m, kq), and the scan would stop at k = k'+1 with d' = k'.
+    so the attempt is skipped unless that holds.  The attempt is the
+    property test itself, both rank tests even when the first fails, so its
+    report is in the memo for a later ``has_full_sylvester_rank`` and the
+    scan that follows a failed attempt reuses its S_k.  With the property
+    every S_k has full rank, r_k = min((k+d)m, kq), and the scan would stop
+    at k = k'+1 with d' = k'.
     """
     if full_leading_rank(M, tol) is None:
         return None
+    report = has_full_sylvester_rank(M, tol)
+    if not report.has_full_sylvester_rank:
+        return None
     m, q, d = M.rows, M.cols, M.degree_bound
-    kt = kprime_t(m, q - m, d)
-    decisions = []
-    for k, required, _ in decisive_rank_tests(kt, m, q, d):
-        dec = sylvester_rank(M, k, tol)
-        if dec.rank != required:
-            return None
-        decisions.append(dec)
-    ranks = tuple(min((k + d) * m, k * q) for k in range(1, kt.k_prime + 2))
+    k_prime = report.k_prime_t.k_prime
+    ranks = tuple(min((k + d) * m, k * q) for k in range(1, k_prime + 2))
     nullities = tuple(k * q - r for k, r in enumerate(ranks, start=1))
     return RankProfile(
         ranks=ranks,
         nullities=nullities,
         alphas=_alphas_from_nullities(nullities),
-        d_prime=kt.k_prime,
+        d_prime=k_prime,
         normal_rank_full=True,
         stabilized_increment=None,
-        decisions=tuple(decisions),
+        decisions=tuple(sylvester_rank(M, c.k, tol) for c in report.checked_ranks),
         tolerance=tol,
     )
+
+
+def _index_sum_jump(
+    M: PolyMat, tol: float | None, decisions: list[RankDecision]
+) -> list[int] | None:
+    """The ranks r_1 .. r_{d'+1} that the measured r_1 .. r_k (the ranks of
+    ``decisions``) and the index sum theorem settle, or None.
+
+    With full row normal rank and a highest-row-degree matrix of full row
+    rank, the right minimal indices sum to D minus the degree of the finite
+    eigenvalues, D the sum of the row degrees (De Teran, Dopico & Mackey,
+    2014).  Once the prefix leaves one index unknown (its nullity increment
+    n_k - n_{k-1} = #{eps_i <= k-1} is n-1), that index eps is at least k
+    and at most R = D - (sum of the known ones), and since
+    nullity(S_j) = sum_i max(0, j - eps_i), the nullity of S_{R+1} gives it.
+    The stop pair d' = eps, d'+1 must rest on rank decisions that agree with
+    the implied ranks, so S_eps is factored too, and S_{eps+1} unless it is
+    S_{R+1} (it is, without finite eigenvalues): r_eps catches an eps too
+    large, r_{eps+1} one too small.  On success their decisions are appended
+    to ``decisions``; a check that fails returns None with ``decisions``
+    unchanged, and the scan goes on from the memo.
+    """
+    m, q = M.rows, M.cols
+    n, k = q - m, len(decisions)
+    ranks = [dec.rank for dec in decisions]
+    # n_k - n_{k-1} = n - 1 is the rank increment r_k - r_{k-1} = m + 1.
+    if ranks[-1] - (ranks[-2] if k > 1 else 0) != m + 1 or not _convex(ranks):
+        return None
+    if highest_row_degree_rank(M, tol).rank < m or _evaluation_rank(M, tol) < m:
+        return None
+    known = (n - 1) * k - (k * q - ranks[-1])  # n_k = sum over the known of k - eps_i
+    top = sum(row_degrees(M)) - known  # R
+    if top < k:
+        return None
+    eps = n * (top + 1) - known - sylvester_rank(M, top + 1, tol).nullity
+    if not k <= eps <= top:
+        return None
+    # For j >= k every known index is below j and the unknown one is >= k.
+    implied = ranks + [
+        j * q - ((n - 1) * j - known) - max(0, j - eps) for j in range(k + 1, eps + 2)
+    ]
+    factored = [
+        (j, sylvester_rank(M, j, tol)) for j in sorted({eps, eps + 1, top + 1}) if j > k
+    ]
+    if any(j <= eps + 1 and dec.rank != implied[j - 1] for j, dec in factored):
+        return None
+    decisions.extend(dec for _, dec in factored)
+    return implied
 
 
 def _scan(
@@ -136,11 +202,14 @@ def _scan(
     k_max: int | None,
     rank_at: Callable[[int], int],
     normal_rank: Callable[[], int],
+    jump: Callable[[], list[int] | None] | None = None,
 ) -> RankProfile:
     """The rank scan shared by the floating-point and the exact profile.
 
     ``rank_at(k)`` is the rank of S_k and ``normal_rank()`` the normal rank
     of M; the profile's ``decisions`` and ``tolerance`` are left empty.
+    ``jump()``, called after each rank that does not stop the scan, may end
+    it early with the whole rank list up to d'+1, or return None to go on.
     """
     m, q = M.rows, M.cols
     cap = k_max if k_max is not None else m * M.degree_bound + 2
@@ -155,6 +224,10 @@ def _scan(
             d_prime = k - 1
             break
         prev = ranks[-1]
+        implied = jump() if jump is not None else None
+        if implied is not None:
+            ranks, d_prime = implied, len(implied) - 1
+            break
 
     # Normal rank guards a stop against a transient m-increment of a rank-
     # deficient input; without a stop, it tells a scan truncated by a small
@@ -187,8 +260,12 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
 
     Without ``k_max`` the one or two full-Sylvester-rank tests run first;
     when they pass, the profile is read off the theorem and ``decisions``
-    holds only those tests.  Otherwise, and always with ``k_max``, the scan
-    runs, reusing every S_k the tests already factored.
+    holds only those tests.  Otherwise the scan runs, reusing every S_k the
+    tests already factored, and once a single minimal index is left unknown
+    the index sum theorem may settle it from one larger S_k (see
+    ``_index_sum_jump``): the ranks in between are then implied, not
+    factored.  This profile is kept in M's memo, one per tolerance.  With
+    ``k_max`` the plain scan runs and records a decision for every k.
     """
     m, q, d = M.rows, M.cols, M.degree_bound
     if m >= q:
@@ -196,16 +273,28 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
     if d < 1:
         raise ShapeError("rank_profile requires degree_bound >= 1")
     if k_max is None:
-        profile = _full_sylvester_profile(M, tol)
-        if profile is not None:
-            return profile
+        return memoized(
+            M, "profile", tol,
+            lambda: _full_sylvester_profile(M, tol) or _float_scan(M, None, tol),
+        )
+    return _float_scan(M, k_max, tol)
+
+
+def _float_scan(M: PolyMat, k_max: int | None, tol: float | None) -> RankProfile:
+    """The scan on rank decisions at ``tol``; the index sum jump only without a cap."""
     decisions: list[RankDecision] = []
 
     def rank_at(k: int) -> int:
         decisions.append(sylvester_rank(M, k, tol))
         return decisions[-1].rank
 
-    profile = _scan(M, k_max, rank_at, lambda: _evaluation_rank(M, tol))
+    profile = _scan(
+        M,
+        k_max,
+        rank_at,
+        lambda: _evaluation_rank(M, tol),
+        (lambda: _index_sum_jump(M, tol, decisions)) if k_max is None else None,
+    )
     return replace(profile, decisions=tuple(decisions), tolerance=tol)
 
 

@@ -54,8 +54,9 @@ class PolyMat:
 
     coeffs: np.ndarray
     # Factorizations of S_k, of the highest-row-degree matrix and of P at probe
-    # points, filled by ``sylvester.py``.  The coefficients never change, so
-    # an entry stays valid as long as the matrix.
+    # points, and reports built from them, filled by ``sylvester.py``.  The
+    # coefficients never change, so an entry stays valid as long as the
+    # matrix.
     _sylvester_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):

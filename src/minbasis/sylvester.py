@@ -5,13 +5,15 @@ highest-row-degree matrix and of P at a normal-rank probe point goes through
 a memo held by P itself: singular values are computed once per matrix, a
 right nullspace basis (by QR, as only S_k of full row rank have it taken)
 once a caller first asks for it, and the memo is freed with the matrix.  It
-never keeps the factored arrays.
+never keeps the factored arrays.  The memo also keeps the reports built from
+those decisions that ``memoized`` is asked to keep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -95,6 +97,8 @@ def _as_array(A) -> np.ndarray:
 
 
 _EPS = float(np.finfo(np.float64).eps)
+
+_T = TypeVar("_T")
 
 
 def default_tolerance(shape: tuple[int, int], sigma1):
@@ -215,8 +219,9 @@ def min_singular_value(A, which: int = 0) -> float:
 # -- per-matrix memo -------------------------------------------------------------
 
 
-# Memo key of the highest-row-degree matrix, next to the integer keys k of S_k
-# and the keys (Re lambda, Im lambda) of P(lambda).
+# Memo key of the highest-row-degree matrix, next to the integer keys k of S_k,
+# the keys (Re lambda, Im lambda) of P(lambda) and the keys (name, tol) of the
+# reports that ``memoized`` keeps; a string never equals a float Re lambda.
 _HR = "hr"
 
 
@@ -256,6 +261,16 @@ def _memo_rank(
     if dec is None:
         dec = entry.decisions[tol] = rank_decision(entry.sv, entry.shape, tol)
     return dec
+
+
+def memoized(P: PolyMat, name: str, tol: float | None, compute: Callable[[], _T]) -> _T:
+    """``compute()``, a report built from P's rank decisions at ``tol``,
+    computed once per matrix, report name and tolerance."""
+    key = (name, tol)
+    report = P._sylvester_memo.get(key)
+    if report is None:
+        report = P._sylvester_memo[key] = compute()
+    return report
 
 
 def sylvester_singular_values(P: PolyMat, k: int) -> np.ndarray:

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import minbasis as mb
-from minbasis.cli import main
+from minbasis.cli import _build_parser, main
 from minbasis.polymat import save, PolyMat
 
 from helpers import (
+    LinalgSpy,
     common_factor_2x4,
     example1,
     example2,
@@ -202,6 +203,54 @@ def test_lify_with_perturbation_propagates_once(capsys, tmp_path, ex1_file, monk
     assert report["results"]["index_shift_check"] is True
     assert "perturbation" not in report["results"]["backward_error"]
     assert len(calls) == 1
+
+
+def test_lify_checks_its_flag_pair_before_any_work(capsys, tmp_path, ex1_file, monkeypatch):
+    K = PolyMat.from_coeff_list(
+        [np.hstack([np.eye(2), np.zeros((2, 6))]), np.zeros((2, 8))]
+    )
+    kpath = str(tmp_path / "k.json")
+    save(K, kpath)
+    spy = LinalgSpy(monkeypatch)
+    for flag in ("--dk", "--dm"):
+        assert main(["lify", kpath, ex1_file, flag, ex1_file]) == 2
+        assert "--dk and --dm must be given together" in capsys.readouterr().err
+    assert spy.take() == []
+
+
+def test_consecutive_main_calls_share_no_state(capsys, ex1_file, ex2_file):
+    # The parser is built once and reused: each call in a sequence must read
+    # exactly as it does on a parser of its own.
+    runs = [
+        ["certify", "--json", "--tol", "1e-10", "--strict", ex2_file],
+        ["certify", ex2_file],
+        ["radius", ex1_file],
+        ["certify", ex1_file],
+        ["oracle-rank", "--json", ex2_file],
+        ["analyze", "--json", ex1_file],
+        ["fullsyl", "--strict", ex2_file],
+        ["fullsyl", "--json", ex2_file],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr().out
+        if "--json" in argv:
+            report = json.loads(out)
+            report.pop("wall_time")
+            return code, report
+        return code, [line for line in out.splitlines() if not line.startswith("wall_time")]
+
+    in_sequence = [run(argv) for argv in runs]
+    assert _build_parser() is _build_parser()
+    alone = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        alone.append(run(argv))
+    assert in_sequence == alone
+    assert [code for code, _ in in_sequence] == [1, 0, 0, 0, 0, 0, 1, 0]
+    assert in_sequence[5][1]["tolerances"] == {"tol": None, "policy": "max(rows,cols)*eps*sigma1"}
+    assert not any(line.startswith("radius =") for line in in_sequence[3][1])
 
 
 def test_oracle_rank_command(capsys, ex2_file):

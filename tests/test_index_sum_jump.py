@@ -1,0 +1,155 @@
+"""The index-sum jump of ``rank_profile``: once one right minimal index is
+left unknown, it is read off one Sylvester matrix.  Differential tests
+against the forced scan and the exact oracle, counts of the S_k it factors,
+and the convexity check that guards it."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import minbasis as mb
+from minbasis import minimal
+from minbasis.minimal import RankProfile
+from minbasis.polymat import PolyMat
+from minbasis.sylvester import RankDecision
+
+from helpers import LinalgSpy, planted_indices
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def _forced(M: PolyMat, tol=None):
+    """The plain scan to the default cap, on a fresh memo."""
+    fresh = PolyMat(M.coeffs)
+    return mb.rank_profile(fresh, k_max=fresh.rows * fresh.degree_bound + 2, tol=tol)
+
+
+def _fields(p):
+    return (p.ranks, p.nullities, p.alphas, p.d_prime, p.normal_rank_full, p.marginal)
+
+
+def _with_finite_eigenvalue(M: PolyMat, delta: int) -> PolyMat:
+    """(lam - 2)^delta times the first row of M: the right nullspace, hence
+    the minimal indices, stay; the row degree sum grows by delta."""
+    factor = np.array([1.0])
+    for _ in range(delta):
+        factor = np.convolve(factor, [-2.0, 1.0])  # ascending powers of lam
+    coeffs = np.zeros((M.degree_bound + delta + 1, M.rows, M.cols))
+    coeffs[: M.degree_bound + 1] = M.coeffs
+    coeffs[:, 0, :] = np.stack([
+        np.convolve(factor, M.coeffs[:, 0, c]) for c in range(M.cols)
+    ], axis=1)
+    return PolyMat(coeffs)
+
+
+# A separate top index makes a unique largest index, where the jump fires,
+# common; it still ties with or falls below the others at times.
+INDEX_SETS = st.builds(
+    lambda rest, top: rest + [top],
+    st.lists(st.integers(0, 4), min_size=1, max_size=5),
+    st.integers(0, 9),
+).filter(lambda e: sum(e) > 0)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(indices=INDEX_SETS, seed=st.integers(0, 2**16))
+@example(indices=[1, 1, 1, 1, 9], seed=1)  # one large index
+@example(indices=[1, 3, 3], seed=2)  # a tie at the top
+@example(indices=[0, 1, 4], seed=3)  # a zero index
+@example(indices=[0, 0, 2], seed=4)
+def test_jump_profile_matches_the_forced_scan(indices, seed):
+    M = planted_indices(tuple(indices), np.random.default_rng(seed))
+    profile = mb.rank_profile(M)
+    assert _fields(profile) == _fields(_forced(M))
+    assert mb.right_minimal_indices(M) == sorted(indices)
+    if M.rows * M.cols <= 60:  # desk size for the exact oracle
+        exact = mb.exact_rank_profile(M)
+        assert (exact.ranks, exact.d_prime, exact.normal_rank_full) == (
+            profile.ranks, profile.d_prime, profile.normal_rank_full
+        )
+
+
+def test_jump_reads_the_last_index_off_one_sylvester_matrix(monkeypatch):
+    # Indices (1, 1, 1, 1, 20): the scan measures S_1, S_2 and the shortcut
+    # tried S_4, S_5; then R = 24 - 4 = 20, so S_21 gives the last index and
+    # S_20 confirms it.  S_3 and S_6 .. S_19 are never factored.
+    M = planted_indices((1, 1, 1, 1, 20), np.random.default_rng(7))
+    spy = LinalgSpy(monkeypatch)
+    cert = mb.certify_minimal_basis(M)
+    ks = [c.key[1] for c in spy.take() if c.key is not None]
+    assert sorted(ks) == [1, 2, 4, 5, 20, 21]
+    assert (cert.is_minimal_basis, cert.d_prime) == (True, 20)
+    assert len(cert.profile.decisions) == 4  # S_1, S_2, S_20, S_21
+    assert len(cert.profile.ranks) == 21
+    # The profile, both decisive tests and the probes are in M's memo.
+    assert mb.rank_profile(M) is cert.profile
+    assert mb.right_minimal_indices(M) == [1, 1, 1, 1, 20]
+    report = mb.has_full_sylvester_rank(M)
+    assert not report.has_full_sylvester_rank
+    assert [c.k for c in report.checked_ranks] == [4, 5]
+    assert mb.has_full_sylvester_rank(M) is report
+    assert spy.take() == []
+
+
+@pytest.mark.parametrize("indices,delta", [((1, 2, 5), 3), ((1, 1, 1, 1, 6), 2), ((0, 1, 3), 1)])
+def test_finite_eigenvalues_keep_the_verdict_of_the_forced_scan(indices, delta, monkeypatch):
+    # The finite eigenvalue 2 of degree delta makes the row degree sum exceed
+    # the index sum, so R = eps + delta: the jump factors S_{eps+delta+1}.
+    M = _with_finite_eigenvalue(planted_indices(indices, np.random.default_rng(5)), delta)
+    spy = LinalgSpy(monkeypatch)
+    cert = mb.certify_minimal_basis(M)
+    ks = {c.key[1] for c in spy.take() if c.key is not None}
+    forced = _forced(M)
+    assert (cert.is_minimal_basis, cert.reason) == (False, "degree_sum_mismatch")
+    assert cert.d_prime == forced.d_prime == max(indices)
+    assert cert.degree_sum_observed == mb.minimal_index_sum(forced, M.rows) == sum(indices)
+    assert _fields(cert.profile) == _fields(forced)
+    assert max(indices) + delta + 1 in ks
+
+
+def test_a_miscounted_last_index_falls_back_to_the_scan(monkeypatch):
+    # Indices (1, 2, 5) and a finite eigenvalue of degree 3: R = 11 - 3 = 8.
+    # One rank too few on S_9, which the scan never reaches, gives eps = 4;
+    # r_4 cannot tell 4 from 5, but r_5 can, so the scan takes over from S_4.
+    M = _with_finite_eigenvalue(planted_indices((1, 2, 5), np.random.default_rng(5)), 3)
+    exact_rank = minimal.sylvester_rank
+
+    def one_short_at_9(P, k, tol=None):
+        dec = exact_rank(P, k, tol)
+        return replace(dec, rank=dec.rank - 1, nullity=dec.nullity + 1) if k == 9 else dec
+
+    monkeypatch.setattr(minimal, "sylvester_rank", one_short_at_9)
+    profile = mb.rank_profile(M)
+    assert _fields(profile) == _fields(_forced(M))
+    assert len(profile.decisions) == len(profile.ranks) == 6
+
+
+def test_non_convex_ranks_make_a_profile_marginal():
+    # Increments 3, 4, 2: the second rank decision over-counts somewhere.
+    base = dict(alphas=(), d_prime=None, normal_rank_full=True, stabilized_increment=None,
+                decisions=(), tolerance=None)
+    bad = RankProfile(ranks=(3, 7, 9), nullities=(1, 1, 3), **base)
+    good = RankProfile(ranks=(4, 7, 9), nullities=(0, 1, 3), **base)
+    assert bad.marginal and not good.marginal
+
+
+def _decisions(ranks, cols):
+    return [RankDecision(rank=r, nullity=k * cols - r, singular_values=(1.0,) * r,
+                         tolerance_used=1e-14, roundoff_floor=1e-14)
+            for k, r in enumerate(ranks, start=1)]
+
+
+def test_jump_does_not_fire_on_a_non_convex_prefix(monkeypatch):
+    # Indices (1, 2, 5), m = 8, q = 11: the true prefix r_1..r_3 = 11, 21, 30
+    # has increments 11, 10, 9 and leaves one index unknown.  The same last
+    # increment after a non-convex start is refused before any factorization.
+    M = planted_indices((1, 2, 5), np.random.default_rng(2024))
+    spy = LinalgSpy(monkeypatch)
+    assert minimal._index_sum_jump(M, None, _decisions([9, 21, 30], 11)) is None
+    assert spy.take() == []
+    decisions = _decisions([11, 21, 30], 11)
+    assert minimal._index_sum_jump(M, None, decisions) == [11, 21, 30, 39, 48, 56]
+    assert len(decisions) == 5  # S_5 and S_6 appended
