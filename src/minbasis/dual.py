@@ -39,7 +39,6 @@ from .sylvester import (
     highest_row_degree_rank,
     sylvester,
     sylvester_nullspace,
-    sylvester_rank,
 )
 
 __all__ = [
@@ -129,17 +128,6 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
     )
 
 
-def _nullspace(M: PolyMat, k: int, expected_dim: int, tol: float | None) -> np.ndarray:
-    """Orthonormal basis of the right nullspace of S_k(M), as columns."""
-    dec = sylvester_rank(M, k, tol)
-    if dec.nullity != expected_dim:
-        raise NumericalInconsistencyError(
-            f"nullspace dimension {dec.nullity}, expected {expected_dim}; "
-            "rank tolerance breakdown"
-        )
-    return sylvester_nullspace(M, k, tol)
-
-
 def _fix_phases(basis: np.ndarray) -> np.ndarray:
     # Make each column's largest-magnitude entry real positive, so the
     # extracted basis does not depend on the signs or phases QR picks.
@@ -166,9 +154,9 @@ def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
     # row of N, constant term first.
     coeffs = np.zeros((kp + 1, n, q), dtype=M.coeffs.dtype)
     if t > 0:
-        x = _fix_phases(_nullspace(M, kp, t, tol))
+        x = _fix_phases(sylvester_nullspace(M, kp, tol))
         coeffs[:kp, :t] = x.reshape(kp, q, t).transpose(0, 2, 1)
-    big = _nullspace(M, kp + 1, n + t, tol)
+    big = sylvester_nullspace(M, kp + 1, tol)
     if t > 0:
         shifts = np.zeros(((kp + 1) * q, 2 * t), dtype=big.dtype)
         shifts[: kp * q, :t] = x

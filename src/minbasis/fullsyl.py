@@ -98,15 +98,15 @@ def has_full_sylvester_rank(M: PolyMat, tol: float | None = None) -> FullSylRepo
     """Decide the property with the minimal set of rank tests (see
     ``decisive_rank_tests``); both tests are reported even when the first
     fails.  The report is kept in M's memo, one per tolerance."""
+    return memoized(M, "fullsyl", tol, lambda: _property_report(M, tol))
+
+
+def _property_report(M: PolyMat, tol: float | None) -> FullSylReport:
     m, q, d = M.rows, M.cols, M.degree_bound
     if m >= q:
         raise ShapeError(f"property requires a wide matrix, got {m}x{q}")
     if d < 1:
         raise ShapeError("property requires degree_bound >= 1")
-    return memoized(M, "fullsyl", tol, lambda: _property_report(M, m, q, d, tol))
-
-
-def _property_report(M: PolyMat, m: int, q: int, d: int, tol: float | None) -> FullSylReport:
     n = q - m
     kt = kprime_t(m, n, d)
 

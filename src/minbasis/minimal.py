@@ -25,11 +25,11 @@ from .fullsyl import has_full_sylvester_rank
 from .polymat import PolyMat, evaluate, row_degrees
 from .sylvester import (
     RankDecision,
-    evaluation_rank,
     full_leading_rank,
     highest_row_degree_rank,
     memoized,
-    rank_nullity,
+    singular_values,
+    stacked_ranks,
     sylvester_rank,
 )
 
@@ -99,13 +99,20 @@ def _convex(ranks) -> bool:
 
 # Normal rank equals the evaluation rank away from finitely many points; two
 # fixed pseudo-random probes make an accidental hit vanishingly rare.
-_PROBES = tuple(
+_PROBES = np.array([
     complex(re, im) for re, im in np.random.default_rng(0x5E_ED).uniform(0.5, 1.5, (2, 2))
-)
+])
 
 
 def _evaluation_rank(M: PolyMat, tol: float | None) -> int:
-    return max(evaluation_rank(M, lam, tol).rank for lam in _PROBES)
+    """The larger rank of M at the two probes, from one SVD of both, kept
+    in M's memo."""
+
+    def probe() -> int:
+        sv = singular_values(evaluate(M, _PROBES))
+        return int(stacked_ranks(sv, (M.rows, M.cols), tol)[0].max())
+
+    return memoized(M, "normal_rank", tol, probe)
 
 
 def _alphas_from_nullities(nullities: tuple[int, ...]) -> tuple[int, ...]:
@@ -267,21 +274,21 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
     factored.  This profile is kept in M's memo, one per tolerance.  With
     ``k_max`` the plain scan runs and records a decision for every k.
     """
-    m, q, d = M.rows, M.cols, M.degree_bound
-    if m >= q:
-        raise ShapeError(f"rank_profile requires a wide matrix, got {m}x{q}")
-    if d < 1:
-        raise ShapeError("rank_profile requires degree_bound >= 1")
     if k_max is None:
-        return memoized(
-            M, "profile", tol,
-            lambda: _full_sylvester_profile(M, tol) or _float_scan(M, None, tol),
-        )
+        return memoized(M, "profile", tol, lambda: _float_scan(M, None, tol))
     return _float_scan(M, k_max, tol)
 
 
 def _float_scan(M: PolyMat, k_max: int | None, tol: float | None) -> RankProfile:
-    """The scan on rank decisions at ``tol``; the index sum jump only without a cap."""
+    """The scan on rank decisions at ``tol``; the full-Sylvester-rank shortcut
+    and the index sum jump only without a cap."""
+    if M.rows >= M.cols:
+        raise ShapeError(f"rank_profile requires a wide matrix, got {M.rows}x{M.cols}")
+    if M.degree_bound < 1:
+        raise ShapeError("rank_profile requires degree_bound >= 1")
+    shortcut = _full_sylvester_profile(M, tol) if k_max is None else None
+    if shortcut is not None:
+        return shortcut
     decisions: list[RankDecision] = []
 
     def rank_at(k: int) -> int:
@@ -457,33 +464,29 @@ def classical_check(
     """Probabilistic minimality check: row reducedness plus sampled evaluations.
 
     Draws pseudo-random points from the complex unit disk scaled by the radii
-    0.5, 1, 2, and 10 and tests rank(M(lambda_0)) == rows at each.
+    0.5, 1, 2, and 10 and tests rank(M(lambda_0)) == rows at each, all from
+    one SVD of the stack of evaluations.
     """
     if not M.is_wide:
         raise ShapeError(f"classical_check requires a wide matrix, got {M.rows}x{M.cols}")
     if num_samples < 1:
         raise ShapeError("num_samples must be positive")
     hr_dec = highest_row_degree_rank(M, tol)
-    rng = np.random.default_rng(seed)
     m = M.rows
-    drops = 0
-    min_sigma = float("inf")
-    min_at = 0j
-    for i in range(num_samples):
-        radius = _CLASSICAL_RADII[i % len(_CLASSICAL_RADII)]
-        lam = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        dec = rank_nullity(evaluate(M, lam), tol)
-        sigma_m = dec.singular_values[m - 1]
-        if sigma_m < min_sigma:
-            min_sigma, min_at = sigma_m, complex(lam)
-        if dec.rank < m:
-            drops += 1
+    # Two uniforms per sample, in the order of a per-sample loop.
+    u = np.random.default_rng(seed).uniform(size=(num_samples, 2))
+    radius = np.resize(_CLASSICAL_RADII, num_samples)
+    lam = radius * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    sv = singular_values(evaluate(M, lam))
+    ranks, _, _ = stacked_ranks(sv, (m, M.cols), tol)
+    drops = int(np.count_nonzero(ranks < m))
+    at = int(np.argmin(sv[:, m - 1]))  # the first minimum
     return ClassicalCheck(
         passed=(hr_dec.rank == m and drops == 0),
         row_reduced=(hr_dec.rank == m),
         rank_drops=drops,
-        min_sigma=float(min_sigma),
-        min_sigma_at=min_at,
+        min_sigma=float(sv[at, m - 1]),
+        min_sigma_at=complex(lam[at]),
         samples=num_samples,
         hr_rank=hr_dec.rank,
     )

@@ -53,10 +53,9 @@ class PolyMat:
     """
 
     coeffs: np.ndarray
-    # Factorizations of S_k, of the highest-row-degree matrix and of P at probe
-    # points, and reports built from them, filled by ``sylvester.py``.  The
-    # coefficients never change, so an entry stays valid as long as the
-    # matrix.
+    # Factorizations of S_k and of the highest-row-degree matrix, and reports
+    # built from them, filled by ``sylvester.py``.  The coefficients never
+    # change, so an entry stays valid as long as the matrix.
     _sylvester_memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -168,18 +167,21 @@ def highest_row_degree_matrix(P: PolyMat) -> np.ndarray:
 
 
 def evaluate(P: PolyMat, lam) -> np.ndarray:
-    """Horner evaluation of P at the scalar ``lam``.
+    """Horner evaluation of P at the point ``lam``, or at each point of an
+    array of points, as an array of shape ``lam.shape + (rows, cols)``.
 
-    Evaluating a real-field matrix at a complex point is allowed and yields a
-    complex constant matrix.
+    Every point takes the same operations as a call on that point alone, so
+    each slice equals that call bit for bit.  Evaluating a real-field matrix
+    at a complex point is allowed and yields a complex constant matrix.
     """
-    lam = complex(lam) if np.iscomplexobj(np.asarray(lam)) else float(lam)
-    if not np.isfinite(np.abs(lam)):
+    lam = np.asarray(lam)
+    lam = lam.astype(_COMPLEX_DTYPE if np.iscomplexobj(lam) else _REAL_DTYPE)
+    if not np.isfinite(np.abs(lam)).all():
         raise InputFormatError("evaluation point must be finite")
-    dtype = np.result_type(P.coeffs.dtype, np.asarray(lam).dtype)
-    acc = P.coeffs[-1].astype(dtype)
+    acc = np.empty(lam.shape + P.coeffs.shape[1:], np.result_type(P.coeffs.dtype, lam.dtype))
+    acc[...] = P.coeffs[-1]
     for i in range(P.degree_bound - 1, -1, -1):
-        acc = acc * lam + P.coeffs[i]
+        acc = acc * lam[..., None, None] + P.coeffs[i]
     return acc
 
 

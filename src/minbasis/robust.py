@@ -28,6 +28,7 @@ from .sylvester import (
     full_leading_rank,
     rank_decision,
     rank_nullity,
+    singular_values,
     sylvester_rank,
     sylvester_singular_values,
 )
@@ -120,14 +121,10 @@ def robustness_radius_fullsyl(M: PolyMat, tol: float | None = None) -> RadiusRep
     report = has_full_sylvester_rank(M, tol)
     if not report.has_full_sylvester_rank:
         raise PreconditionError("input does not have full-Sylvester-rank")
-    kp, t = report.k_prime_t.k_prime, report.k_prime_t.t
-    m, q, d = M.rows, M.cols, M.degree_bound
-    scanned = []
-    if kp > 1 and t > 0:
-        scanned.append(
-            RadiusCandidate(kp - 1, _sigma(M, kp - 1, (kp - 1) * q) / math.sqrt(kp - 1))
-        )
-    scanned.append(RadiusCandidate(kp, _sigma(M, kp, (kp + d) * m) / math.sqrt(kp)))
+    scanned = [
+        RadiusCandidate(c.k, _sigma(M, c.k, c.required) / math.sqrt(c.k))
+        for c in report.checked_ranks
+    ]
     k_used, radius = min(scanned, key=lambda kv: kv[1])
     return RadiusReport(
         radius=radius, k_used=k_used, scanned=tuple(scanned), kind="full_sylvester"
@@ -183,20 +180,16 @@ def thetas(M: PolyMat, tol: float | None = None) -> Thetas:
     if not report.has_full_sylvester_rank:
         raise PreconditionError("thetas require a full-Sylvester-rank input")
     kp, t = report.k_prime_t.k_prime, report.k_prime_t.t
-    m, q, d = M.rows, M.cols, M.degree_bound
-
-    def scaled(k: int, index: int) -> float:
-        return _sigma(M, k, index) / math.sqrt(k)
-
-    s_kp = scaled(kp, (kp + d) * m)
-    s_kp1 = scaled(kp + 1, (kp + 1 + d) * m)
+    m, d = M.rows, M.degree_bound
+    s_kp = _sigma(M, kp, (kp + d) * m) / math.sqrt(kp)
+    s_kp1 = _sigma(M, kp + 1, (kp + 1 + d) * m) / math.sqrt(kp + 1)
+    # The full-Sylvester-rank radius is the minimum over the decisive tests.
+    theta1 = min(robustness_radius_fullsyl(M, tol).radius, s_kp1)
     if t == 0:
-        return Thetas(theta1=min(s_kp, s_kp1), theta2=s_kp1, case="c")
+        return Thetas(theta1=theta1, theta2=s_kp1, case="c")
     if kp == 1:
-        both = min(s_kp, s_kp1)
-        return Thetas(theta1=both, theta2=both, case="b")
-    s_prev = scaled(kp - 1, (kp - 1) * q)
-    return Thetas(theta1=min(s_prev, s_kp, s_kp1), theta2=min(s_kp, s_kp1), case="a")
+        return Thetas(theta1=theta1, theta2=theta1, case="b")
+    return Thetas(theta1=theta1, theta2=min(s_kp, s_kp1), case="a")
 
 
 @dataclass(frozen=True)
@@ -229,7 +222,10 @@ def classical_lower_bound_check(
     tol: float | None = None,
 ) -> LowerBoundReport:
     """Check sigma_{(d+d')m}(S_{d'}) against the leading coefficient and
-    sampled evaluations on circles of the given radii."""
+    sampled evaluations on circles of the given radii, taken from one SVD
+    of the stack of evaluations."""
+    if num_samples < 1 or len(radii) < 1:
+        raise ShapeError("num_samples and the number of radii must be positive")
     m, d = M.rows, M.degree_bound
     lead_dec = full_leading_rank(M, tol)
     if lead_dec is None:
@@ -243,24 +239,19 @@ def classical_lower_bound_check(
     violations = 0
     if lower > sigma_lead + _SLACK:
         violations += 1
-    rng = np.random.default_rng(seed)
-    min_sigma = float("inf")
-    min_at = 0j
-    for i in range(num_samples):
-        radius = radii[i % len(radii)]
-        lam = radius * np.exp(2j * np.pi * rng.uniform())
-        sv = np.linalg.svd(evaluate(M, lam), compute_uv=False)
-        sigma_m = float(sv[m - 1])
-        if sigma_m < min_sigma:
-            min_sigma, min_at = sigma_m, complex(lam)
-        if lower > sigma_m + _SLACK:
-            violations += 1
+    # One uniform per sample, in the order of a per-sample loop.
+    u = np.random.default_rng(seed).uniform(size=num_samples)
+    lam = np.resize(radii, num_samples) * np.exp(2j * np.pi * u)
+    sigma = singular_values(evaluate(M, lam))[:, m - 1]
+    violations += int(np.count_nonzero(lower > sigma + _SLACK))
+    at = int(np.argmin(sigma))  # the first minimum
+    min_sigma = float(sigma[at])
     return LowerBoundReport(
         lower_bound=lower,
         d_prime=dp,
         sigma_leading=sigma_lead,
         min_sampled_sigma=min_sigma,
-        min_sampled_at=min_at,
+        min_sampled_at=complex(lam[at]),
         tightest_ratio=min(min_sigma, sigma_lead) / lower if lower > 0 else float("inf"),
         samples=num_samples,
         radii=tuple(radii),

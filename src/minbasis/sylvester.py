@@ -1,11 +1,10 @@
 """Sylvester matrices and tolerance-based numerical rank decisions.
 
-Every rank or singular-value read of a Sylvester matrix S_k(P), of P's
-highest-row-degree matrix and of P at a normal-rank probe point goes through
-a memo held by P itself: singular values are computed once per matrix, a
-right nullspace basis (by QR, as only S_k of full row rank have it taken)
-once a caller first asks for it, and the memo is freed with the matrix.  It
-never keeps the factored arrays.  The memo also keeps the reports built from
+Every rank or singular-value read of a Sylvester matrix S_k(P) and of P's
+highest-row-degree matrix goes through a memo held by P itself: singular
+values are computed once per matrix, a right nullspace basis (by QR, as only
+S_k of full row rank have it taken) once a caller first asks for it, and the
+memo is freed with the matrix.  It never keeps the factored arrays.  The memo also keeps the reports built from
 those decisions that ``memoized`` is asked to keep.
 """
 
@@ -18,7 +17,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import InputFormatError, NumericalInconsistencyError, ShapeError
-from .polymat import PolyMat, evaluate, highest_row_degree_matrix
+from .polymat import PolyMat, highest_row_degree_matrix
 
 __all__ = [
     "SylvesterMatrix",
@@ -34,7 +33,6 @@ __all__ = [
     "singular_values",
     "sylvester_rank",
     "highest_row_degree_rank",
-    "evaluation_rank",
     "full_leading_rank",
     "sylvester_singular_values",
     "sylvester_nullspace",
@@ -89,10 +87,11 @@ def sylvester(P: PolyMat, k: int) -> SylvesterMatrix:
     return SylvesterMatrix(k=k, m=P.rows, q=P.cols, d=P.degree_bound, data=data)
 
 
-def _as_array(A) -> np.ndarray:
+def _as_array(A, stack: bool = False) -> np.ndarray:
     arr = A.data if isinstance(A, SylvesterMatrix) else np.asarray(A)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ShapeError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
+    if arr.ndim < 2 or (arr.ndim > 2 and not stack) or arr.size == 0:
+        what = "stack of matrices" if stack else "2-d matrix"
+        raise ShapeError(f"expected a non-empty {what}, got shape {arr.shape}")
     return arr
 
 
@@ -108,8 +107,9 @@ def default_tolerance(shape: tuple[int, int], sigma1):
 
 
 def singular_values(A) -> np.ndarray:
-    """Descending singular values of a matrix or Sylvester matrix."""
-    return np.linalg.svd(_as_array(A), compute_uv=False)
+    """Descending singular values of a matrix or Sylvester matrix, or of
+    each matrix of a stack of shape (..., p, q), along the last axis."""
+    return np.linalg.svd(_as_array(A, stack=True), compute_uv=False)
 
 
 # Gap ratio below which a rank decision is reported as marginal.
@@ -205,12 +205,12 @@ def rank_nullity(A, tol: float | None = None) -> RankDecision:
     max(rows, cols) * eps * sigma_1.
     """
     arr = _as_array(A)
-    return rank_decision(np.linalg.svd(arr, compute_uv=False), arr.shape, tol)
+    return rank_decision(singular_values(arr), arr.shape, tol)
 
 
 def min_singular_value(A, which: int = 0) -> float:
     """Singular value counted from the smallest; ``which=0`` is the smallest."""
-    sv = singular_values(A)
+    sv = singular_values(_as_array(A))
     if not 0 <= which < len(sv):
         raise IndexError(f"singular value index {which} out of range for {len(sv)} values")
     return float(sv[len(sv) - 1 - which])
@@ -219,9 +219,8 @@ def min_singular_value(A, which: int = 0) -> float:
 # -- per-matrix memo -------------------------------------------------------------
 
 
-# Memo key of the highest-row-degree matrix, next to the integer keys k of S_k,
-# the keys (Re lambda, Im lambda) of P(lambda) and the keys (name, tol) of the
-# reports that ``memoized`` keeps; a string never equals a float Re lambda.
+# Memo key of the highest-row-degree matrix, next to the integer keys k of S_k
+# and the keys (name, tol) of the reports that ``memoized`` keeps.
 _HR = "hr"
 
 
@@ -237,25 +236,18 @@ class _Factored:
     decisions: dict = field(default_factory=dict)
 
 
-def _factored(P: PolyMat, key: int | str | tuple[float, float]) -> _Factored:
+def _factored(P: PolyMat, key: int | str) -> _Factored:
     memo = P._sylvester_memo
     entry = memo.get(key)
     if entry is None:
-        if key == _HR:
-            data = highest_row_degree_matrix(P)
-        elif isinstance(key, tuple):
-            data = evaluate(P, complex(*key))
-        else:
-            data = sylvester(P, key).data
-        sv = np.linalg.svd(data, compute_uv=False)
+        data = highest_row_degree_matrix(P) if key == _HR else sylvester(P, key).data
+        sv = singular_values(data)
         sv.flags.writeable = False
         entry = memo[key] = _Factored(shape=data.shape, sv=sv)
     return entry
 
 
-def _memo_rank(
-    P: PolyMat, key: int | str | tuple[float, float], tol: float | None
-) -> RankDecision:
+def _memo_rank(P: PolyMat, key: int | str, tol: float | None) -> RankDecision:
     entry = _factored(P, key)
     dec = entry.decisions.get(tol)
     if dec is None:
@@ -308,11 +300,6 @@ def sylvester_rank(P: PolyMat, k: int, tol: float | None = None) -> RankDecision
 def highest_row_degree_rank(P: PolyMat, tol: float | None = None) -> RankDecision:
     """``rank_nullity(highest_row_degree_matrix(P), tol)`` read from P's memo."""
     return _memo_rank(P, _HR, tol)
-
-
-def evaluation_rank(P: PolyMat, lam: complex, tol: float | None = None) -> RankDecision:
-    """``rank_nullity(evaluate(P, lam), tol)`` read from P's memo."""
-    return _memo_rank(P, (lam.real, lam.imag), tol)
 
 
 def full_leading_rank(P: PolyMat, tol: float | None = None) -> RankDecision | None:

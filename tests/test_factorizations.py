@@ -79,6 +79,35 @@ def test_warm_scan_reuses_its_normal_rank_probes(monkeypatch):
     assert spy.take("svd") == []
 
 
+def test_cold_scan_certificate_takes_one_svd_for_both_normal_rank_probes(monkeypatch):
+    # Planted (1, 2, 5) fails the full-Sylvester-rank shortcut, so the scan
+    # runs and checks normal rank: both probes of M(lambda) in one SVD.
+    M = planted_indices((1, 2, 5), np.random.default_rng(2024))
+    spy = LinalgSpy(monkeypatch)
+    shapes = []
+    spy_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return spy_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert mb.certify_minimal_basis(M).is_minimal_basis
+    unkeyed = [shape for shape, c in zip(shapes, spy.take("svd")) if c.key is None]
+    # The highest-row-degree matrix, then the stack of the two probes.
+    assert unkeyed == [(8, 11), (2, 8, 11)]
+
+
+def test_classical_checks_decide_every_sample_from_one_svd(monkeypatch):
+    M = mb.sample_full_sylvester(4, 3, 2, seed=3)
+    mb.certify_minimal_basis(M)
+    spy = LinalgSpy(monkeypatch)
+    assert mb.classical_check(M, num_samples=200).samples == 200
+    assert spy.take() == [Call("svd", None, False)]
+    assert mb.classical_lower_bound_check(M, num_samples=500).samples == 500
+    assert spy.take() == [Call("svd", None, False)]
+
+
 def _qr_of(calls, P):
     """The QR calls among ``calls`` of P's Sylvester matrices, as (k, mode)."""
     return [(c.key[1], c.detail) for c in calls

@@ -5,6 +5,7 @@ import minbasis as mb
 from minbasis.minimal import (
     REASON_DEGREE_SUM,
     REASON_HR,
+    ClassicalCheck,
     certify_full_leading,
     certify_minimal_basis,
     classical_check,
@@ -12,8 +13,8 @@ from minbasis.minimal import (
     rank_profile,
     right_minimal_indices,
 )
-from minbasis.polymat import PolyMat
-from minbasis.sylvester import full_leading_rank, sylvester_rank
+from minbasis.polymat import PolyMat, highest_row_degree_matrix
+from minbasis.sylvester import full_leading_rank, rank_nullity, sylvester_rank
 
 from helpers import common_factor_2x4, example1, example2, example3, one_lambda, planted_indices
 
@@ -255,3 +256,48 @@ def test_classical_check_common_factor_smallest_sigma_near_zero_point():
     assert abs(res.min_sigma_at) < 0.25
     assert res.min_sigma < 0.3
     assert not certify_minimal_basis(M).is_minimal_basis
+
+
+def _classical_loop(M, num_samples, seed, tol):
+    """``classical_check`` as a loop with one evaluation and SVD per sample."""
+    hr = rank_nullity(highest_row_degree_matrix(M), tol)
+    rng = np.random.default_rng(seed)
+    m, drops, min_sigma, min_at = M.rows, 0, float("inf"), 0j
+    for i in range(num_samples):
+        radius = (0.5, 1.0, 2.0, 10.0)[i % 4]
+        lam = radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        dec = rank_nullity(mb.evaluate(M, lam), tol)
+        if dec.singular_values[m - 1] < min_sigma:
+            min_sigma, min_at = dec.singular_values[m - 1], complex(lam)
+        drops += int(dec.rank < m)
+    return ClassicalCheck(
+        passed=hr.rank == m and drops == 0,
+        row_reduced=hr.rank == m,
+        rank_drops=drops,
+        min_sigma=float(min_sigma),
+        min_sigma_at=min_at,
+        samples=num_samples,
+        hr_rank=hr.rank,
+    )
+
+
+@pytest.mark.parametrize("make", [
+    example1,
+    example2,
+    example3,
+    common_factor_2x4,
+    lambda: planted_indices((1, 2, 5), np.random.default_rng(2024)),
+    lambda: mb.sample_full_sylvester(2, 3, 1, seed=3),
+    lambda: mb.sample_full_sylvester(4, 3, 2, seed=3, field_tag="complex"),
+    # A repeated row: the rank drops at every sample.
+    lambda: PolyMat(np.concatenate([example1().coeffs, example1().coeffs[:, :1]], axis=1)),
+], ids=["ex1", "ex2", "ex3", "common_factor", "planted", "real", "complex", "deficient"])
+def test_classical_check_equals_the_per_sample_loop(make):
+    # One batched SVD decides every sample exactly as one SVD per sample did:
+    # same draws, ranks, first minimum and its point.
+    M = make()
+    for seed in (0, 1, 7):
+        for tol in (None, 1e-10, 0.0):
+            for num_samples in (1, 7, 200):
+                got = classical_check(M, num_samples=num_samples, seed=seed, tol=tol)
+                assert got == _classical_loop(M, num_samples, seed, tol)

@@ -99,6 +99,34 @@ def test_evaluate_matches_naive_power_sum():
         assert np.allclose(got, naive_evaluate(P, lam), rtol=1e-12, atol=1e-12)
 
 
+_RNG = np.random.default_rng(23)
+
+
+@pytest.mark.parametrize("P", [
+    PolyMat(_RNG.standard_normal((4, 3, 5))),
+    PolyMat(_RNG.standard_normal((3, 2, 4)) + 1j * _RNG.standard_normal((3, 2, 4))),
+    PolyMat(_RNG.standard_normal((1, 2, 3))),
+], ids=["real", "complex", "degree0"])
+@pytest.mark.parametrize("points", [
+    np.array(0.7 - 1.3j),
+    np.array([0.3, -1.7, 2.5 + 0.5j, 0.0]),
+    _RNG.standard_normal((2, 3)),
+], ids=["scalar", "vector", "grid"])
+def test_evaluate_on_a_point_array_equals_per_point_calls(P, points):
+    got = mb.evaluate(P, points)
+    assert got.shape == points.shape + (P.rows, P.cols)
+    for idx in np.ndindex(points.shape):
+        one = mb.evaluate(P, points[idx].item())
+        assert got[idx].dtype == one.dtype
+        assert np.array_equal(got[idx], one)
+
+
+@pytest.mark.parametrize("bad", [np.inf, complex(0.0, np.nan), -np.inf + 1j])
+def test_evaluate_rejects_a_non_finite_point_anywhere_in_an_array(bad):
+    with pytest.raises(mb.InputFormatError, match="finite"):
+        mb.evaluate(example1(), np.array([[0.5, 1.0], [bad, 2.0]]))
+
+
 def test_reversal_swaps_coefficients():
     rev = mb.reversal(one_lambda(), 1)
     assert np.array_equal(rev.coeffs[0], [[0.0, 1.0]])

@@ -6,6 +6,7 @@ import pytest
 import minbasis as mb
 from minbasis.polymat import PolyMat, s1_stack
 from minbasis.robust import (
+    LowerBoundReport,
     classical_lower_bound_check,
     distance,
     fragile_neighbor,
@@ -208,3 +209,56 @@ def test_fragile_neighbor_single_row():
 def test_fragile_neighbor_rejects_full_leading():
     with pytest.raises(mb.PreconditionError):
         fragile_neighbor(example1(), 1e-3)
+
+
+def _lower_bound_loop(M, num_samples, seed, radii, tol):
+    """``classical_lower_bound_check`` as a loop with one evaluation and SVD
+    per sample."""
+    m, d = M.rows, M.degree_bound
+    dp = mb.certify_minimal_basis(M, tol).d_prime
+    lower = float(singular_values(sylvester(M, dp))[(d + dp) * m - 1])
+    sigma_lead = float(singular_values(M.coeffs[-1])[m - 1])
+    violations = int(lower > sigma_lead + 1e-12)
+    rng = np.random.default_rng(seed)
+    min_sigma, min_at = float("inf"), 0j
+    for i in range(num_samples):
+        lam = radii[i % len(radii)] * np.exp(2j * np.pi * rng.uniform())
+        sigma_m = float(singular_values(mb.evaluate(M, lam))[m - 1])
+        if sigma_m < min_sigma:
+            min_sigma, min_at = sigma_m, complex(lam)
+        violations += int(lower > sigma_m + 1e-12)
+    return LowerBoundReport(
+        lower_bound=lower,
+        d_prime=dp,
+        sigma_leading=sigma_lead,
+        min_sampled_sigma=min_sigma,
+        min_sampled_at=min_at,
+        tightest_ratio=min(min_sigma, sigma_lead) / lower,
+        samples=num_samples,
+        radii=tuple(radii),
+        violations=violations,
+    )
+
+
+@pytest.mark.parametrize("make", [
+    example1,
+    one_lambda,
+    lambda: planted_indices((1, 2, 5), np.random.default_rng(2024)),
+    lambda: mb.sample_full_sylvester(2, 3, 1, seed=3),
+    lambda: mb.sample_full_sylvester(4, 3, 2, seed=3, field_tag="complex"),
+], ids=["ex1", "one_lambda", "planted", "real", "complex"])
+def test_lower_bound_check_equals_the_per_sample_loop(make):
+    M = make()
+    for seed in (0, 1, 7):
+        for tol in (None, 1e-10, 0.0):
+            for num_samples, radii in ((1, (0.5, 1.0, 2.0, 10.0)), (50, (3,)),
+                                       (500, (0.5, 1.0, 2.0, 10.0))):
+                got = classical_lower_bound_check(M, num_samples, seed, radii, tol)
+                assert got == _lower_bound_loop(M, num_samples, seed, radii, tol)
+
+
+@pytest.mark.parametrize("kwargs", [{"num_samples": 0}, {"num_samples": -3}, {"radii": ()}])
+def test_lower_bound_check_rejects_an_empty_sample(kwargs):
+    # Without a sample there is no sampled minimum to report.
+    with pytest.raises(mb.ShapeError, match="must be positive"):
+        classical_lower_bound_check(example1(), **kwargs)

@@ -47,6 +47,24 @@ def test_sylvester_rejects_k_zero():
         sylvester(example1(), 0)
 
 
+def test_singular_values_of_a_stack_equal_each_matrix_alone():
+    stack = np.random.default_rng(4).standard_normal((2, 3, 4, 5))
+    sv = singular_values(stack)
+    assert sv.shape == (2, 3, 4)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(sv[idx], singular_values(stack[idx]))
+
+
+def test_rank_nullity_and_min_singular_value_reject_a_stack():
+    stack = np.ones((2, 3, 4))
+    with pytest.raises(mb.ShapeError, match="2-d matrix"):
+        rank_nullity(stack)
+    with pytest.raises(mb.ShapeError, match="2-d matrix"):
+        min_singular_value(stack)
+    with pytest.raises(mb.ShapeError):
+        singular_values(np.ones(3))
+
+
 def test_rank_nullity_worked_example_values():
     dec = rank_nullity(sylvester(example1(), 3))
     assert (dec.rank, dec.nullity) == (24, 0)
