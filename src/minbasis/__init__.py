@@ -5,8 +5,9 @@ finitely many Sylvester-matrix rank tests, recovers its right minimal
 indices, detects the generic full-Sylvester-rank property, computes
 robustness radii under coefficient perturbations, extracts and perturbs dual
 minimal bases with certified bounds, and evaluates the backward-error
-constant of strong l-ifications.  An exact rational oracle cross-checks
-every floating-point rank decision at desk scale.
+constant of strong l-ifications.  An exact rational oracle, built on the
+same Sylvester builder over numpy object arrays of ints and Fractions,
+cross-checks every floating-point rank decision at desk scale.
 """
 
 from .errors import (
@@ -102,7 +103,6 @@ from .lify import (
     minimal_index_shift_check,
 )
 from .oracle import (
-    RationalMatrix,
     exact_nullspace,
     exact_rank,
     exact_rank_profile,

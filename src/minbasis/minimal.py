@@ -25,6 +25,7 @@ from .fullsyl import has_full_sylvester_rank
 from .polymat import PolyMat, evaluate, row_degrees
 from .sylvester import (
     RankDecision,
+    _block_count,
     full_leading_rank,
     highest_row_degree_rank,
     memoized,
@@ -219,9 +220,7 @@ def _scan(
     it early with the whole rank list up to d'+1, or return None to go on.
     """
     m, q = M.rows, M.cols
-    cap = k_max if k_max is not None else m * M.degree_bound + 2
-    if cap < 1:
-        raise ShapeError(f"scan cap must be positive, got {cap}")
+    cap = _block_count(k_max, "scan cap") if k_max is not None else m * M.degree_bound + 2
     ranks: list[int] = []
     d_prime = None
     prev = 0

@@ -1,64 +1,30 @@
 """Exact rational rank computations: a tolerance-free ground truth.
 
-Ranks here are computed over the rationals with fraction-free (Bareiss)
-elimination, so every rank decision made by the floating-point pipeline can
-be cross-checked exactly at desk scale.
+Exact matrices are numpy object arrays of Python ints and Fractions; S_k is
+built by the floating-point path's ``sylvester_array``.  Ranks come from
+fraction-free (Bareiss) elimination on integer rows, so every floating-point
+rank decision can be cross-checked exactly at desk scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .errors import InputFormatError, ShapeError
 from .minimal import RankProfile, _scan
 from .polymat import PolyMat
+from .sylvester import _block_count, sylvester_array
 
 __all__ = [
-    "RationalMatrix",
     "exact_rank",
     "exact_nullspace",
     "exact_sylvester",
     "exact_rank_profile",
     "exact_evaluate",
 ]
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable matrix of exact rationals."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        if not rows or not rows[0]:
-            raise ShapeError("matrix must be non-empty")
-        width = len(rows[0])
-        out = []
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise InputFormatError(f"row {i} has {len(row)} entries, expected {width}")
-            out.append(tuple(_to_fraction(v, f"entry ({i}, {j})") for j, v in enumerate(row)))
-        return cls(entries=tuple(out))
-
-    @classmethod
-    def identity(cls, size: int) -> "RationalMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        )
 
 
 def _to_fraction(value, where: str) -> Fraction:
@@ -76,129 +42,112 @@ def _to_fraction(value, where: str) -> Fraction:
     raise InputFormatError(f"{where}: cannot ingest {type(value).__name__} exactly")
 
 
-def _integer_rows(A: RationalMatrix) -> list[list[int]]:
-    # Per-row denominator clearing preserves rank.
-    out = []
-    for row in A.entries:
-        scale = math.lcm(*(f.denominator for f in row))
-        out.append([int(f * scale) for f in row])
+def _fraction_matrix(A) -> np.ndarray:
+    """A 2-D array-like as a new object array of Fractions."""
+    arr = np.asarray(A, dtype=object)
+    if arr.ndim != 2 or arr.size == 0:
+        raise InputFormatError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
+    out = np.empty(arr.shape, dtype=object)
+    for (i, j), v in np.ndenumerate(arr):
+        out[i, j] = _to_fraction(v, f"entry ({i}, {j})")
     return out
 
 
-def exact_rank(A: RationalMatrix) -> int:
-    """Rank by fraction-free elimination with full pivoting on magnitude."""
-    m = _integer_rows(A)
-    rows, cols = len(m), len(m[0])
+def _integer_rows(F: np.ndarray) -> np.ndarray:
+    """Fractions of shape (..., rows, cols) as Python ints, row r scaled by
+    the lcm of the denominators of F[..., r, :].
+
+    A matrix whose every row is a row of F (such as F itself, S_k of a
+    coefficient stack or its value at a point) has its rows scaled by
+    nonzero constants, which keeps its rank.
+    """
+    scale = [math.lcm(*(f.denominator for f in F[..., r, :].flat)) for r in range(F.shape[-2])]
+    return np.frompyfunc(int, 1, 1)(F * np.array(scale, dtype=object)[:, None])
+
+
+def _bareiss_rank(A: np.ndarray) -> int:
+    """Rank of a 2-D object array of Python ints by fraction-free (Bareiss)
+    elimination with full pivoting on magnitude."""
+    full = min(A.shape)
     prev = 1
-    rank = 0
-    for step in range(min(rows, cols)):
-        piv_i = piv_j = -1
-        piv_abs = 0
-        for i in range(step, rows):
-            for j in range(step, cols):
-                a = abs(m[i][j])
-                if a > piv_abs:
-                    piv_abs, piv_i, piv_j = a, i, j
-        if piv_abs == 0:
-            break
-        if piv_i != step:
-            m[step], m[piv_i] = m[piv_i], m[step]
-        if piv_j != step:
-            for row in m:
-                row[step], row[piv_j] = row[piv_j], row[step]
-        pivot = m[step][step]
-        for i in range(step + 1, rows):
-            mi, ms = m[i], m[step]
-            left = mi[step]
-            for j in range(step + 1, cols):
-                mi[j] = (mi[j] * pivot - left * ms[j]) // prev
-            mi[step] = 0
-        prev = pivot
-        rank += 1
-    return rank
+    for rank in range(full):
+        mag = np.abs(A)
+        i, j = np.unravel_index(np.argmax(mag), A.shape)
+        if mag[i, j] == 0:
+            return rank
+        pivot = A[i, j]
+        rest_i, rest_j = np.arange(A.shape[0]) != i, np.arange(A.shape[1]) != j
+        # Every entry of the update is divisible by the previous pivot.
+        update = A[np.ix_(rest_i, rest_j)] * pivot - np.outer(A[rest_i, j], A[i, rest_j])
+        A, prev = update // prev, pivot
+    return full
 
 
-def exact_nullspace(A: RationalMatrix) -> list[list[Fraction]]:
-    """Exact basis of the right nullspace (A @ v == 0 for each basis vector)."""
-    m = [list(row) for row in A.entries]
-    rows, cols = len(m), len(m[0])
+def exact_rank(A) -> int:
+    """Exact rank of a 2-D array-like of ints, floats or Fractions."""
+    return _bareiss_rank(_integer_rows(_fraction_matrix(A)))
+
+
+def exact_nullspace(A) -> list[list[Fraction]]:
+    """Exact basis of the right nullspace (A @ v == 0 for each basis vector):
+    one vector per non-pivot column of the reduced row echelon form."""
+    R = _fraction_matrix(A)
+    rows, cols = R.shape
     pivot_cols: list[int] = []
-    r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivot_cols.append(c)
-        r += 1
+        r = len(pivot_cols)
         if r == rows:
             break
+        nonzero = np.flatnonzero(R[r:, c])
+        if nonzero.size == 0:
+            continue
+        p = r + int(nonzero[0])
+        R[[r, p]] = R[[p, r]]
+        R[r] = R[r] / R[r, c]
+        others = np.arange(rows) != r
+        R[others] -= np.outer(R[others, c], R[r])
+        pivot_cols.append(c)
     free_cols = [c for c in range(cols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivot_cols):
-            v[p] = -m[i][f]
-        basis.append(v)
-    return basis
+    basis = np.full((len(free_cols), cols), Fraction(0), dtype=object)
+    basis[np.arange(len(free_cols)), free_cols] = Fraction(1)
+    basis[:, pivot_cols] = -R[: len(pivot_cols), free_cols].T
+    return basis.tolist()
 
 
-def exact_evaluate(M: PolyMat, lam: Fraction) -> RationalMatrix:
-    """Exact Horner evaluation at a rational point."""
-    rows = []
-    for r in range(M.rows):
-        row = []
-        for c in range(M.cols):
-            acc = Fraction(0)
-            for i in range(M.degree_bound, -1, -1):
-                acc = acc * lam + _to_fraction(M.coeffs[i, r, c], f"coeff ({i},{r},{c})")
-            row.append(acc)
-        rows.append(row)
-    return RationalMatrix.from_rows(rows)
+def _horner(coeffs: np.ndarray, lam) -> np.ndarray:
+    """Exact value at ``lam`` of an object coefficient stack (d + 1, m, q)."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * lam + c
+    return acc
 
 
-def _require_rational(M: PolyMat) -> None:
+def _fraction_coeffs(M: PolyMat) -> np.ndarray:
     if M.field != "real":
         raise InputFormatError("exact oracle requires real (rational-valued) entries")
+    # The coefficients are finite floats, so each is an exact Fraction.
+    return np.frompyfunc(Fraction, 1, 1)(M.coeffs)
 
 
-def exact_sylvester(M: PolyMat, k: int) -> RationalMatrix:
-    """Exact Sylvester matrix with k block columns."""
-    _require_rational(M)
-    if k < 1:
-        raise ShapeError("block-column count must be positive")
-    m, q, d = M.rows, M.cols, M.degree_bound
-    zero = Fraction(0)
-    grid = [[zero] * (k * q) for _ in range((k + d) * m)]
-    for j in range(k):
-        for i in range(d + 1):
-            block = M.coeffs[i]
-            for r in range(m):
-                row = grid[(j + i) * m + r]
-                for c in range(q):
-                    row[j * q + c] = _to_fraction(block[r, c], f"coeff ({i},{r},{c})")
-    return RationalMatrix(entries=tuple(tuple(row) for row in grid))
+def exact_evaluate(M: PolyMat, lam) -> np.ndarray:
+    """Exact Horner evaluation at a rational point, as an object array."""
+    return _horner(_fraction_coeffs(M), _to_fraction(lam, "evaluation point"))
 
 
-def _exact_normal_rank(M: PolyMat) -> int:
+def exact_sylvester(M: PolyMat, k: int) -> np.ndarray:
+    """Exact Sylvester matrix with k block columns, as an object array."""
+    return sylvester_array(_fraction_coeffs(M), _block_count(k))
+
+
+def _exact_normal_rank(Z: np.ndarray) -> int:
     # Every minor has degree at most d * min(m, q), so evaluating at one more
     # integer than that and taking the max rank is exact.
-    count = M.degree_bound * min(M.rows, M.cols) + 1
+    grade, m, q = Z.shape
+    full = min(m, q)
     best = 0
-    for lam in range(1, count + 1):
-        best = max(best, exact_rank(exact_evaluate(M, Fraction(lam))))
-        if best == min(M.rows, M.cols):
+    for lam in range(1, (grade - 1) * full + 2):
+        best = max(best, _bareiss_rank(_horner(Z, lam)))
+        if best == full:
             break
     return best
 
@@ -206,13 +155,15 @@ def _exact_normal_rank(M: PolyMat) -> int:
 def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     """Tolerance-free counterpart of ``rank_profile``: the same scan, with
     exact Sylvester ranks and the exact normal rank.  It always scans (no
-    full-Sylvester-rank shortcut) and records no ``decisions``."""
-    _require_rational(M)
+    full-Sylvester-rank shortcut) and records no ``decisions``.  The rows of
+    M are scaled to integers once (``_integer_rows``) for every S_k and M(lam).
+    """
+    Z = _integer_rows(_fraction_coeffs(M))
     m, q, d = M.rows, M.cols, M.degree_bound
     if m >= q:
         raise ShapeError(f"rank profile requires a wide matrix, got {m}x{q}")
     if d < 1:
         raise ShapeError("rank profile requires degree_bound >= 1")
     return _scan(
-        M, k_max, lambda k: exact_rank(exact_sylvester(M, k)), lambda: _exact_normal_rank(M)
+        M, k_max, lambda k: _bareiss_rank(sylvester_array(Z, k)), lambda: _exact_normal_rank(Z)
     )

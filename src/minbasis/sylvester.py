@@ -78,10 +78,18 @@ def sylvester_array(coeffs: np.ndarray, k: int) -> np.ndarray:
     return data
 
 
+def _block_count(k, what: str = "block-column count k") -> int:
+    """k as an int if it is a positive Python or numpy integer, else ShapeError."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ShapeError(f"{what} must be an integer, got {k!r}")
+    if k < 1:
+        raise ShapeError(f"{what} must be positive, got {k!r}")
+    return int(k)
+
+
 def sylvester(P: PolyMat, k: int) -> SylvesterMatrix:
     """Build the k-th Sylvester matrix of P using its ambient grade."""
-    if not isinstance(k, int) or k < 1:
-        raise ShapeError(f"block-column count k must be a positive integer, got {k!r}")
+    k = _block_count(k)
     data = sylvester_array(P.coeffs, k)
     data.flags.writeable = False
     return SylvesterMatrix(k=k, m=P.rows, q=P.cols, d=P.degree_bound, data=data)

@@ -5,7 +5,6 @@ import pytest
 
 import minbasis as mb
 from minbasis.oracle import (
-    RationalMatrix,
     exact_evaluate,
     exact_nullspace,
     exact_rank,
@@ -13,9 +12,9 @@ from minbasis.oracle import (
     exact_sylvester,
 )
 from minbasis.polymat import PolyMat
-from minbasis.sylvester import rank_nullity
+from minbasis.sylvester import rank_nullity, sylvester
 
-from helpers import example1, example1_N, example2, example3
+from helpers import common_factor_2x4, example1, example1_N, example2, example3, planted_indices
 
 
 def test_exact_rank_worked_example_values():
@@ -24,22 +23,20 @@ def test_exact_rank_worked_example_values():
 
 
 def test_exact_rank_identity():
-    assert exact_rank(RationalMatrix.identity(5)) == 5
+    assert exact_rank(np.eye(5, dtype=int)) == 5
 
 
 def test_exact_rank_invariant_under_permutation_and_transpose():
     rng = np.random.default_rng(3)
     A = rng.integers(-9, 10, size=(5, 7))
-    base = exact_rank(RationalMatrix.from_rows(A.tolist()))
+    base = exact_rank(A.tolist())
     perm_rows = A[rng.permutation(5)][:, rng.permutation(7)]
-    assert exact_rank(RationalMatrix.from_rows(perm_rows.tolist())) == base
-    assert exact_rank(RationalMatrix.from_rows(A.T.tolist())) == base
+    assert exact_rank(perm_rows.tolist()) == base
+    assert exact_rank(A.T.tolist()) == base
 
 
 def test_exact_rank_fractions():
-    A = RationalMatrix.from_rows(
-        [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 6), Fraction(1, 3)]]
-    )
+    A = [[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 6), Fraction(1, 3)]]
     assert exact_rank(A) == 1
 
 
@@ -52,7 +49,7 @@ def test_exact_rank_matches_float_on_integer_corpus():
             A = np.zeros((p, q), dtype=int)
         else:
             A = rng.integers(-5, 6, size=(p, r)) @ rng.integers(-5, 6, size=(r, q))
-        exact = exact_rank(RationalMatrix.from_rows(A.tolist()))
+        exact = exact_rank(A.tolist())
         floating = rank_nullity(A.astype(float)).rank
         assert exact == floating
 
@@ -60,9 +57,7 @@ def test_exact_rank_matches_float_on_integer_corpus():
 def test_exact_rank_large_entries():
     rng = np.random.default_rng(7)
     A = rng.integers(-1000, 1001, size=(20, 20))
-    assert exact_rank(RationalMatrix.from_rows(A.tolist())) == rank_nullity(
-        A.astype(float)
-    ).rank
+    assert exact_rank(A.tolist()) == rank_nullity(A.astype(float)).rank
 
 
 def test_exact_rank_desk_scale_60x60():
@@ -70,7 +65,7 @@ def test_exact_rank_desk_scale_60x60():
     B = rng.integers(-1000, 1001, size=(60, 40))
     C = rng.integers(-1000, 1001, size=(40, 60))
     A = B @ C  # rank 40 with probability one
-    exact = exact_rank(RationalMatrix.from_rows(A.tolist()))
+    exact = exact_rank(A.tolist())
     assert exact == rank_nullity(A.astype(float)).rank == 40
 
 
@@ -94,22 +89,22 @@ def test_exact_nullspace_verifies_exactly():
     rng = np.random.default_rng(9)
     B = rng.integers(-4, 5, size=(4, 2))
     C = rng.integers(-4, 5, size=(2, 6))
-    A = RationalMatrix.from_rows((B @ C).tolist())
+    A = (B @ C).tolist()
     basis = exact_nullspace(A)
     assert len(basis) == 6 - exact_rank(A)
     for vec in basis:
-        for row in A.entries:
+        for row in A:
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
 def test_exact_nullspace_full_column_rank_empty():
-    A = RationalMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    A = [[1, 0], [0, 1], [1, 1]]
     assert exact_nullspace(A) == []
 
 
 def test_exact_rank_nullity_dimension_identity():
     rng = np.random.default_rng(11)
-    A = RationalMatrix.from_rows(rng.integers(-3, 4, size=(5, 8)).tolist())
+    A = rng.integers(-3, 4, size=(5, 8)).tolist()
     assert exact_rank(A) + len(exact_nullspace(A)) == 8
 
 
@@ -161,9 +156,65 @@ def test_exact_evaluate_horner():
     M = example2()
     val = exact_evaluate(M, Fraction(3, 2))
     ref = mb.evaluate(M, 1.5)
-    assert np.allclose([[float(x) for x in row] for row in val.entries], ref)
+    assert np.allclose([[float(x) for x in row] for row in val], ref)
 
 
 def test_rational_matrix_rejects_ragged():
     with pytest.raises(mb.InputFormatError):
-        RationalMatrix.from_rows([[1, 2], [3]])
+        exact_rank([[1, 2], [3]])
+
+
+def _near_common_factor():
+    # Noise of size 1e-9 gives every coefficient a dyadic denominator near 2^82.
+    C = common_factor_2x4()
+    rng = np.random.default_rng(4)
+    return PolyMat(C.coeffs + 1e-9 * rng.standard_normal(C.coeffs.shape))
+
+
+@pytest.mark.parametrize("M", [
+    example1(), example2(), example3(),
+    planted_indices((1, 2, 5), np.random.default_rng(1)),
+    _near_common_factor(),
+], ids=["example1", "example2", "example3", "planted_1_2_5", "near_common_factor"])
+def test_exact_sylvester_is_the_float_builder_entry_by_entry(M):
+    for k in (1, 2, 4):
+        exact = exact_sylvester(M, k)
+        assert exact.dtype == object
+        assert all(isinstance(x, (int, Fraction)) for x in exact.flat)
+        assert exact.shape == sylvester(M, k).data.shape
+        # A Fraction equals a float only when it is that float's exact value.
+        assert (exact == sylvester(M, k).data).all()
+
+
+def test_exact_rank_profile_clears_huge_row_denominators():
+    M = _near_common_factor()
+    assert max(f.denominator for f in exact_sylvester(M, 1).flat if f) > 2**60
+    # S_1 has full rank 4: the noise breaks the common factor.
+    assert exact_rank_profile(M).ranks[0] == 4
+
+
+def test_exact_rank_is_invariant_under_row_scaling():
+    # Row denominators 2 and 3: only their lcm 6 clears the first row.
+    assert exact_rank([[Fraction(1, 2), Fraction(1, 3)], [1, Fraction(2, 3)]]) == 1
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        p, q = rng.integers(2, 8, size=2)
+        r = int(rng.integers(1, min(p, q) + 1))
+        A = rng.integers(-5, 6, size=(p, r)) @ rng.integers(-5, 6, size=(r, q))
+        rank = exact_rank(A)
+        powers = 2.0 ** rng.integers(-60, 61, size=(p, 1))
+        assert exact_rank(A * powers) == rank
+        den = rng.integers(1, 10**12, size=p)
+        scaled = [[Fraction(int(x), int(s)) for x in row] for row, s in zip(A, den)]
+        assert exact_rank(scaled) == rank
+
+
+@pytest.mark.parametrize("A,where", [
+    ([[1, True], [0, 1]], r"entry \(0, 1\): booleans"),
+    (np.array([[1.0, 0.0], [np.nan, 1.0]]), r"entry \(1, 0\): non-finite"),
+    (np.zeros((2, 2, 2)), r"shape \(2, 2, 2\)"),
+    (np.zeros((0, 3)), r"shape \(0, 3\)"),
+])
+def test_exact_rank_rejects_bad_entries_and_shapes(A, where):
+    with pytest.raises(mb.InputFormatError, match=where):
+        exact_rank(A)

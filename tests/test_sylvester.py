@@ -47,6 +47,33 @@ def test_sylvester_rejects_k_zero():
         sylvester(example1(), 0)
 
 
+BUILDERS = {"sylvester": lambda M, k: sylvester(M, k).data, "exact_sylvester": mb.exact_sylvester}
+PROFILES = {"rank_profile": mb.rank_profile, "exact_rank_profile": mb.exact_rank_profile}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_both_builders_accept_a_numpy_integer_block_count(build):
+    M = example2()
+    assert np.array_equal(build(M, np.int64(2)), build(M, 2))
+
+
+@pytest.mark.parametrize("k", [2.0, True, "2", None])
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_both_builders_reject_a_block_count_that_is_not_an_integer(build, k):
+    with pytest.raises(mb.ShapeError, match=f"block-column count k must be an integer, got {k!r}"):
+        build(example2(), k)
+
+
+@pytest.mark.parametrize("profile", PROFILES.values(), ids=PROFILES.keys())
+def test_both_profiles_check_the_scan_cap_like_a_block_count(profile):
+    M = example2()
+    assert profile(M, k_max=np.int64(2)).ranks == profile(M, k_max=2).ranks
+    with pytest.raises(mb.ShapeError, match="scan cap must be an integer, got 2.5"):
+        profile(M, k_max=2.5)
+    with pytest.raises(mb.ShapeError, match=r"scan cap must be positive, got (np\.int64\()?0"):
+        profile(M, k_max=np.int64(0))
+
+
 def test_singular_values_of_a_stack_equal_each_matrix_alone():
     stack = np.random.default_rng(4).standard_normal((2, 3, 4, 5))
     sv = singular_values(stack)
