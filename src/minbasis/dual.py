@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .fullsyl import KPrimeT, has_full_sylvester_rank, kprime_t
+from .fullsyl import KPrimeT, _require_full_sylvester, has_full_sylvester_rank, kprime_t
 from .minimal import REASON_DEGREE_SUM, REASON_HR, certify_minimal_basis
 from .polymat import (
     PolyMat,
@@ -128,6 +128,17 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
     )
 
 
+def _verified(M: PolyMat, N: PolyMat, tol: float | None, what: str) -> DualPair:
+    """``verify_duality(M, N, tol)`` of a pair this module built, or
+    NumericalInconsistencyError naming ``what`` when it fails."""
+    pair = verify_duality(M, N, tol)
+    if not pair.is_valid:
+        raise NumericalInconsistencyError(
+            f"{what} failed verification: " + "; ".join(pair.failures)
+        )
+    return pair
+
+
 def _fix_phases(basis: np.ndarray) -> np.ndarray:
     # Make each column's largest-magnitude entry real positive, so the
     # extracted basis does not depend on the signs or phases QR picks.
@@ -143,9 +154,7 @@ def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
     the next one, orthogonalized against both one-step shifts of the
     lower-degree rows.  The result is certified before being returned.
     """
-    report = has_full_sylvester_rank(M, tol)
-    if not report.has_full_sylvester_rank:
-        raise PreconditionError("dual extraction requires a full-Sylvester-rank input")
+    report = _require_full_sylvester(M, tol, "dual_minimal_basis")
     m, q, d = M.rows, M.cols, M.degree_bound
     n = q - m
     kp, t = report.k_prime_t.k_prime, report.k_prime_t.t
@@ -170,14 +179,7 @@ def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
             )
         big = big @ coords[:, 2 * t :]
     coeffs[:, t:] = _fix_phases(big).reshape(kp + 1, q, n - t).transpose(0, 2, 1)
-    N = PolyMat(coeffs)
-
-    pair = verify_duality(M, N, tol)
-    if not pair.is_valid:
-        raise NumericalInconsistencyError(
-            "extracted dual basis failed verification: " + "; ".join(pair.failures)
-        )
-    return pair
+    return _verified(M, PolyMat(coeffs), tol, "extracted dual basis")
 
 
 # -- perturbation propagation ---------------------------------------------------
@@ -276,11 +278,7 @@ def propagate_perturbation(
             delta_coeffs[:k, rows] = delta.reshape(k, q, len(rows)).transpose(0, 2, 1)
     delta_N = PolyMat(delta_coeffs)
     N_new = add(N, delta_N)
-    new_pair = verify_duality(M_new, N_new, tol)
-    if not new_pair.is_valid:
-        raise NumericalInconsistencyError(
-            "perturbed pair failed verification: " + "; ".join(new_pair.failures)
-        )
+    new_pair = _verified(M_new, N_new, tol, "perturbed pair")
     norm_n = float(np.linalg.norm(s1_stack(N)))
     relative = float(np.linalg.norm(s1_stack(delta_N))) / norm_n
     bound = 2.0 / theta.theta2 * applied
@@ -319,11 +317,7 @@ def reversal_dual(pair: DualPair, tol: float | None = None) -> DualPair:
         raise PreconditionError("reversal duality requires t=0")
     M_rev = reversal(pair.M, pair.M.degree_bound)
     N_rev = reversal(pair.N, pair.N.degree_bound)
-    new_pair = verify_duality(M_rev, N_rev, tol)
-    if not new_pair.is_valid:
-        raise NumericalInconsistencyError(
-            "reversed pair failed verification: " + "; ".join(new_pair.failures)
-        )
+    new_pair = _verified(M_rev, N_rev, tol, "reversed pair")
     for comp in (M_rev, N_rev):
         if not has_full_sylvester_rank(comp, tol).has_full_sylvester_rank:
             raise NumericalInconsistencyError(

@@ -15,7 +15,10 @@ import numpy as np
 
 from .errors import InputFormatError, PreconditionError, PropertyViolationError, ShapeError
 from .polymat import PolyMat
-from .sylvester import clearance, memoized, stacked_ranks, sylvester_array, sylvester_rank
+from .sylvester import (
+    _block_count, _require_wide, clearance, memoized, singular_values, stacked_ranks,
+    sylvester_array, sylvester_rank,
+)
 
 __all__ = [
     "KPrimeT",
@@ -101,12 +104,18 @@ def has_full_sylvester_rank(M: PolyMat, tol: float | None = None) -> FullSylRepo
     return memoized(M, "fullsyl", tol, lambda: _property_report(M, tol))
 
 
+def _require_full_sylvester(M: PolyMat, tol: float | None, what: str) -> FullSylReport:
+    """M's ``has_full_sylvester_rank`` report, or PreconditionError naming
+    ``what`` when M lacks the property: the one check of that hypothesis."""
+    report = has_full_sylvester_rank(M, tol)
+    if not report.has_full_sylvester_rank:
+        raise PreconditionError(f"{what} requires a full-Sylvester-rank input")
+    return report
+
+
 def _property_report(M: PolyMat, tol: float | None) -> FullSylReport:
+    _require_wide(M, "property", graded=True)
     m, q, d = M.rows, M.cols, M.degree_bound
-    if m >= q:
-        raise ShapeError(f"property requires a wide matrix, got {m}x{q}")
-    if d < 1:
-        raise ShapeError("property requires degree_bound >= 1")
     n = q - m
     kt = kprime_t(m, n, d)
 
@@ -135,9 +144,7 @@ def index_sum_check(M: PolyMat, tol: float | None = None) -> bool:
     """Assert that the right minimal indices sum to m*d (Index Sum consequence)."""
     from .minimal import right_minimal_indices  # minimal imports this module
 
-    report = has_full_sylvester_rank(M, tol)
-    if not report.has_full_sylvester_rank:
-        raise PreconditionError("index_sum_check requires full-Sylvester-rank input")
+    _require_full_sylvester(M, tol, "index_sum_check")
     total = sum(right_minimal_indices(M, tol=tol))
     expected = M.rows * M.degree_bound
     if total != expected:
@@ -227,8 +234,7 @@ def genericity_experiment(
     ``zero_leading`` constrains sampling to the degenerate stratum with
     vanishing leading coefficient, where the property is impossible.
     """
-    if trials < 1:
-        raise ShapeError("trials must be positive")
+    trials = _block_count(trials, "trials")
     _check_sampling(dist, field_tag)
     q = m + n
     plan = decisive_rank_tests(kprime_t(m, n, d), m, q, d)
@@ -252,7 +258,7 @@ def genericity_experiment(
         ok = np.ones(stop - start, dtype=bool)
         margin = np.full(stop - start, np.inf)
         for k, required, _ in plan:
-            sv = np.linalg.svd(sylvester_array(coeffs, k), compute_uv=False)
+            sv = singular_values(sylvester_array(coeffs, k))
             ranks, tau, _ = stacked_ranks(sv, ((k + d) * m, k * q), tol)
             ok &= ranks == required
             margin = np.minimum(margin, clearance(sv[:, required - 1], tau))
@@ -292,6 +298,7 @@ def sample_full_sylvester(
     Accepts only samples whose decision margin is at least ``min_margin``;
     repeated rejection signals suspicious dimensions or tolerance.
     """
+    max_rejects = _block_count(max_rejects, "max_rejects")
     for attempt in range(max_rejects):
         rng = np.random.default_rng([seed, attempt])
         M = sample_polymat(rng, m, m + n, d, dist=dist, field=field_tag)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionError, PropertyViolationError, ShapeError
 from .dual import DualPair, PerturbReport, dual_minimal_basis, propagate_perturbation
-from .fullsyl import has_full_sylvester_rank
+from .fullsyl import _require_full_sylvester
 from .minimal import _evaluation_rank, _indices_or_none, rank_profile
 from .polymat import (
     PolyMat,
@@ -25,7 +25,7 @@ from .polymat import (
     s1_stack,
     vstack_polymats,
 )
-from .robust import _sigma
+from .sylvester import sylvester_singular_values
 
 __all__ = [
     "Lification",
@@ -65,11 +65,8 @@ def build_lification(K: PolyMat, M: PolyMat, tol: float | None = None) -> Lifica
             f"m*ell = {m * ell} is not divisible by n = {n}; the dual degree "
             "k' would not be an integer"
         )
-    report = has_full_sylvester_rank(M, tol)
-    if not report.has_full_sylvester_rank or report.k_prime_t.t != 0:
-        raise PreconditionError(
-            "M must have full-Sylvester-rank with all right minimal indices equal"
-        )
+    # With n dividing m*ell, t = n*k' - m*ell is 0: all indices are equal.
+    report = _require_full_sylvester(M, tol, "build_lification")
     pair = dual_minimal_basis(M, tol)
     P = poly_multiply_transpose(K, pair.N)
     L = vstack_polymats([K, M])
@@ -112,7 +109,7 @@ def backward_error_map(
     pert = propagate_perturbation(lif.pair, delta_M, tol)
     delta_N = pert.delta_N
     K, M, N, P = lif.K, lif.M, lif.N, lif.P
-    kp, ell, m = lif.k_prime, lif.ell, M.rows
+    kp, ell = lif.k_prime, lif.ell
 
     term1 = poly_multiply_transpose(delta_K, N)
     term2 = poly_multiply_transpose(K, delta_N)
@@ -126,7 +123,7 @@ def backward_error_map(
     norm_N = float(np.linalg.norm(s1_stack(N)))
     norm_K = float(np.linalg.norm(s1_stack(K)))
     norm_dK = float(np.linalg.norm(s1_stack(delta_K)))
-    sigma_next = _sigma(M, kp + 1, (kp + 1 + ell) * m)
+    sigma_next = float(sylvester_singular_values(M, kp + 1)[-1])
     delta_L = vstack_polymats([delta_K, delta_M])
     norm_dL = float(np.linalg.norm(s1_stack(delta_L)))
 

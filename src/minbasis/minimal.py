@@ -19,13 +19,13 @@ from .errors import (
     NumericalInconsistencyError,
     PreconditionError,
     LeadingCoefficientError,
-    ShapeError,
 )
 from .fullsyl import has_full_sylvester_rank
 from .polymat import PolyMat, evaluate, row_degrees
 from .sylvester import (
     RankDecision,
     _block_count,
+    _require_wide,
     full_leading_rank,
     highest_row_degree_rank,
     memoized,
@@ -281,10 +281,7 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
 def _float_scan(M: PolyMat, k_max: int | None, tol: float | None) -> RankProfile:
     """The scan on rank decisions at ``tol``; the full-Sylvester-rank shortcut
     and the index sum jump only without a cap."""
-    if M.rows >= M.cols:
-        raise ShapeError(f"rank_profile requires a wide matrix, got {M.rows}x{M.cols}")
-    if M.degree_bound < 1:
-        raise ShapeError("rank_profile requires degree_bound >= 1")
+    _require_wide(M, "rank_profile", graded=True)
     shortcut = _full_sylvester_profile(M, tol) if k_max is None else None
     if shortcut is not None:
         return shortcut
@@ -384,8 +381,7 @@ def certify_minimal_basis(M: PolyMat, tol: float | None = None) -> Certificate:
     Failures are verdicts, not errors: the certificate records which of the
     two conditions (row reducedness, degree-sum equality) broke.
     """
-    if not M.is_wide:
-        raise ShapeError(f"certification requires a wide matrix, got {M.rows}x{M.cols}")
+    _require_wide(M, "certification")
     hr_dec = highest_row_degree_rank(M, tol)
     profile = rank_profile(M, tol=tol)
     expected = int(sum(row_degrees(M)))
@@ -427,8 +423,7 @@ def certify_full_leading(M: PolyMat, tol: float | None = None) -> Certificate:
     LeadingCoefficientError when the leading coefficient is rank deficient,
     in which case ``certify_minimal_basis`` must be used instead.
     """
-    if not M.is_wide:
-        raise ShapeError(f"certification requires a wide matrix, got {M.rows}x{M.cols}")
+    _require_wide(M, "certification")
     if full_leading_rank(M, tol) is None:
         raise LeadingCoefficientError(
             "leading coefficient rank deficient -- use certify_minimal_basis"
@@ -466,10 +461,8 @@ def classical_check(
     0.5, 1, 2, and 10 and tests rank(M(lambda_0)) == rows at each, all from
     one SVD of the stack of evaluations.
     """
-    if not M.is_wide:
-        raise ShapeError(f"classical_check requires a wide matrix, got {M.rows}x{M.cols}")
-    if num_samples < 1:
-        raise ShapeError("num_samples must be positive")
+    _require_wide(M, "classical_check")
+    num_samples = _block_count(num_samples, "num_samples")
     hr_dec = highest_row_degree_rank(M, tol)
     m = M.rows
     # Two uniforms per sample, in the order of a per-sample loop.

@@ -13,10 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputFormatError, ShapeError
+from .errors import InputFormatError
 from .minimal import RankProfile, _scan
 from .polymat import PolyMat
-from .sylvester import _block_count, sylvester_array
+from .sylvester import _block_count, _require_wide, sylvester_array
 
 __all__ = [
     "exact_rank",
@@ -159,11 +159,7 @@ def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     M are scaled to integers once (``_integer_rows``) for every S_k and M(lam).
     """
     Z = _integer_rows(_fraction_coeffs(M))
-    m, q, d = M.rows, M.cols, M.degree_bound
-    if m >= q:
-        raise ShapeError(f"rank profile requires a wide matrix, got {m}x{q}")
-    if d < 1:
-        raise ShapeError("rank profile requires degree_bound >= 1")
+    _require_wide(M, "rank profile", graded=True)
     return _scan(
         M, k_max, lambda k: _bareiss_rank(sylvester_array(Z, k)), lambda: _exact_normal_rank(Z)
     )

@@ -21,15 +21,15 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .fullsyl import has_full_sylvester_rank
+from .fullsyl import _require_full_sylvester, has_full_sylvester_rank
 from .minimal import certify_minimal_basis
-from .polymat import PolyMat, evaluate, s1_stack
+from .polymat import PolyMat, _require_congruent, evaluate, s1_stack
 from .sylvester import (
+    _block_count,
     full_leading_rank,
     rank_decision,
     rank_nullity,
     singular_values,
-    sylvester_rank,
     sylvester_singular_values,
 )
 
@@ -48,19 +48,31 @@ __all__ = [
 
 
 def distance(A: PolyMat, B: PolyMat) -> float:
-    """Spectral-norm distance between the stacked coefficient matrices."""
-    diff = s1_stack(A) - s1_stack(B)
-    return float(np.linalg.norm(diff, 2))
+    """Spectral-norm distance between the stacked coefficient matrices of
+    two matrices of one shape, grade and field."""
+    _require_congruent(A, B, "distance")
+    return float(np.linalg.norm(s1_stack(A) - s1_stack(B), 2))
 
 
-def _sigma(M: PolyMat, k: int, index_one_based: int) -> float:
-    """The index-th largest singular value of S_k(M), read from M's memo."""
-    sv = sylvester_singular_values(M, k)
-    if not 1 <= index_one_based <= len(sv):
-        raise IndexError(
-            f"singular value index {index_one_based} out of range (have {len(sv)})"
-        )
-    return float(sv[index_one_based - 1])
+def _require_robust_minimal(M: PolyMat, tol: float | None, what: str) -> int:
+    """d' of a minimal basis whose leading coefficient has full row rank, the
+    one check of that hypothesis: LeadingCoefficientError naming ``what``
+    without the full-rank leading coefficient, PreconditionError when M is
+    not a minimal basis."""
+    if full_leading_rank(M, tol) is None:
+        raise LeadingCoefficientError(f"{what} requires a full-rank leading coefficient")
+    cert = certify_minimal_basis(M, tol)
+    if not cert.is_minimal_basis:
+        raise PreconditionError(f"{what} requires a minimal basis ({cert.reason})")
+    return cert.d_prime
+
+
+def _radius(M: PolyMat, k: int) -> float:
+    """sigma_min(S_k) / sqrt(k) from M's memo, the radius a full-rank S_k
+    certifies.  Every S_k read for a radius, theta or bound is wide with full
+    row rank or is the tall S_{k'-1} of the column test, so its sigma_min is
+    the sigma_{(k+d)m} or sigma_{kq} that the theorems name."""
+    return float(sylvester_singular_values(M, k)[-1]) / math.sqrt(k)
 
 
 class RadiusCandidate(NamedTuple):
@@ -87,29 +99,13 @@ def robustness_radius_minimal(
 
     Starting from d', the smallest block count whose Sylvester matrix has
     full row rank, each candidate sigma_{(k+d)m}(S_k)/sqrt(k) certifies a
-    neighborhood; a short scan over larger k keeps the best one.
+    neighborhood; a short scan over larger k keeps the best one.  With a
+    full-rank leading coefficient every row has degree d, so the certificate
+    (r_{d'} - m*d' = m*d) already says that S_{d'} has full row rank.
     """
-    m, d = M.rows, M.degree_bound
-    if scan_extra < 0:
-        raise ShapeError("scan_extra must be non-negative")
-    if full_leading_rank(M, tol) is None:
-        raise LeadingCoefficientError(
-            "leading coefficient rank deficient: no robustness neighborhood exists"
-        )
-    cert = certify_minimal_basis(M, tol)
-    if not cert.is_minimal_basis:
-        raise PreconditionError(f"input is not a minimal basis ({cert.reason})")
-    k0 = cert.d_prime
-    rank = sylvester_rank(M, k0, tol).rank
-    if rank != (k0 + d) * m:
-        raise NumericalInconsistencyError(
-            f"certified minimal with full-rank leading coefficient, yet S_{{d'}} "
-            f"for d' = {k0} has rank {rank}, not full row rank {(k0 + d) * m}"
-        )
-    scanned = []
-    for k in range(k0, k0 + scan_extra + 1):
-        cand = _sigma(M, k, (k + d) * m) / math.sqrt(k)
-        scanned.append(RadiusCandidate(k, cand))
+    scan_extra = _block_count(scan_extra, "scan_extra", least=0)
+    k0 = _require_robust_minimal(M, tol, "robustness_radius_minimal")
+    scanned = [RadiusCandidate(k, _radius(M, k)) for k in range(k0, k0 + scan_extra + 1)]
     k_used, radius = max(scanned, key=lambda kv: kv[1])
     return RadiusReport(
         radius=radius, k_used=k_used, scanned=tuple(scanned), kind="minimal_basis"
@@ -118,13 +114,8 @@ def robustness_radius_minimal(
 
 def robustness_radius_fullsyl(M: PolyMat, tol: float | None = None) -> RadiusReport:
     """Radius within which every perturbation keeps full-Sylvester-rank."""
-    report = has_full_sylvester_rank(M, tol)
-    if not report.has_full_sylvester_rank:
-        raise PreconditionError("input does not have full-Sylvester-rank")
-    scanned = [
-        RadiusCandidate(c.k, _sigma(M, c.k, c.required) / math.sqrt(c.k))
-        for c in report.checked_ranks
-    ]
+    report = _require_full_sylvester(M, tol, "robustness_radius_fullsyl")
+    scanned = [RadiusCandidate(c.k, _radius(M, c.k)) for c in report.checked_ranks]
     k_used, radius = min(scanned, key=lambda kv: kv[1])
     return RadiusReport(
         radius=radius, k_used=k_used, scanned=tuple(scanned), kind="full_sylvester"
@@ -176,13 +167,10 @@ class Thetas:
 
 
 def thetas(M: PolyMat, tol: float | None = None) -> Thetas:
-    report = has_full_sylvester_rank(M, tol)
-    if not report.has_full_sylvester_rank:
-        raise PreconditionError("thetas require a full-Sylvester-rank input")
+    report = _require_full_sylvester(M, tol, "thetas")
     kp, t = report.k_prime_t.k_prime, report.k_prime_t.t
-    m, d = M.rows, M.degree_bound
-    s_kp = _sigma(M, kp, (kp + d) * m) / math.sqrt(kp)
-    s_kp1 = _sigma(M, kp + 1, (kp + 1 + d) * m) / math.sqrt(kp + 1)
+    s_kp = _radius(M, kp)
+    s_kp1 = _radius(M, kp + 1)
     # The full-Sylvester-rank radius is the minimum over the decisive tests.
     theta1 = min(robustness_radius_fullsyl(M, tol).radius, s_kp1)
     if t == 0:
@@ -224,18 +212,12 @@ def classical_lower_bound_check(
     """Check sigma_{(d+d')m}(S_{d'}) against the leading coefficient and
     sampled evaluations on circles of the given radii, taken from one SVD
     of the stack of evaluations."""
-    if num_samples < 1 or len(radii) < 1:
-        raise ShapeError("num_samples and the number of radii must be positive")
-    m, d = M.rows, M.degree_bound
-    lead_dec = full_leading_rank(M, tol)
-    if lead_dec is None:
-        raise LeadingCoefficientError("lower bound requires a full-rank leading coefficient")
-    cert = certify_minimal_basis(M, tol)
-    if not cert.is_minimal_basis:
-        raise PreconditionError(f"input is not a minimal basis ({cert.reason})")
-    dp = cert.d_prime
-    lower = _sigma(M, dp, (d + dp) * m)
-    sigma_lead = float(lead_dec.singular_values[m - 1])
+    num_samples = _block_count(num_samples, "num_samples")
+    _block_count(len(radii), "number of radii")
+    dp = _require_robust_minimal(M, tol, "classical_lower_bound_check")
+    m = M.rows
+    lower = float(sylvester_singular_values(M, dp)[-1])
+    sigma_lead = float(full_leading_rank(M, tol).singular_values[m - 1])
     violations = 0
     if lower > sigma_lead + _SLACK:
         violations += 1
@@ -268,8 +250,8 @@ def fragile_neighbor(M: PolyMat, eps: float) -> tuple[PolyMat, float]:
     receive a common tiny vector, or (single-row case) a degree-raising term
     is subtracted so the result vanishes at a far-away point.
     """
-    if eps <= 0:
-        raise ShapeError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ShapeError(f"eps must be a finite positive number, got {eps!r}")
     m, q, d = M.rows, M.cols, M.degree_bound
     lead = M.coeffs[d]
     if rank_nullity(lead).rank >= m:

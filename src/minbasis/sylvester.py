@@ -78,13 +78,23 @@ def sylvester_array(coeffs: np.ndarray, k: int) -> np.ndarray:
     return data
 
 
-def _block_count(k, what: str = "block-column count k") -> int:
-    """k as an int if it is a positive Python or numpy integer, else ShapeError."""
+def _block_count(k, what: str = "block-column count k", least: int = 1) -> int:
+    """k as an int if it is a Python or numpy integer >= ``least`` (1 or 0),
+    else ShapeError; also the check of every count argument."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ShapeError(f"{what} must be an integer, got {k!r}")
-    if k < 1:
-        raise ShapeError(f"{what} must be positive, got {k!r}")
+    if k < least:
+        raise ShapeError(f"{what} must be {'positive' if least else 'non-negative'}, got {k!r}")
     return int(k)
+
+
+def _require_wide(M: PolyMat, what: str, graded: bool = False) -> None:
+    """ShapeError naming ``what`` unless M is wide and, when ``graded``, of
+    grade >= 1."""
+    if M.rows >= M.cols:
+        raise ShapeError(f"{what} requires a wide matrix, got {M.rows}x{M.cols}")
+    if graded and M.degree_bound < 1:
+        raise ShapeError(f"{what} requires degree_bound >= 1")
 
 
 def sylvester(P: PolyMat, k: int) -> SylvesterMatrix:

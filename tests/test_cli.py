@@ -141,6 +141,38 @@ def test_perturb_command(capsys, tmp_path, ex1_file):
     assert res["applied_norm"] < res["admissible_radius"]
 
 
+def _perturb_files(tmp_path, N=None):
+    M = example1()
+    pair = mb.dual_minimal_basis(M)
+    from minbasis.dual import admissible_radius
+
+    delta = random_perturbation(M, 0.1 * admissible_radius(M, pair.N), np.random.default_rng(0))
+    save(delta, tmp_path / "delta.json")
+    save(pair.N if N is None else N, tmp_path / "N.json")
+    return str(tmp_path / "delta.json"), str(tmp_path / "N.json")
+
+
+def test_perturb_with_the_extracted_dual_supplied_gives_the_same_report(
+    capsys, tmp_path, ex1_file
+):
+    delta, dual = _perturb_files(tmp_path)
+    code, extracted = run_json(capsys, ["perturb", ex1_file, delta, "--json"])
+    assert code == 0
+    code, supplied = run_json(capsys, ["perturb", ex1_file, delta, "--dual", dual, "--json"])
+    assert code == 0
+    del extracted["wall_time"], supplied["wall_time"]
+    assert supplied == extracted
+
+
+def test_perturb_rejects_a_wrong_supplied_dual_with_exit_2(capsys, tmp_path, ex1_file):
+    delta, dual = _perturb_files(tmp_path, N=PolyMat(np.ones((4, 2, 8))))
+    code = main(["perturb", ex1_file, delta, "--dual", dual, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "supplied dual basis failed verification" in captured.err
+
+
 def test_perturb_rejects_inadmissible_with_exit_2(capsys, tmp_path, ex1_file):
     rng = np.random.default_rng(1)
     delta = random_perturbation(example1(), 10.0, rng)

@@ -1,0 +1,124 @@
+"""Each theorem's hypothesis has one check, every count argument one check,
+and the certificate implies the full row rank of S_{d'} that the robustness
+radius needs."""
+
+import numpy as np
+import pytest
+
+import minbasis as mb
+from minbasis.lify import build_lification
+from minbasis.polymat import PolyMat
+from minbasis.sylvester import full_leading_rank, sylvester_rank
+
+from helpers import (
+    common_factor_2x4,
+    example1,
+    example2,
+    example3,
+    flat_1311,
+    one_lambda,
+    planted_indices,
+)
+
+
+def _lify(M):
+    return build_lification(PolyMat.zeros(1, M.cols, M.degree_bound), M)
+
+
+# example3 lacks both hypotheses: its leading coefficient is rank deficient,
+# so it has neither full-Sylvester-rank nor a robustness neighbourhood.  The
+# common factor has a full-rank leading coefficient but is not minimal.
+GATES = [
+    ("dual_minimal_basis", mb.dual_minimal_basis, example3, mb.PreconditionError),
+    ("robustness_radius_fullsyl", mb.robustness_radius_fullsyl, example3, mb.PreconditionError),
+    ("thetas", mb.thetas, example3, mb.PreconditionError),
+    ("index_sum_check", mb.index_sum_check, example3, mb.PreconditionError),
+    ("build_lification", _lify, example3, mb.PreconditionError),
+    ("robustness_radius_minimal", mb.robustness_radius_minimal, example3,
+     mb.LeadingCoefficientError),
+    ("robustness_radius_minimal", mb.robustness_radius_minimal, common_factor_2x4,
+     mb.PreconditionError),
+    ("classical_lower_bound_check", mb.classical_lower_bound_check, example3,
+     mb.LeadingCoefficientError),
+    ("classical_lower_bound_check", mb.classical_lower_bound_check, common_factor_2x4,
+     mb.PreconditionError),
+]
+
+
+@pytest.mark.parametrize("name, call, make, error", GATES)
+def test_each_entry_point_names_itself_when_its_hypothesis_fails(name, call, make, error):
+    with pytest.raises(error, match=name) as info:
+        call(make())
+    assert type(info.value) is error
+
+
+def _grid():
+    rng = np.random.default_rng
+    yield from (example1(), example2(), example3(), flat_1311(), one_lambda(),
+                common_factor_2x4())
+    for seed, eps in enumerate([(1, 2, 5), (0, 1, 3), (2, 2)]):
+        yield planted_indices(eps, rng(seed))
+    for dims in [(2, 3, 1), (4, 3, 2), (6, 3, 3), (3, 2, 2), (8, 2, 6), (20, 5, 3)]:
+        for field in ("real", "complex"):
+            for seed in (0, 1):
+                yield mb.sample_full_sylvester(*dims, seed=seed, field_tag=field)
+
+
+def test_a_minimal_certificate_with_full_leading_rank_gives_full_row_rank_at_d_prime():
+    # robustness_radius_minimal relies on this instead of checking S_{d'}.
+    checked = 0
+    for M in _grid():
+        m, d = M.rows, M.degree_bound
+        for tol in (None, 1e-10):
+            cert = mb.certify_minimal_basis(M, tol)
+            if cert.is_minimal_basis and full_leading_rank(M, tol) is not None:
+                dp = cert.d_prime
+                assert sylvester_rank(M, dp, tol).rank == (dp + d) * m
+                checked += 1
+    assert checked == 60
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: mb.genericity_experiment(2, 3, 1, trials=True, seed=0), "trials must be an integer"),
+    (lambda: mb.genericity_experiment(2, 3, 1, trials=3.0, seed=0), "trials must be an integer"),
+    (lambda: mb.genericity_experiment(2, 3, 1, trials=0, seed=0), "trials must be positive"),
+    (lambda: mb.classical_check(example1(), num_samples=2.5), "num_samples must be an integer"),
+    (lambda: mb.classical_lower_bound_check(example1(), num_samples=2.5),
+     "num_samples must be an integer"),
+    (lambda: mb.classical_lower_bound_check(example1(), radii=()),
+     "number of radii must be positive"),
+    (lambda: mb.robustness_radius_minimal(example1(), scan_extra=True),
+     "scan_extra must be an integer"),
+    (lambda: mb.robustness_radius_minimal(example1(), scan_extra=-1),
+     "scan_extra must be non-negative"),
+    (lambda: mb.sample_full_sylvester(2, 3, 1, seed=0, max_rejects=0),
+     "max_rejects must be positive"),
+])
+def test_count_arguments_are_integers_in_range(call, match):
+    with pytest.raises(mb.ShapeError, match=match):
+        call()
+
+
+def test_a_numpy_integer_count_is_accepted():
+    assert mb.genericity_experiment(2, 3, 1, trials=np.int64(3), seed=0).trials == 3
+    assert len(mb.robustness_radius_minimal(example1(), scan_extra=np.int64(0)).scanned) == 1
+
+
+TALL = PolyMat(np.ones((2, 3, 2)))
+CONSTANT = PolyMat(np.ones((1, 2, 3)))
+
+
+@pytest.mark.parametrize("call, M, match", [
+    (mb.has_full_sylvester_rank, TALL, "property requires a wide matrix, got 3x2"),
+    (mb.has_full_sylvester_rank, CONSTANT, "property requires degree_bound >= 1"),
+    (mb.rank_profile, TALL, "rank_profile requires a wide matrix, got 3x2"),
+    (mb.rank_profile, CONSTANT, "rank_profile requires degree_bound >= 1"),
+    (mb.exact_rank_profile, TALL, "rank profile requires a wide matrix, got 3x2"),
+    (mb.exact_rank_profile, CONSTANT, "rank profile requires degree_bound >= 1"),
+    (mb.certify_minimal_basis, TALL, "certification requires a wide matrix, got 3x2"),
+    (mb.certify_full_leading, TALL, "certification requires a wide matrix, got 3x2"),
+    (mb.classical_check, TALL, "classical_check requires a wide matrix, got 3x2"),
+])
+def test_the_wide_checks_keep_their_messages(call, M, match):
+    with pytest.raises(mb.ShapeError, match=match):
+        call(M)

@@ -211,6 +211,28 @@ def test_fragile_neighbor_rejects_full_leading():
         fragile_neighbor(example1(), 1e-3)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_fragile_neighbor_rejects_an_eps_that_is_not_finite_and_positive(eps):
+    # A NaN eps used to double the far-away point ~1000 times before failing,
+    # and an infinite one returned a "neighbor below eps" at any distance.
+    with pytest.raises(mb.ShapeError, match=repr(eps)):
+        fragile_neighbor(mb.embed(one_lambda(), 2), eps)
+
+
+_C = np.arange(8.0)
+
+
+@pytest.mark.parametrize("A, B, error", [
+    # One stacked matrix, two shapes: a 1x4 of grade 1 and a 2x4 of grade 0.
+    (PolyMat(_C.reshape(2, 1, 4)), PolyMat(_C.reshape(1, 2, 4)), mb.ShapeError),
+    (PolyMat(_C.reshape(2, 1, 4)), PolyMat(_C[:4].reshape(1, 1, 4)), mb.ShapeError),
+    (PolyMat(_C.reshape(2, 1, 4)), PolyMat(_C.reshape(2, 1, 4) + 0j), mb.FieldMismatchError),
+])
+def test_distance_rejects_matrices_it_cannot_compare(A, B, error):
+    with pytest.raises(error, match="distance"):
+        distance(A, B)
+
+
 def _lower_bound_loop(M, num_samples, seed, radii, tol):
     """``classical_lower_bound_check`` as a loop with one evaluation and SVD
     per sample."""
