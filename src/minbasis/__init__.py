@@ -31,23 +31,18 @@ from .polymat import (
     from_dict,
     highest_row_degree_matrix,
     load,
-    poly_allclose,
     poly_equal,
     poly_multiply_transpose,
     reversal,
     row_degrees,
-    s1_norms,
     s1_stack,
     save,
     scale,
-    subtract,
     to_dict,
     vstack_polymats,
 )
 from .sylvester import (
     RankDecision,
-    SylvesterMatrix,
-    min_singular_value,
     rank_nullity,
     sylvester,
 )

@@ -7,9 +7,9 @@ perturbed matrix exists whose relative change is bounded by 2/theta2 times
 the applied perturbation norm.  The propagation below realizes exactly the
 minimum-Frobenius-norm construction that yields that guarantee.
 
-Every Sylvester matrix factored here is wide with full row rank, as its
-singular values certify first, so QR factorizations of S_k^H give both the
-nullspaces the dual is built from and the minimum-norm corrections.
+Every Sylvester matrix factored for the dual is wide with full row rank, as
+its singular values certify first, so QR factorizations of S_k^H give both
+the nullspaces the dual is built from and the minimum-norm corrections.
 """
 
 from __future__ import annotations
@@ -36,7 +36,10 @@ from .polymat import (
 )
 from .robust import Thetas, thetas
 from .sylvester import (
+    _complement,
+    _min_norm_solve,
     highest_row_degree_rank,
+    singular_values,
     sylvester,
     sylvester_nullspace,
 )
@@ -53,7 +56,6 @@ __all__ = [
 ]
 
 RESIDUAL_FACTOR = 1e-10
-CORRECTION_RESIDUAL_FACTOR = 1e-8
 
 
 def product_residual(M: PolyMat, N: PolyMat) -> float:
@@ -171,13 +173,12 @@ def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
         shifts[: kp * q, :t] = x
         shifts[q:, t:] = x
         # The shifts lie in the nullspace: keep the part orthogonal to them.
-        coords, r = np.linalg.qr(big.conj().T @ shifts, mode="complete")
-        smallest = float(np.abs(np.diag(r)).min())
+        coords, smallest = _complement(big.conj().T @ shifts)
         if smallest < 1e-8:
             raise NumericalInconsistencyError(
                 f"shifted degree-k'-1 rows nearly dependent (|r_ii| = {smallest:.3e})"
             )
-        big = big @ coords[:, 2 * t :]
+        big = big @ coords
     coeffs[:, t:] = _fix_phases(big).reshape(kp + 1, q, n - t).transpose(0, 2, 1)
     return _verified(M, PolyMat(coeffs), tol, "extracted dual basis")
 
@@ -209,25 +210,6 @@ def admissible_radius(M: PolyMat, N: PolyMat, theta: Thetas | None = None,
     return 0.5 * theta.theta1 * sigma_n / float(np.linalg.norm(s1_stack(N)))
 
 
-def _min_norm_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # Minimum-norm solution of A X = B for a wide A of full row rank: with
-    # the reduced QR A^H = QR, A = R^H Q^H and X = Q R^{-H} B.
-    q, r = np.linalg.qr(A.conj().T)
-    smallest = float(np.abs(np.diag(r)).min())
-    if not smallest > 0.0:
-        raise NumericalInconsistencyError(
-            f"correction system of shape {A.shape} is singular (min |r_ii| = {smallest:.3e})"
-        )
-    X = q @ np.linalg.solve(r.conj().T, B)
-    resid = np.linalg.norm(A @ X - B)
-    if resid > CORRECTION_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(B)):
-        raise NumericalInconsistencyError(
-            f"correction system inconsistent (residual {resid:.3e}); the "
-            "perturbed matrix may have lost full-Sylvester-rank"
-        )
-    return X
-
-
 def propagate_perturbation(
     pair: DualPair, delta_M: PolyMat, tol: float | None = None
 ) -> PerturbReport:
@@ -249,7 +231,7 @@ def propagate_perturbation(
 
     theta = thetas(M, tol)
     radius = admissible_radius(M, N, theta, tol)
-    applied = float(np.linalg.norm(s1_stack(delta_M), 2))
+    applied = float(singular_values(s1_stack(delta_M))[0])
     if applied >= radius:
         raise AdmissibilityError(
             f"perturbation norm {applied:.6e} is not below the admissible "
@@ -273,8 +255,8 @@ def propagate_perturbation(
         if rows:
             # S_1 of the transposed rows: blocks C_i^T for i = 0 .. k - 1.
             stack = N.coeffs[:k, rows].transpose(0, 2, 1).reshape(k * q, len(rows))
-            rhs = -sylvester(delta_M, k).data @ stack
-            delta = _min_norm_solve(sylvester(M_new, k).data, rhs)
+            rhs = -sylvester(delta_M, k) @ stack
+            delta = _min_norm_solve(sylvester(M_new, k), rhs)
             delta_coeffs[:k, rows] = delta.reshape(k, q, len(rows)).transpose(0, 2, 1)
     delta_N = PolyMat(delta_coeffs)
     N_new = add(N, delta_N)

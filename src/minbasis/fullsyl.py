@@ -9,11 +9,12 @@ and as a certified sampler for downstream perturbation studies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputFormatError, PreconditionError, PropertyViolationError, ShapeError
+from .errors import InputFormatError, PreconditionError, PropertyViolationError
 from .polymat import PolyMat
 from .sylvester import (
     _block_count, _require_wide, clearance, memoized, singular_values, stacked_ranks,
@@ -54,8 +55,7 @@ class KPrimeT:
 
 
 def kprime_t(m: int, n: int, d: int) -> KPrimeT:
-    if min(m, n, d) < 1:
-        raise ShapeError(f"dimensions and grade must be positive, got ({m}, {n}, {d})")
+    m, n, d = (_block_count(v, name) for v, name in ((m, "m"), (n, "n"), (d, "d")))
     k_prime = -(-m * d // n)
     t = n * k_prime - m * d
     return KPrimeT(k_prime=k_prime, t=t)
@@ -299,6 +299,9 @@ def sample_full_sylvester(
     repeated rejection signals suspicious dimensions or tolerance.
     """
     max_rejects = _block_count(max_rejects, "max_rejects")
+    kprime_t(m, n, d)  # checks the counts before any draw
+    if not math.isfinite(min_margin):
+        raise InputFormatError(f"min_margin must be a finite number, got {min_margin!r}")
     for attempt in range(max_rejects):
         rng = np.random.default_rng([seed, attempt])
         M = sample_polymat(rng, m, m + n, d, dist=dist, field=field_tag)

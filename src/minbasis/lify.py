@@ -25,7 +25,7 @@ from .polymat import (
     s1_stack,
     vstack_polymats,
 )
-from .sylvester import sylvester_singular_values
+from .sylvester import _require_wide, sylvester_singular_values
 
 __all__ = [
     "Lification",
@@ -58,6 +58,7 @@ def build_lification(K: PolyMat, M: PolyMat, tol: float | None = None) -> Lifica
     """
     if K.cols != M.cols or K.degree_bound != M.degree_bound:
         raise ShapeError("K and M must share column count and grade")
+    _require_wide(M, "build_lification")
     ell = M.degree_bound
     m, n = M.rows, M.cols - M.rows
     if (m * ell) % n != 0:

@@ -24,15 +24,12 @@ __all__ = [
     "evaluate",
     "reversal",
     "poly_multiply_transpose",
-    "s1_norms",
     "s1_stack",
     "add",
-    "subtract",
     "scale",
     "embed",
     "vstack_polymats",
     "poly_equal",
-    "poly_allclose",
     "from_dict",
     "to_dict",
     "load",
@@ -226,14 +223,6 @@ def s1_stack(P: PolyMat) -> np.ndarray:
     return P.coeffs.reshape((P.degree_bound + 1) * P.rows, P.cols)
 
 
-def s1_norms(P: PolyMat) -> tuple[float, float]:
-    """Spectral and Frobenius norms of the stacked coefficient matrix."""
-    stack = s1_stack(P)
-    fro = float(np.linalg.norm(stack, "fro"))
-    spec = float(np.linalg.norm(stack, 2)) if fro > 0.0 else 0.0
-    return spec, fro
-
-
 # -- arithmetic helpers --------------------------------------------------------
 
 
@@ -248,11 +237,6 @@ def _require_congruent(A: PolyMat, B: PolyMat, op: str) -> None:
 def add(A: PolyMat, B: PolyMat) -> PolyMat:
     _require_congruent(A, B, "add")
     return PolyMat(A.coeffs + B.coeffs)
-
-
-def subtract(A: PolyMat, B: PolyMat) -> PolyMat:
-    _require_congruent(A, B, "subtract")
-    return PolyMat(A.coeffs - B.coeffs)
 
 
 def scale(P: PolyMat, factor: float) -> PolyMat:
@@ -289,12 +273,6 @@ def poly_equal(A: PolyMat, B: PolyMat) -> bool:
         A.field == B.field
         and A.coeffs.shape == B.coeffs.shape
         and bool(np.array_equal(A.coeffs, B.coeffs))
-    )
-
-
-def poly_allclose(A: PolyMat, B: PolyMat, rtol: float = 1e-12, atol: float = 1e-12) -> bool:
-    return A.coeffs.shape == B.coeffs.shape and bool(
-        np.allclose(A.coeffs, B.coeffs, rtol=rtol, atol=atol)
     )
 
 

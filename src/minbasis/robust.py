@@ -26,9 +26,9 @@ from .minimal import certify_minimal_basis
 from .polymat import PolyMat, _require_congruent, evaluate, s1_stack
 from .sylvester import (
     _block_count,
+    _nearest_lower_rank,
     full_leading_rank,
     rank_decision,
-    rank_nullity,
     singular_values,
     sylvester_singular_values,
 )
@@ -51,7 +51,7 @@ def distance(A: PolyMat, B: PolyMat) -> float:
     """Spectral-norm distance between the stacked coefficient matrices of
     two matrices of one shape, grade and field."""
     _require_congruent(A, B, "distance")
-    return float(np.linalg.norm(s1_stack(A) - s1_stack(B), 2))
+    return float(singular_values(s1_stack(A) - s1_stack(B))[0])
 
 
 def _require_robust_minimal(M: PolyMat, tol: float | None, what: str) -> int:
@@ -134,13 +134,10 @@ def sharp_witness_flat(M: PolyMat, tol: float | None = None) -> tuple[PolyMat, f
     if m * d > n:
         raise PreconditionError(f"flat case requires m*d <= n, got {m}*{d} > {n}")
     stack = s1_stack(M)
-    u, s, vh = np.linalg.svd(stack, full_matrices=False)
+    s, flat = _nearest_lower_rank(stack)
     if rank_decision(s, stack.shape, tol).rank < (d + 1) * m:
         raise PreconditionError("first coefficient stack is not of full row rank")
     dist = float(s[-1])
-    s_mod = s.copy()
-    s_mod[-1] = 0.0
-    flat = (u * s_mod) @ vh
     witness = PolyMat(flat.reshape(d + 1, m, q))
     if has_full_sylvester_rank(witness, tol).has_full_sylvester_rank:
         raise NumericalInconsistencyError("witness unexpectedly kept full-Sylvester-rank")
@@ -254,7 +251,7 @@ def fragile_neighbor(M: PolyMat, eps: float) -> tuple[PolyMat, float]:
         raise ShapeError(f"eps must be a finite positive number, got {eps!r}")
     m, q, d = M.rows, M.cols, M.degree_bound
     lead = M.coeffs[d]
-    if rank_nullity(lead).rank >= m:
+    if full_leading_rank(M) is not None:
         raise PreconditionError(
             "leading coefficient has full rank: the input is robust and no "
             "arbitrarily close non-minimal neighbor exists at this grade"
@@ -265,7 +262,7 @@ def fragile_neighbor(M: PolyMat, eps: float) -> tuple[PolyMat, float]:
         lam = 2.0
         while True:
             row = evaluate(M, lam)[0] / lam**d
-            if np.linalg.norm(row, 2) < eps / 2.0:
+            if np.linalg.norm(row) < eps / 2.0:
                 break
             lam *= 2.0
         coeffs[d, 0, :] -= row
@@ -280,7 +277,7 @@ def fragile_neighbor(M: PolyMat, eps: float) -> tuple[PolyMat, float]:
     nonzero_rows = [j for j in range(m) if np.any(lead[j])]
     if nonzero_rows:
         w = lead[nonzero_rows[0]]
-        coeffs[d, zero_rows[0], :] = (0.5 * eps / np.linalg.norm(w, 2)) * w
+        coeffs[d, zero_rows[0], :] = (0.5 * eps / np.linalg.norm(w)) * w
     else:
         v = np.zeros(q, dtype=M.coeffs.dtype)
         v[0] = 0.45 * eps

@@ -1,11 +1,15 @@
-"""Sylvester matrices and tolerance-based numerical rank decisions.
+"""Sylvester matrices, tolerance-based numerical rank decisions, and every
+factorization of the package: no other module calls ``numpy.linalg`` except
+for a Frobenius or Euclidean norm.
 
 Every rank or singular-value read of a Sylvester matrix S_k(P) and of P's
 highest-row-degree matrix goes through a memo held by P itself: singular
 values are computed once per matrix, a right nullspace basis (by QR, as only
 S_k of full row rank have it taken) once a caller first asks for it, and the
-memo is freed with the matrix.  It never keeps the factored arrays.  The memo also keeps the reports built from
-those decisions that ``memoized`` is asked to keep.
+memo is freed with the matrix.  It never keeps the factored arrays.  The memo
+also keeps the reports built from those decisions that ``memoized`` is asked
+to keep.  A few helpers factor the other constant matrices: orthogonal
+complements, minimum-norm solves and nearest lower-rank matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .errors import InputFormatError, NumericalInconsistencyError, ShapeError
 from .polymat import PolyMat, highest_row_degree_matrix
 
 __all__ = [
-    "SylvesterMatrix",
     "RankDecision",
     "sylvester",
     "sylvester_array",
@@ -28,7 +31,6 @@ __all__ = [
     "rank_decision",
     "clearance",
     "rank_nullity",
-    "min_singular_value",
     "default_tolerance",
     "singular_values",
     "sylvester_rank",
@@ -37,29 +39,6 @@ __all__ = [
     "sylvester_singular_values",
     "sylvester_nullspace",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class SylvesterMatrix:
-    """The banded block-Toeplitz stack with k block columns.
-
-    Block (i, j) equals C_{i-j} for 0 <= i-j <= d and is zero otherwise, so
-    the matrix has (k + d) * m rows and k * q columns.
-    """
-
-    k: int
-    m: int
-    q: int
-    d: int
-    data: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return (self.k + self.d) * self.m
-
-    @property
-    def cols(self) -> int:
-        return self.k * self.q
 
 
 def sylvester_array(coeffs: np.ndarray, k: int) -> np.ndarray:
@@ -97,16 +76,17 @@ def _require_wide(M: PolyMat, what: str, graded: bool = False) -> None:
         raise ShapeError(f"{what} requires degree_bound >= 1")
 
 
-def sylvester(P: PolyMat, k: int) -> SylvesterMatrix:
-    """Build the k-th Sylvester matrix of P using its ambient grade."""
-    k = _block_count(k)
-    data = sylvester_array(P.coeffs, k)
+def sylvester(P: PolyMat, k: int) -> np.ndarray:
+    """The k-th Sylvester matrix of P at its ambient grade, read-only: block
+    (i, j) is C_{i-j} for 0 <= i-j <= d and zero otherwise, so it has
+    (k + d) * m rows and k * q columns."""
+    data = sylvester_array(P.coeffs, _block_count(k))
     data.flags.writeable = False
-    return SylvesterMatrix(k=k, m=P.rows, q=P.cols, d=P.degree_bound, data=data)
+    return data
 
 
 def _as_array(A, stack: bool = False) -> np.ndarray:
-    arr = A.data if isinstance(A, SylvesterMatrix) else np.asarray(A)
+    arr = np.asarray(A)
     if arr.ndim < 2 or (arr.ndim > 2 and not stack) or arr.size == 0:
         what = "stack of matrices" if stack else "2-d matrix"
         raise ShapeError(f"expected a non-empty {what}, got shape {arr.shape}")
@@ -125,8 +105,9 @@ def default_tolerance(shape: tuple[int, int], sigma1):
 
 
 def singular_values(A) -> np.ndarray:
-    """Descending singular values of a matrix or Sylvester matrix, or of
-    each matrix of a stack of shape (..., p, q), along the last axis."""
+    """Descending singular values of a matrix, or of each matrix of a stack
+    of shape (..., p, q), along the last axis.  ``singular_values(A)[..., 0]``
+    is the spectral norm, bit for bit ``np.linalg.norm(A, 2)``."""
     return np.linalg.svd(_as_array(A, stack=True), compute_uv=False)
 
 
@@ -226,12 +207,47 @@ def rank_nullity(A, tol: float | None = None) -> RankDecision:
     return rank_decision(singular_values(arr), arr.shape, tol)
 
 
-def min_singular_value(A, which: int = 0) -> float:
-    """Singular value counted from the smallest; ``which=0`` is the smallest."""
-    sv = singular_values(_as_array(A))
-    if not 0 <= which < len(sv):
-        raise IndexError(f"singular value index {which} out of range for {len(sv)} values")
-    return float(sv[len(sv) - 1 - which])
+# -- other factorizations of constant matrices -----------------------------------
+
+# Relative residual above which a minimum-norm solve reports inconsistency.
+CORRECTION_RESIDUAL_FACTOR = 1e-8
+
+
+def _complement(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """Orthonormal basis of the orthogonal complement of the columns of a tall
+    A (the trailing columns of a complete QR of A), and min |r_ii| of its R,
+    which is small when the columns are nearly dependent."""
+    q, r = np.linalg.qr(A, mode="complete")
+    return q[:, A.shape[1] :], float(np.abs(np.diag(r)).min())
+
+
+def _min_norm_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # Minimum-norm solution of A X = B for a wide A of full row rank: with
+    # the reduced QR A^H = QR, A = R^H Q^H and X = Q R^{-H} B.
+    q, r = np.linalg.qr(A.conj().T)
+    smallest = float(np.abs(np.diag(r)).min())
+    if not smallest > 0.0:
+        raise NumericalInconsistencyError(
+            f"correction system of shape {A.shape} is singular (min |r_ii| = {smallest:.3e})"
+        )
+    X = q @ np.linalg.solve(r.conj().T, B)
+    resid = np.linalg.norm(A @ X - B)
+    if resid > CORRECTION_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(B)):
+        raise NumericalInconsistencyError(
+            f"correction system inconsistent (residual {resid:.3e}); the "
+            "perturbed matrix may have lost full-Sylvester-rank"
+        )
+    return X
+
+
+def _nearest_lower_rank(A) -> tuple[np.ndarray, np.ndarray]:
+    """Descending singular values of a matrix A and the nearest matrix of
+    lower rank (Eckart-Young): A with its smallest singular value set to 0,
+    at spectral distance sigma_min from A."""
+    u, s, vh = np.linalg.svd(_as_array(A), full_matrices=False)
+    s_drop = s.copy()
+    s_drop[-1] = 0.0
+    return s, (u * s_drop) @ vh
 
 
 # -- per-matrix memo -------------------------------------------------------------
@@ -258,7 +274,7 @@ def _factored(P: PolyMat, key: int | str) -> _Factored:
     memo = P._sylvester_memo
     entry = memo.get(key)
     if entry is None:
-        data = highest_row_degree_matrix(P) if key == _HR else sylvester(P, key).data
+        data = highest_row_degree_matrix(P) if key == _HR else sylvester(P, key)
         sv = singular_values(data)
         sv.flags.writeable = False
         entry = memo[key] = _Factored(shape=data.shape, sv=sv)
@@ -292,8 +308,8 @@ def sylvester_nullspace(P: PolyMat, k: int, tol: float | None = None) -> np.ndar
     """Orthonormal basis of the right nullspace of S_k(P), as columns.
 
     S_k(P) must have full row rank at ``tol``; then the nullspace is the
-    orthogonal complement of its row space, the trailing cols - rows columns
-    of a complete QR of S_k^H.  Computed once per matrix.
+    orthogonal complement of its row space, that is of the columns of
+    S_k^H.  Computed once per matrix.
     """
     dec = sylvester_rank(P, k, tol)
     entry = P._sylvester_memo[k]
@@ -304,8 +320,8 @@ def sylvester_nullspace(P: PolyMat, k: int, tol: float | None = None) -> np.ndar
             f"{dec.nullity}); a QR nullspace needs full row rank"
         )
     if entry.null is None:
-        q, _ = np.linalg.qr(sylvester(P, k).data.conj().T, mode="complete")
-        entry.null = q[:, rows:].copy()  # not a view that keeps all of q
+        null, _ = _complement(sylvester(P, k).conj().T)
+        entry.null = null.copy()  # not a view that keeps all of q
         entry.null.flags.writeable = False
     return entry.null
 

@@ -172,7 +172,7 @@ class LinalgSpy:
 
         def spy_build(P, k):
             S = build(P, k)
-            self._built.append((P, S.data))
+            self._built.append((P, S))
             return S
 
         def spy(kind, detail):

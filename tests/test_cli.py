@@ -237,6 +237,16 @@ def test_lify_with_perturbation_propagates_once(capsys, tmp_path, ex1_file, monk
     assert len(calls) == 1
 
 
+def test_lify_of_a_square_matrix_exits_2(capsys, tmp_path):
+    kpath, mpath = str(tmp_path / "k.json"), str(tmp_path / "m.json")
+    save(PolyMat(np.ones((2, 1, 3))), kpath)
+    save(PolyMat(np.ones((2, 3, 3))), mpath)
+    assert main(["lify", kpath, mpath, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "build_lification requires a wide matrix, got 3x3" in captured.err
+
+
 def test_lify_checks_its_flag_pair_before_any_work(capsys, tmp_path, ex1_file, monkeypatch):
     K = PolyMat.from_coeff_list(
         [np.hstack([np.eye(2), np.zeros((2, 6))]), np.zeros((2, 8))]

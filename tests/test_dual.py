@@ -162,7 +162,7 @@ def test_propagate_min_norm_orthogonality():
     x_rows = [j for j, dg in enumerate(degs) if dg == kp - 1]
     q = M.cols
     dX = np.vstack([rep.delta_N.coeffs[i][x_rows, :].T for i in range(kp)])
-    S = sylvester(M_new, kp).data
+    S = sylvester(M_new, kp)
     dec = rank_nullity(S)
     _, _, vh = np.linalg.svd(S, full_matrices=True)
     null_basis = vh[dec.rank :].conj().T

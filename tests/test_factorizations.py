@@ -1,6 +1,7 @@
 """Factorization counts, not times: a hidden extra SVD or QR of a Sylvester
 matrix fails here even when it is too cheap to show in a benchmark."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -193,9 +194,11 @@ def test_sharp_witness_flat_factors_its_stack_once(monkeypatch):
     spy = LinalgSpy(monkeypatch)
     _, dist = mb.sharp_witness_flat(M)
     assert dist == pytest.approx(1.0)
-    # Only the stack's SVD is unkeyed: the witness check that follows factors
-    # S_1 of the witness through ``sylvester``, which the spy keys.
-    assert [c for c in spy.take("svd") if c.key is None] == [Call("svd", None, True)]
+    # The stack is factored once, with vectors; the only other unkeyed SVD is
+    # the values-only one of the spectral norm in ``distance``.  The witness
+    # check factors S_1 of the witness through ``sylvester``, which the spy keys.
+    assert [c for c in spy.take("svd") if c.key is None] == [
+        Call("svd", None, True), Call("svd", None, False)]
 
 
 def test_benchmark_span_targets_exist():
@@ -212,3 +215,37 @@ def test_benchmark_span_targets_exist():
         if not callable(getattr(importlib.import_module(f"minbasis.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def _linalg_uses(tree: ast.Module) -> list[int]:
+    """The lines of a module that use ``numpy.linalg``, except in one-argument
+    ``norm(x)`` calls: a Frobenius or Euclidean norm, not a factorization."""
+    uses = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(node)]
+    numpy = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names if alias.name == "numpy"}
+    allowed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "norm" and len(node.args) == 1 and not node.keywords):
+            allowed.add(id(node.func.value))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                and isinstance(node.value, ast.Name) and node.value.id in numpy
+                and id(node) not in allowed):
+            uses.append(node.lineno)
+    return uses
+
+
+def test_only_sylvester_py_factors_a_matrix():
+    # Every SVD, QR and solve goes through sylvester.py, so that module is the
+    # one place to count, cache or trace them.
+    package = Path(mb.__file__).parent
+    found = {
+        path.name: uses
+        for path in sorted(package.glob("*.py"))
+        if path.name != "sylvester.py"
+        and (uses := _linalg_uses(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+    assert _linalg_uses(ast.parse((package / "sylvester.py").read_text(encoding="utf-8")))

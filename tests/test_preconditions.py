@@ -93,6 +93,11 @@ def test_a_minimal_certificate_with_full_leading_rank_gives_full_row_rank_at_d_p
      "scan_extra must be non-negative"),
     (lambda: mb.sample_full_sylvester(2, 3, 1, seed=0, max_rejects=0),
      "max_rejects must be positive"),
+    (lambda: mb.genericity_experiment(2.0, 3, 1, trials=5, seed=0), "m must be an integer, got 2.0"),
+    (lambda: mb.sample_full_sylvester(2, 3.0, 1, seed=0), "n must be an integer, got 3.0"),
+    (lambda: mb.kprime_t(2, 3, 1.5), "d must be an integer, got 1.5"),
+    (lambda: mb.kprime_t(2, 3, True), "d must be an integer, got True"),
+    (lambda: mb.kprime_t(0, 3, 1), "m must be positive, got 0"),
 ])
 def test_count_arguments_are_integers_in_range(call, match):
     with pytest.raises(mb.ShapeError, match=match):
@@ -102,6 +107,18 @@ def test_count_arguments_are_integers_in_range(call, match):
 def test_a_numpy_integer_count_is_accepted():
     assert mb.genericity_experiment(2, 3, 1, trials=np.int64(3), seed=0).trials == 3
     assert len(mb.robustness_radius_minimal(example1(), scan_extra=np.int64(0)).scanned) == 1
+    assert mb.kprime_t(np.int64(6), 3, 3) == mb.KPrimeT(k_prime=6, t=0)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
+def test_sample_full_sylvester_rejects_a_non_finite_margin_before_any_draw(margin, monkeypatch):
+    from minbasis import fullsyl
+
+    draws = []
+    monkeypatch.setattr(fullsyl, "sample_polymat", lambda *a, **kw: draws.append(a))
+    with pytest.raises(mb.InputFormatError, match="min_margin must be a finite number"):
+        mb.sample_full_sylvester(2, 3, 1, seed=0, min_margin=margin)
+    assert draws == []
 
 
 TALL = PolyMat(np.ones((2, 3, 2)))
@@ -118,6 +135,8 @@ CONSTANT = PolyMat(np.ones((1, 2, 3)))
     (mb.certify_minimal_basis, TALL, "certification requires a wide matrix, got 3x2"),
     (mb.certify_full_leading, TALL, "certification requires a wide matrix, got 3x2"),
     (mb.classical_check, TALL, "classical_check requires a wide matrix, got 3x2"),
+    # Checked before m*ell % n, which divides by n = 0 for a square M.
+    (_lify, PolyMat(np.ones((2, 3, 3))), "build_lification requires a wide matrix, got 3x3"),
 ])
 def test_the_wide_checks_keep_their_messages(call, M, match):
     with pytest.raises(mb.ShapeError, match=match):

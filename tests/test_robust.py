@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import minbasis as mb
+from minbasis.dual import admissible_radius
 from minbasis.polymat import PolyMat, s1_stack
 from minbasis.robust import (
     LowerBoundReport,
@@ -231,6 +232,20 @@ _C = np.arange(8.0)
 def test_distance_rejects_matrices_it_cannot_compare(A, B, error):
     with pytest.raises(error, match="distance"):
         distance(A, B)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_spectral_norms_equal_numpy_norm_2_bit_for_bit(field):
+    # distance and applied_norm read the largest singular value of the stack,
+    # which np.linalg.norm(., 2) takes from the same LAPACK values.
+    M = mb.sample_full_sylvester(4, 3, 2, seed=21, field_tag=field)
+    pair = mb.dual_minimal_basis(M)
+    delta = random_perturbation(M, 0.25 * admissible_radius(M, pair.N), np.random.default_rng(22))
+    applied = mb.propagate_perturbation(pair, delta).applied_norm
+    assert applied == float(np.linalg.norm(s1_stack(delta), 2))
+    B = mb.add(M, delta)
+    assert distance(M, B) == float(np.linalg.norm(s1_stack(M) - s1_stack(B), 2))
+    assert distance(M, M) == 0.0
 
 
 def _lower_bound_loop(M, num_samples, seed, radii, tol):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import minbasis as mb
-from minbasis.polymat import PolyMat, s1_norms, s1_stack
+from minbasis.polymat import PolyMat, s1_stack
 from minbasis.sylvester import (
-    min_singular_value,
     rank_decision,
     rank_nullity,
     singular_values,
@@ -20,13 +19,13 @@ from helpers import common_factor_2x4, example1, example2, flat_1311, one_lambda
 
 
 def test_sylvester_sizes_match_block_formula():
-    assert sylvester(example1(), 3).data.shape == (24, 24)
-    assert sylvester(example2(), 2).data.shape == (12, 14)
-    assert sylvester(one_lambda(), 1).data.shape == (2, 2)
+    assert sylvester(example1(), 3).shape == (24, 24)
+    assert sylvester(example2(), 2).shape == (12, 14)
+    assert sylvester(one_lambda(), 1).shape == (2, 2)
 
 
 def test_sylvester_k1_of_one_lambda_is_identity():
-    assert np.array_equal(sylvester(one_lambda(), 1).data, np.eye(2))
+    assert np.array_equal(sylvester(one_lambda(), 1), np.eye(2))
 
 
 def test_sylvester_block_layout():
@@ -35,7 +34,7 @@ def test_sylvester_block_layout():
     m, q, d = M.rows, M.cols, M.degree_bound
     for i in range(3 + d):
         for j in range(3):
-            block = S.data[i * m : (i + 1) * m, j * q : (j + 1) * q]
+            block = S[i * m : (i + 1) * m, j * q : (j + 1) * q]
             if 0 <= i - j <= d:
                 assert np.array_equal(block, M.coeffs[i - j])
             else:
@@ -47,7 +46,7 @@ def test_sylvester_rejects_k_zero():
         sylvester(example1(), 0)
 
 
-BUILDERS = {"sylvester": lambda M, k: sylvester(M, k).data, "exact_sylvester": mb.exact_sylvester}
+BUILDERS = {"sylvester": sylvester, "exact_sylvester": mb.exact_sylvester}
 PROFILES = {"rank_profile": mb.rank_profile, "exact_rank_profile": mb.exact_rank_profile}
 
 
@@ -82,12 +81,10 @@ def test_singular_values_of_a_stack_equal_each_matrix_alone():
         assert np.array_equal(sv[idx], singular_values(stack[idx]))
 
 
-def test_rank_nullity_and_min_singular_value_reject_a_stack():
+def test_rank_nullity_rejects_a_stack():
     stack = np.ones((2, 3, 4))
     with pytest.raises(mb.ShapeError, match="2-d matrix"):
         rank_nullity(stack)
-    with pytest.raises(mb.ShapeError, match="2-d matrix"):
-        min_singular_value(stack)
     with pytest.raises(mb.ShapeError):
         singular_values(np.ones(3))
 
@@ -195,7 +192,7 @@ def test_batched_sylvester_build_matches_block_loop(k):
     for index in np.ndindex(2, 3):
         assert np.array_equal(stack[index], _sylvester_loop(coeffs[index], k))
     P = PolyMat(coeffs[1, 2])
-    assert np.array_equal(sylvester(P, k).data, stack[1, 2])
+    assert np.array_equal(sylvester(P, k), stack[1, 2])
 
 
 @pytest.mark.parametrize("tol", [None, 1e-3, 0.0])
@@ -207,25 +204,6 @@ def test_stacked_ranks_match_single_decisions(tol):
     for b in range(6):
         dec = rank_decision(sv[b], (4, 7), tol)
         assert (dec.rank, dec.tolerance_used, dec.roundoff_floor) == (ranks[b], tau[b], floor[b])
-
-
-def test_min_singular_value_identity():
-    assert min_singular_value(np.eye(4)) == pytest.approx(1.0)
-
-
-def test_min_singular_value_indexing_and_errors():
-    A = np.diag([3.0, 2.0, 1.0])
-    assert min_singular_value(A, 0) == pytest.approx(1.0)
-    assert min_singular_value(A, 2) == pytest.approx(3.0)
-    with pytest.raises(IndexError):
-        min_singular_value(A, 3)
-
-
-def test_min_singular_value_matches_gram_eigenvalue_oracle():
-    rng = np.random.default_rng(17)
-    A = rng.standard_normal((5, 8))
-    eigs = np.linalg.eigvalsh(A @ A.T)
-    assert min_singular_value(A) == pytest.approx(math.sqrt(eigs[0]), rel=1e-10)
 
 
 def test_sigma24_of_example1_matches_reported_value():
@@ -263,9 +241,9 @@ def test_norm_sandwich_on_random_matrices():
     rng = np.random.default_rng(31)
     for _ in range(10):
         P = PolyMat(rng.standard_normal((3, 2, 4)))
-        s1 = s1_norms(P)[0]
+        s1 = float(np.linalg.norm(s1_stack(P), 2))
         for k in range(1, 7):
-            sk = float(np.linalg.norm(sylvester(P, k).data, 2))
+            sk = float(np.linalg.norm(sylvester(P, k), 2))
             assert s1 <= sk * (1 + 1e-12)
             assert sk <= math.sqrt(k) * s1 * (1 + 1e-12)
 
@@ -275,9 +253,9 @@ def test_block_column_bound():
     P = PolyMat(rng.standard_normal((3, 2, 4)))
     for k in (2, 4):
         S = sylvester(P, k)
-        sigma1 = float(np.linalg.norm(S.data, 2))
+        sigma1 = float(np.linalg.norm(S, 2))
         col_norms = [
-            float(np.linalg.norm(S.data[:, j * P.cols : (j + 1) * P.cols], 2))
+            float(np.linalg.norm(S[:, j * P.cols : (j + 1) * P.cols], 2))
             for j in range(k)
         ]
         assert max(col_norms) <= sigma1 * (1 + 1e-12)
