@@ -26,19 +26,14 @@ from .errors import (
 )
 from .fullsyl import KPrimeT, _require_full_sylvester, has_full_sylvester_rank, kprime_t
 from .minimal import REASON_DEGREE_SUM, REASON_HR, certify_minimal_basis
-from .polymat import (
-    PolyMat,
-    add,
-    poly_multiply_transpose,
-    reversal,
-    row_degrees,
-    s1_stack,
-)
+from .polymat import PolyMat, poly_multiply_transpose, row_degrees, s1_stack
 from .robust import Thetas, thetas
 from .sylvester import (
     _complement,
     _min_norm_solve,
     highest_row_degree_rank,
+    perturbed_with_memo,
+    reversal_with_memo,
     singular_values,
     sylvester,
     sylvester_nullspace,
@@ -249,7 +244,10 @@ def propagate_perturbation(
             f"{n - t} rows at {kp}"
         )
 
-    M_new = add(M, delta_M)
+    # Inside the admissible radius sqrt(k) * applied is below half of every
+    # decisive sigma_min(S_k(M)) and of sigma_m(C_d), so M_new inherits its
+    # certificate from M's memo without a factorization.
+    M_new = perturbed_with_memo(M, delta_M, applied, tol)
     delta_coeffs = np.zeros_like(N.coeffs)
     for rows, k in ((x_rows, kp), (y_rows, kp + 1)):
         if rows:
@@ -259,10 +257,11 @@ def propagate_perturbation(
             delta = _min_norm_solve(sylvester(M_new, k), rhs)
             delta_coeffs[:k, rows] = delta.reshape(k, q, len(rows)).transpose(0, 2, 1)
     delta_N = PolyMat(delta_coeffs)
-    N_new = add(N, delta_N)
+    # The Frobenius norm bounds the spectral norm of the stack.
+    norm_delta_n = float(np.linalg.norm(s1_stack(delta_N)))
+    N_new = perturbed_with_memo(N, delta_N, norm_delta_n, tol)
     new_pair = _verified(M_new, N_new, tol, "perturbed pair")
-    norm_n = float(np.linalg.norm(s1_stack(N)))
-    relative = float(np.linalg.norm(s1_stack(delta_N))) / norm_n
+    relative = norm_delta_n / float(np.linalg.norm(s1_stack(N)))
     bound = 2.0 / theta.theta2 * applied
     return PerturbReport(
         thetas=theta,
@@ -292,13 +291,15 @@ def reversal_dual(pair: DualPair, tol: float | None = None) -> DualPair:
     """Reversed pair (rev_d M, rev_k' N); requires t = 0.
 
     Both components of the result are verified to keep full-Sylvester-rank.
+    Their S_k have the singular values of the S_k of M and N, which are read
+    from the memos of M and N where those hold them.
     """
     if not pair.is_valid:
         raise PreconditionError("reversal requires a valid dual pair")
     if pair.k_prime_t.t != 0:
         raise PreconditionError("reversal duality requires t=0")
-    M_rev = reversal(pair.M, pair.M.degree_bound)
-    N_rev = reversal(pair.N, pair.N.degree_bound)
+    M_rev = reversal_with_memo(pair.M)
+    N_rev = reversal_with_memo(pair.N)
     new_pair = _verified(M_rev, N_rev, tol, "reversed pair")
     for comp in (M_rev, N_rev):
         if not has_full_sylvester_rank(comp, tol).has_full_sylvester_rank:

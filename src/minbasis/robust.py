@@ -27,6 +27,7 @@ from .polymat import PolyMat, _require_congruent, evaluate, s1_stack
 from .sylvester import (
     _block_count,
     _nearest_lower_rank,
+    _require_wide,
     full_leading_rank,
     rank_decision,
     singular_values,
@@ -129,6 +130,7 @@ def sharp_witness_flat(M: PolyMat, tol: float | None = None) -> tuple[PolyMat, f
     so zeroing its smallest singular value produces a witness exactly at the
     robustness boundary.  Returns the witness and its distance.
     """
+    _require_wide(M, "sharp_witness_flat", graded=True)
     m, q, d = M.rows, M.cols, M.degree_bound
     n = q - m
     if m * d > n:

@@ -148,11 +148,13 @@ def planted_indices(epsilons, rng: np.random.Generator) -> PolyMat:
 class Call(NamedTuple):
     """One logged factorization: ``kind`` is "svd", "qr" or "lstsq"; ``key``
     is (id(P), k) for S_k(P) or its conjugate transpose, else None;
-    ``detail`` is whether an SVD computes vectors, or the mode of a QR."""
+    ``detail`` is whether an SVD computes vectors, or the mode of a QR;
+    ``hr_of`` is id(P) for the highest-row-degree matrix of P, else None."""
 
     kind: str
     key: tuple[int, int] | None
     detail: bool | str | None
+    hr_of: int | None = None
 
 
 class LinalgSpy:
@@ -160,44 +162,56 @@ class LinalgSpy:
     installed.
 
     A call is keyed by content: its input is compared with each S_k(P) that
-    ``sylvester`` in any module of the package built since installation,
-    newest first.  Built matrices are kept alive, so ids stay unique.
+    ``sylvester`` in any module of the package built since installation, and
+    with each highest-row-degree matrix that the memo in
+    ``minbasis.sylvester`` built, newest first.  Built matrices are kept
+    alive, so ids stay unique.
     """
 
     def __init__(self, monkeypatch):
-        build = sys.modules["minbasis.sylvester"].sylvester
+        memo_module = sys.modules["minbasis.sylvester"]
+        build = memo_module.sylvester
+        build_hr = memo_module.highest_row_degree_matrix
         originals = {name: getattr(np.linalg, name) for name in ("svd", "qr", "lstsq")}
         self.calls: list[Call] = []
-        self._built: list[tuple[object, np.ndarray]] = []
+        self._built: list[tuple[object, np.ndarray, bool]] = []
 
         def spy_build(P, k):
             S = build(P, k)
-            self._built.append((P, S))
+            self._built.append((P, S, False))
             return S
+
+        def spy_build_hr(P):
+            H = build_hr(P)
+            self._built.append((P, H, True))
+            return H
 
         def spy(kind, detail):
             def call(a, *args, **kwargs):
-                self.calls.append(Call(kind, self._key(a), detail(args, kwargs)))
+                key, hr_of = self._key(a)
+                self.calls.append(Call(kind, key, detail(args, kwargs), hr_of))
                 return originals[kind](a, *args, **kwargs)
             return call
 
         for name, module in list(sys.modules.items()):
             if name.startswith("minbasis.") and getattr(module, "sylvester", None) is build:
                 monkeypatch.setattr(module, "sylvester", spy_build)
+        monkeypatch.setattr(memo_module, "highest_row_degree_matrix", spy_build_hr)
         monkeypatch.setattr(np.linalg, "svd", spy("svd", lambda args, kw: bool(
             kw.get("compute_uv", args[1] if len(args) > 1 else True))))
         monkeypatch.setattr(np.linalg, "qr", spy("qr", lambda args, kw: kw.get(
             "mode", args[0] if args else "reduced")))
         monkeypatch.setattr(np.linalg, "lstsq", spy("lstsq", lambda args, kw: None))
 
-    def _key(self, a) -> tuple[int, int] | None:
+    def _key(self, a) -> tuple[tuple[int, int] | None, int | None]:
+        """(key, hr_of) of a logged input."""
         a = np.asarray(a)
-        for P, data in reversed(self._built):
+        for P, data, hr in reversed(self._built):
             if (a.shape == data.shape and np.array_equal(a, data)) or (
                 a.shape == data.shape[::-1] and np.array_equal(a, data.conj().T)
             ):
-                return id(P), data.shape[1] // P.cols
-        return None
+                return (None, id(P)) if hr else ((id(P), data.shape[1] // P.cols), None)
+        return None, None
 
     def take(self, *kinds: str) -> list[Call]:
         """The calls of the given kinds (all when none is given) since the

@@ -109,6 +109,14 @@ def test_classical_checks_decide_every_sample_from_one_svd(monkeypatch):
     assert spy.take() == [Call("svd", None, False)]
 
 
+def _svds_of(calls, *matrices):
+    """The SVD calls among ``calls`` of an S_k or of the highest-row-degree
+    matrix of one of ``matrices``."""
+    ids = {id(P) for P in matrices}
+    return [c for c in calls if c.kind == "svd"
+            and (c.hr_of in ids or (c.key is not None and c.key[0] in ids))]
+
+
 def _qr_of(calls, P):
     """The QR calls among ``calls`` of P's Sylvester matrices, as (k, mode)."""
     return [(c.key[1], c.detail) for c in calls
@@ -130,7 +138,7 @@ def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch)
     perturb = spy.take()
     lif = mb.build_lification(K, M)
     lify = spy.take()
-    mb.backward_error_map(lif, delta_K, delta)
+    be = mb.backward_error_map(lif, delta_K, delta)
     backward = spy.take()
     calls = dual + perturb + lify + backward
     # Values-only SVDs, each S_k of each matrix at most once; no least squares.
@@ -146,6 +154,10 @@ def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch)
     # One reduced QR per correction system, here only the degree-k' one.
     assert _qr_of(perturb, report.perturbed_pair.M) == [(kp + 1, "reduced")]
     assert [c.kind for c in perturb if c.kind == "qr"] == ["qr"]
+    # Inside the admissible radius M + delta inherits its rank decisions from
+    # M's memo: no SVD of its S_k or its highest-row-degree matrix runs.
+    assert _svds_of(perturb + backward, report.perturbed_pair.M,
+                    be.perturbation.perturbed_pair.M) == []
 
 
 def test_dual_and_perturbation_with_t_positive_factor_by_qr(monkeypatch):
@@ -169,6 +181,9 @@ def test_dual_and_perturbation_with_t_positive_factor_by_qr(monkeypatch):
     # verify_duality checks each new N by its degrees: no S_k of N is built.
     duals = {id(pair.N), id(report.perturbed_pair.N)}
     assert not [c for c in calls if c.key is not None and c.key[0] in duals]
+    # Both decisive tests of M + delta, S_2 and S_3, and its highest-row-
+    # degree matrix are inherited from M's memo: no SVD of them runs.
+    assert _svds_of(perturb, report.perturbed_pair.M) == []
 
 
 def test_genericity_experiment_runs_one_svd_per_decisive_test_and_block(monkeypatch):
@@ -199,6 +214,17 @@ def test_sharp_witness_flat_factors_its_stack_once(monkeypatch):
     # check factors S_1 of the witness through ``sylvester``, which the spy keys.
     assert [c for c in spy.take("svd") if c.key is None] == [
         Call("svd", None, True), Call("svd", None, False)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1.0j], ids=["real", "complex"])
+def test_sharp_witness_flat_checks_its_grade_before_any_factorization(scale, monkeypatch):
+    # A 1x4 grade-0 input passes the flat check m*d <= n, but the witness
+    # needs grade >= 1: the error names sharp_witness_flat, and comes first.
+    M = PolyMat(scale * np.array([[[1.0, 2.0, 0.0, 1.0]]]))
+    spy = LinalgSpy(monkeypatch)
+    with pytest.raises(mb.ShapeError, match="sharp_witness_flat requires degree_bound >= 1"):
+        mb.sharp_witness_flat(M)
+    assert spy.take() == []
 
 
 def test_benchmark_span_targets_exist():
