@@ -24,16 +24,29 @@ from .errors import (
     PreconditionError,
     ShapeError,
 )
-from .fullsyl import KPrimeT, _require_full_sylvester, has_full_sylvester_rank, kprime_t
+from .fullsyl import (
+    KPrimeT,
+    _implied_minimal,
+    _require_full_sylvester,
+    has_full_sylvester_rank,
+    kprime_t,
+)
 from .minimal import REASON_DEGREE_SUM, REASON_HR, certify_minimal_basis
-from .polymat import PolyMat, poly_multiply_transpose, row_degrees, s1_stack
+from .polymat import (
+    PolyMat,
+    poly_multiply_transpose,
+    reversal,
+    row_degrees,
+    s1_stack,
+)
 from .robust import Thetas, thetas
 from .sylvester import (
+    _HR,
     _complement,
+    _implied_full_rank,
     _min_norm_solve,
     highest_row_degree_rank,
     perturbed_with_memo,
-    reversal_with_memo,
     singular_values,
     sylvester,
     sylvester_nullspace,
@@ -89,6 +102,9 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
     basis exactly when it is row reduced, so that its rows are a polynomial
     basis of M's right nullspace, and its row degrees sum to M's, the least
     degree sum such a basis can have.  Only otherwise is N certified alone.
+    A full-rank verdict that a perturbed M or N inherited from its parent
+    (see ``sylvester.perturbed_with_memo``) stands in for the factorization
+    it implies; the verdicts are the same.
     """
     failures = []
     if M.cols != N.cols:
@@ -100,15 +116,17 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
     residual = product_residual(M, N)
     if residual > _residual_threshold(M, N):
         failures.append(f"duality residual {residual:.3e} above tolerance")
-    cert_m = certify_minimal_basis(M, tol)
-    if not cert_m.is_minimal_basis:
-        failures.append(f"M is not a minimal basis ({cert_m.reason})")
+    if not _implied_minimal(M, tol):
+        cert_m = certify_minimal_basis(M, tol)
+        if not cert_m.is_minimal_basis:
+            failures.append(f"M is not a minimal basis ({cert_m.reason})")
     if failures:
         cert_n = certify_minimal_basis(N, tol)
         reason_n = None if cert_n.is_minimal_basis else cert_n.reason
-    elif highest_row_degree_rank(N, tol).rank < N.rows:
+    elif not (_implied_full_rank(N, _HR, tol)
+              or highest_row_degree_rank(N, tol).rank == N.rows):
         reason_n = REASON_HR
-    elif sum(row_degrees(N)) != cert_m.degree_sum_expected:
+    elif sum(row_degrees(N)) != sum(row_degrees(M)):
         reason_n = REASON_DEGREE_SUM
     else:
         reason_n = None
@@ -245,8 +263,8 @@ def propagate_perturbation(
         )
 
     # Inside the admissible radius sqrt(k) * applied is below half of every
-    # decisive sigma_min(S_k(M)) and of sigma_m(C_d), so M_new inherits its
-    # certificate from M's memo without a factorization.
+    # decisive sigma_min(S_k(M)) and of sigma_m(C_d), so M_new inherits the
+    # verdicts of its certificate from M's memo without a factorization.
     M_new = perturbed_with_memo(M, delta_M, applied, tol)
     delta_coeffs = np.zeros_like(N.coeffs)
     for rows, k in ((x_rows, kp), (y_rows, kp + 1)):
@@ -291,15 +309,13 @@ def reversal_dual(pair: DualPair, tol: float | None = None) -> DualPair:
     """Reversed pair (rev_d M, rev_k' N); requires t = 0.
 
     Both components of the result are verified to keep full-Sylvester-rank.
-    Their S_k have the singular values of the S_k of M and N, which are read
-    from the memos of M and N where those hold them.
     """
     if not pair.is_valid:
         raise PreconditionError("reversal requires a valid dual pair")
     if pair.k_prime_t.t != 0:
         raise PreconditionError("reversal duality requires t=0")
-    M_rev = reversal_with_memo(pair.M)
-    N_rev = reversal_with_memo(pair.N)
+    M_rev = reversal(pair.M, pair.M.degree_bound)
+    N_rev = reversal(pair.N, pair.N.degree_bound)
     new_pair = _verified(M_rev, N_rev, tol, "reversed pair")
     for comp in (M_rev, N_rev):
         if not has_full_sylvester_rank(comp, tol).has_full_sylvester_rank:

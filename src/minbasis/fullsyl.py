@@ -17,8 +17,8 @@ import numpy as np
 from .errors import InputFormatError, PreconditionError, PropertyViolationError
 from .polymat import PolyMat
 from .sylvester import (
-    _block_count, _require_wide, clearance, memoized, singular_values, stacked_ranks,
-    sylvester_array, sylvester_rank,
+    _HR, _block_count, _implied_full_rank, _require_wide, clearance, memoized,
+    singular_values, stacked_ranks, sylvester_array, sylvester_rank,
 )
 
 __all__ = [
@@ -111,6 +111,21 @@ def _require_full_sylvester(M: PolyMat, tol: float | None, what: str) -> FullSyl
     if not report.has_full_sylvester_rank:
         raise PreconditionError(f"{what} requires a full-Sylvester-rank input")
     return report
+
+
+def _implied_minimal(M: PolyMat, tol: float | None) -> bool:
+    """Whether the full-rank verdicts M inherited (see
+    ``sylvester.perturbed_with_memo``) show a leading coefficient of full row
+    rank and the property.  M is then a minimal basis, as its certificate
+    would find (see ``minimal._full_sylvester_profile``).  Factors nothing;
+    False decides nothing."""
+    m, q, d = M.rows, M.cols, M.degree_bound
+    if not (_implied_full_rank(M, _HR, tol) and m < q and d >= 1
+            and M.coeffs[-1].any(axis=1).all()):
+        return False
+    # Each decisive test asks for the full rank min(shape) of its S_k.
+    tests = decisive_rank_tests(kprime_t(m, q - m, d), m, q, d)
+    return all(_implied_full_rank(M, k, tol) for k, _, _ in tests)
 
 
 def _property_report(M: PolyMat, tol: float | None) -> FullSylReport:

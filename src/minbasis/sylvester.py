@@ -8,13 +8,13 @@ values are computed once per matrix, a right nullspace basis (by QR, as only
 S_k of full row rank have it taken) once a caller first asks for it, and the
 memo is freed with the matrix.  It never keeps the factored arrays.  The memo
 also keeps the reports built from those decisions that ``memoized`` is asked
-to keep.  A matrix built from another one may start with inherited entries:
-a perturbation that ``perturbed_with_memo`` builds holds the full-rank
-decisions that Weyl's inequality implies, with no singular values until a
-caller reads them, and a reversal that ``reversal_with_memo`` builds holds
-its parent's S_k spectra, which are exactly its own.  A few helpers factor
-the other constant matrices: orthogonal complements, minimum-norm solves and
-nearest lower-rank matrices.
+to keep.  A perturbation that ``perturbed_with_memo`` builds may also
+hold full-rank verdicts that Weyl's inequality implies from its parent's
+singular values; only ``_implied_full_rank`` reads them, so every rank
+decision, singular value and report still comes from the matrix's own
+factorization.  A few helpers factor the other constant matrices:
+orthogonal complements, minimum-norm solves and nearest lower-rank
+matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import InputFormatError, NumericalInconsistencyError, ShapeError
-from .polymat import PolyMat, add, highest_row_degree_matrix, reversal, row_degrees
+from .polymat import PolyMat, add, highest_row_degree_matrix, row_degrees
 
 __all__ = [
     "RankDecision",
@@ -44,7 +44,6 @@ __all__ = [
     "sylvester_singular_values",
     "sylvester_nullspace",
     "perturbed_with_memo",
-    "reversal_with_memo",
 ]
 
 
@@ -129,13 +128,6 @@ class RankDecision:
     ``roundoff_floor`` is the default threshold max(shape) * eps * sigma_1 of
     the decided matrix: singular values below it are indistinguishable from
     round-off, so a tolerance below it decides nothing.
-
-    ``source`` says where the spectrum comes from: ``"svd"`` of the matrix
-    itself, ``"permutation"`` of a matrix it is a block permutation of, or
-    ``"weyl"``, a decision a perturbed matrix inherits (see
-    ``perturbed_with_memo``).  A ``"weyl"`` decision holds certified lower
-    bounds in place of the singular values and upper bounds in place of
-    the tolerance and the round-off floor.
     """
 
     rank: int
@@ -143,7 +135,6 @@ class RankDecision:
     singular_values: tuple[float, ...]
     tolerance_used: float
     roundoff_floor: float
-    source: str = "svd"
 
     @property
     def gap_ratio(self) -> float:
@@ -198,9 +189,7 @@ def clearance(sigma, tau):
     return np.divide(sigma, tau, out=np.zeros(tau.shape), where=tau > 0)
 
 
-def rank_decision(
-    sv: np.ndarray, shape: tuple[int, int], tol: float | None, source: str = "svd"
-) -> RankDecision:
+def rank_decision(sv: np.ndarray, shape: tuple[int, int], tol: float | None) -> RankDecision:
     """``stacked_ranks`` for one matrix, as a RankDecision."""
     rank, tau, floor = stacked_ranks(sv, shape, tol)
     rank = int(rank)
@@ -210,7 +199,6 @@ def rank_decision(
         singular_values=tuple(sv.tolist()),
         tolerance_used=float(tau),
         roundoff_floor=float(floor),
-        source=source,
     )
 
 
@@ -278,14 +266,12 @@ _HR = "hr"
 
 @dataclass(eq=False, slots=True)
 class _Factored:
-    """Memo entry for one matrix: its shape, descending singular values (None
-    while only inherited decisions are known) and their source, an
+    """Memo entry for one matrix: its shape, descending singular values, an
     orthonormal right nullspace basis once asked for, and the rank decisions
     already taken, keyed by tolerance."""
 
     shape: tuple[int, int]
-    sv: np.ndarray | None
-    source: str = "svd"
+    sv: np.ndarray
     null: np.ndarray | None = None
     decisions: dict = field(default_factory=dict)
 
@@ -293,28 +279,28 @@ class _Factored:
 def _factored(P: PolyMat, key: int | str) -> _Factored:
     memo = P._sylvester_memo
     entry = memo.get(key)
-    if entry is None or entry.sv is None:
+    if entry is None:
         data = highest_row_degree_matrix(P) if key == _HR else sylvester(P, key)
         sv = singular_values(data)
         sv.flags.writeable = False
-        if entry is None:
-            entry = memo[key] = _Factored(shape=data.shape, sv=sv)
-        else:
-            entry.sv = sv
+        entry = memo[key] = _Factored(shape=data.shape, sv=sv)
     return entry
 
 
 def _memo_rank(P: PolyMat, key: int | str, tol: float | None) -> RankDecision:
-    entry = P._sylvester_memo.get(key)
-    dec = None if entry is None else entry.decisions.get(tol)
+    entry = _factored(P, key)
+    dec = entry.decisions.get(tol)
     if dec is None:
-        entry = _factored(P, key)
-        dec = entry.decisions[tol] = rank_decision(entry.sv, entry.shape, tol, entry.source)
+        dec = entry.decisions[tol] = rank_decision(entry.sv, entry.shape, tol)
     return dec
 
 
+# Memo key prefix of an inherited full-rank verdict, (_IMPLIED, key, tol).
+_IMPLIED = "implied"
+
+
 def perturbed_with_memo(P: PolyMat, delta: PolyMat, eta: float, tol: float | None) -> PolyMat:
-    """``add(P, delta)``, its memo seeded with the rank decisions at ``tol``
+    """``add(P, delta)``, its memo holding the full-rank verdicts at ``tol``
     that P's memo and Weyl's inequality imply, without a factorization;
     ``eta`` must bound the spectral norm of ``s1_stack(delta)``.
 
@@ -323,54 +309,34 @@ def perturbed_with_memo(P: PolyMat, delta: PolyMat, eta: float, tol: float | Non
     is at most sigma_1(S_k(P)) + sqrt(k) * eta (Stewart and Sun, Matrix
     Perturbation Theory, 1990).  With unchanged row degrees the highest-row-
     degree matrices differ by rows of ``s1_stack(delta)``, by at most eta.
-    A key whose singular values P's memo holds is seeded with a full-rank
-    decision of source "weyl" when its smallest lower bound clears the upper
-    bound of the threshold and the decision is not marginal; any other key,
-    and every read of singular values, is factored as usual.
+    A matrix whose singular values P's memo holds is implied to have full
+    rank when the lower bound of its smallest singular value clears the
+    upper bound of the threshold by the gap of a decision that is not
+    marginal, and an explicit ``tol`` is at least the upper bound of the
+    round-off floor.  Only ``_implied_full_rank`` reads these verdicts.
     """
     child = add(P, delta)
-    memo = child._sylvester_memo
     for key, entry in P._sylvester_memo.items():
-        # Reports have (name, tol) keys; an inherited entry has no spectrum.
-        if isinstance(key, tuple) or entry.sv is None:
+        if isinstance(key, tuple):  # a report or an inherited verdict
             continue
-        sv = entry.sv
         if key != _HR:
             shift = math.sqrt(key) * eta
         elif row_degrees(child) == row_degrees(P):
             shift = eta
         else:
             continue
-        lower = sv - shift
-        floor = float(default_tolerance(entry.shape, sv[0] + shift))
+        floor = float(default_tolerance(entry.shape, entry.sv[0] + shift))
         tau = floor if tol is None else float(tol)
-        if not lower[-1] > tau:
-            continue
-        dec = RankDecision(
-            rank=sv.size,
-            nullity=entry.shape[1] - sv.size,
-            singular_values=tuple(lower.tolist()),
-            tolerance_used=tau,
-            roundoff_floor=floor,
-            source="weyl",
-        )
-        if not dec.marginal:
-            memo[key] = _Factored(shape=entry.shape, sv=None, decisions={tol: dec})
+        if 0 < tau and floor <= tau and MARGINAL_GAP * tau <= entry.sv[-1] - shift:
+            child._sylvester_memo[(_IMPLIED, key, tol)] = True
     return child
 
 
-def reversal_with_memo(P: PolyMat) -> PolyMat:
-    """``reversal(P, P.degree_bound)``, its memo seeded with the S_k spectra
-    of P's memo.  S_k of the reversal is S_k(P) with its block rows and its
-    block columns in reverse order, so the singular values are the same, and
-    decisions read from them have source "permutation".  The highest-row-
-    degree matrix is not a permutation of P's and is factored as usual."""
-    rev = reversal(P, P.degree_bound)
-    memo = rev._sylvester_memo
-    for key, entry in P._sylvester_memo.items():
-        if isinstance(key, int) and entry.sv is not None:
-            memo[key] = _Factored(shape=entry.shape, sv=entry.sv, source="permutation")
-    return rev
+def _implied_full_rank(P: PolyMat, key: int | str, tol: float | None) -> bool:
+    """Whether ``perturbed_with_memo`` found that S_k(P) for key k, or P's
+    highest-row-degree matrix for key "hr", has full rank at ``tol``.
+    Factors nothing; False decides nothing."""
+    return (_IMPLIED, key, tol) in P._sylvester_memo
 
 
 def memoized(P: PolyMat, name: str, tol: float | None, compute: Callable[[], _T]) -> _T:

@@ -157,6 +157,14 @@ class Call(NamedTuple):
     hr_of: int | None = None
 
 
+def svds_of(calls: list[Call], *matrices) -> list[Call]:
+    """The SVD calls among ``calls`` of an S_k or of the highest-row-degree
+    matrix of one of ``matrices``."""
+    ids = {id(P) for P in matrices}
+    return [c for c in calls if c.kind == "svd"
+            and (c.hr_of in ids or (c.key is not None and c.key[0] in ids))]
+
+
 class LinalgSpy:
     """Logs every ``numpy.linalg`` ``svd``, ``qr`` and ``lstsq`` call while
     installed.

@@ -13,7 +13,7 @@ from minbasis.dual import admissible_radius
 from minbasis.fullsyl import BLOCK_BYTES, decisive_rank_tests
 from minbasis.polymat import PolyMat
 
-from helpers import Call, LinalgSpy, planted_indices, random_perturbation
+from helpers import Call, LinalgSpy, planted_indices, random_perturbation, svds_of
 
 
 @pytest.fixture
@@ -109,14 +109,6 @@ def test_classical_checks_decide_every_sample_from_one_svd(monkeypatch):
     assert spy.take() == [Call("svd", None, False)]
 
 
-def _svds_of(calls, *matrices):
-    """The SVD calls among ``calls`` of an S_k or of the highest-row-degree
-    matrix of one of ``matrices``."""
-    ids = {id(P) for P in matrices}
-    return [c for c in calls if c.kind == "svd"
-            and (c.hr_of in ids or (c.key is not None and c.key[0] in ids))]
-
-
 def _qr_of(calls, P):
     """The QR calls among ``calls`` of P's Sylvester matrices, as (k, mode)."""
     return [(c.key[1], c.detail) for c in calls
@@ -156,7 +148,7 @@ def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch)
     assert [c.kind for c in perturb if c.kind == "qr"] == ["qr"]
     # Inside the admissible radius M + delta inherits its rank decisions from
     # M's memo: no SVD of its S_k or its highest-row-degree matrix runs.
-    assert _svds_of(perturb + backward, report.perturbed_pair.M,
+    assert svds_of(perturb + backward, report.perturbed_pair.M,
                     be.perturbation.perturbed_pair.M) == []
 
 
@@ -183,7 +175,7 @@ def test_dual_and_perturbation_with_t_positive_factor_by_qr(monkeypatch):
     assert not [c for c in calls if c.key is not None and c.key[0] in duals]
     # Both decisive tests of M + delta, S_2 and S_3, and its highest-row-
     # degree matrix are inherited from M's memo: no SVD of them runs.
-    assert _svds_of(perturb, report.perturbed_pair.M) == []
+    assert svds_of(perturb, report.perturbed_pair.M) == []
 
 
 def test_genericity_experiment_runs_one_svd_per_decisive_test_and_block(monkeypatch):

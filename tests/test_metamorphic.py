@@ -4,15 +4,16 @@ A constant invertible factor on the left, a unitary factor on the right and
 the substitution lambda -> alpha * lambda keep the right nullspace up to the
 same transformation, so Sylvester ranks, right minimal indices and verdicts
 must not change.  A unitary factor on the right keeps the singular values of
-every S_k, since S_k(MQ) = S_k(M) (I_k kron Q), and scaling M by alpha
-scales them by |alpha|.
+every S_k, since S_k(MQ) = S_k(M) (I_k kron Q), and so does the reversal,
+whose S_k is S_k(M) with its block rows and block columns in reverse order;
+scaling M by alpha scales them by |alpha|.
 """
 
 import numpy as np
 import pytest
 
 import minbasis as mb
-from minbasis.polymat import PolyMat, row_degrees, scale
+from minbasis.polymat import PolyMat, reversal, row_degrees, scale
 from minbasis.sylvester import highest_row_degree_rank, sylvester_singular_values
 
 from helpers import common_factor_2x4, example1, planted_indices
@@ -103,6 +104,15 @@ def test_answers_are_invariant(name, transform):
 def test_a_unitary_right_factor_keeps_every_sylvester_spectrum(name):
     M = INPUTS[name]
     image = _right(M, np.random.default_rng(11))
+    for k in range(1, 5):
+        sv = sylvester_singular_values(M, k)
+        assert np.abs(sylvester_singular_values(image, k) - sv).max() <= 1e-13 * sv[0]
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_reversal_keeps_every_sylvester_spectrum(name):
+    M = INPUTS[name]
+    image = reversal(M, M.degree_bound)
     for k in range(1, 5):
         sv = sylvester_singular_values(M, k)
         assert np.abs(sylvester_singular_values(image, k) - sv).max() <= 1e-13 * sv[0]
