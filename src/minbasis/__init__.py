@@ -53,6 +53,7 @@ from .minimal import (
     certify_full_leading,
     certify_minimal_basis,
     classical_check,
+    index_sum_check,
     minimal_index_sum,
     rank_profile,
     right_minimal_indices,
@@ -63,7 +64,6 @@ from .fullsyl import (
     KPrimeT,
     genericity_experiment,
     has_full_sylvester_rank,
-    index_sum_check,
     kprime_t,
     predicted_minimal_indices,
     sample_full_sylvester,

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fullsyl import (
     KPrimeT,
-    _implied_minimal,
     _require_full_sylvester,
     has_full_sylvester_rank,
     kprime_t,
@@ -34,6 +33,7 @@ from .fullsyl import (
 from .minimal import REASON_DEGREE_SUM, REASON_HR, certify_minimal_basis
 from .polymat import (
     PolyMat,
+    add,
     poly_multiply_transpose,
     reversal,
     row_degrees,
@@ -43,13 +43,13 @@ from .robust import Thetas, thetas
 from .sylvester import (
     _HR,
     _complement,
-    _implied_full_rank,
     _min_norm_solve,
     highest_row_degree_rank,
-    perturbed_with_memo,
+    memoized,
     singular_values,
     sylvester,
     sylvester_nullspace,
+    weyl_full_rank,
 )
 
 __all__ = [
@@ -102,9 +102,6 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
     basis exactly when it is row reduced, so that its rows are a polynomial
     basis of M's right nullspace, and its row degrees sum to M's, the least
     degree sum such a basis can have.  Only otherwise is N certified alone.
-    A full-rank verdict that a perturbed M or N inherited from its parent
-    (see ``sylvester.perturbed_with_memo``) stands in for the factorization
-    it implies; the verdicts are the same.
     """
     failures = []
     if M.cols != N.cols:
@@ -116,17 +113,15 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
     residual = product_residual(M, N)
     if residual > _residual_threshold(M, N):
         failures.append(f"duality residual {residual:.3e} above tolerance")
-    if not _implied_minimal(M, tol):
-        cert_m = certify_minimal_basis(M, tol)
-        if not cert_m.is_minimal_basis:
-            failures.append(f"M is not a minimal basis ({cert_m.reason})")
+    cert_m = certify_minimal_basis(M, tol)
+    if not cert_m.is_minimal_basis:
+        failures.append(f"M is not a minimal basis ({cert_m.reason})")
     if failures:
         cert_n = certify_minimal_basis(N, tol)
         reason_n = None if cert_n.is_minimal_basis else cert_n.reason
-    elif not (_implied_full_rank(N, _HR, tol)
-              or highest_row_degree_rank(N, tol).rank == N.rows):
+    elif highest_row_degree_rank(N, tol).rank < N.rows:
         reason_n = REASON_HR
-    elif sum(row_degrees(N)) != sum(row_degrees(M)):
+    elif sum(row_degrees(N)) != cert_m.degree_sum_expected:
         reason_n = REASON_DEGREE_SUM
     else:
         reason_n = None
@@ -167,8 +162,12 @@ def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
     The t rows of degree k'-1 come from the nullspace of the k'-th Sylvester
     matrix; the remaining n-t rows of degree k' come from the nullspace of
     the next one, orthogonalized against both one-step shifts of the
-    lower-degree rows.  The result is certified before being returned.
+    lower-degree rows.  The result is certified and kept in M's memo.
     """
+    return memoized(M, "dual", tol, lambda: _extracted_dual(M, tol))
+
+
+def _extracted_dual(M: PolyMat, tol: float | None) -> DualPair:
     report = _require_full_sylvester(M, tol, "dual_minimal_basis")
     m, q, d = M.rows, M.cols, M.degree_bound
     n = q - m
@@ -262,10 +261,7 @@ def propagate_perturbation(
             f"{n - t} rows at {kp}"
         )
 
-    # Inside the admissible radius sqrt(k) * applied is below half of every
-    # decisive sigma_min(S_k(M)) and of sigma_m(C_d), so M_new inherits the
-    # verdicts of its certificate from M's memo without a factorization.
-    M_new = perturbed_with_memo(M, delta_M, applied, tol)
+    M_new = add(M, delta_M)
     delta_coeffs = np.zeros_like(N.coeffs)
     for rows, k in ((x_rows, kp), (y_rows, kp + 1)):
         if rows:
@@ -277,8 +273,18 @@ def propagate_perturbation(
     delta_N = PolyMat(delta_coeffs)
     # The Frobenius norm bounds the spectral norm of the stack.
     norm_delta_n = float(np.linalg.norm(s1_stack(delta_N)))
-    N_new = perturbed_with_memo(N, delta_N, norm_delta_n, tol)
-    new_pair = _verified(M_new, N_new, tol, "perturbed pair")
+    N_new = add(N, delta_N)
+    residual = product_residual(M_new, N_new)
+    # Inside the admissible radius the parents' memos usually decide the
+    # checks of verify_duality without a factorization: the bounds keep the
+    # row degrees, so both degree sums stay m*d (M's property, N's split).
+    decisive = [_HR] + [c.k for c in has_full_sylvester_rank(M, tol).checked_ranks]
+    if (weyl_full_rank(M, M_new, decisive, applied, tol)
+            and weyl_full_rank(N, N_new, [_HR], norm_delta_n, tol)
+            and residual <= _residual_threshold(M_new, N_new)):
+        new_pair = DualPair(M_new, N_new, residual, pair.k_prime_t)
+    else:
+        new_pair = _verified(M_new, N_new, tol, "perturbed pair")
     relative = norm_delta_n / float(np.linalg.norm(s1_stack(N)))
     bound = 2.0 / theta.theta2 * applied
     return PerturbReport(

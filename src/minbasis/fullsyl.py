@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputFormatError, PreconditionError, PropertyViolationError
+from .errors import InputFormatError, PreconditionError
 from .polymat import PolyMat
 from .sylvester import (
-    _HR, _block_count, _implied_full_rank, _require_wide, clearance, memoized,
-    singular_values, stacked_ranks, sylvester_array, sylvester_rank,
+    _block_count, _require_wide, clearance, memoized, singular_values,
+    stacked_ranks, sylvester_array, sylvester_rank,
 )
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "has_full_sylvester_rank",
     "decisive_rank_tests",
     "predicted_minimal_indices",
-    "index_sum_check",
     "genericity_experiment",
     "sample_full_sylvester",
     "sample_polymat",
@@ -113,21 +112,6 @@ def _require_full_sylvester(M: PolyMat, tol: float | None, what: str) -> FullSyl
     return report
 
 
-def _implied_minimal(M: PolyMat, tol: float | None) -> bool:
-    """Whether the full-rank verdicts M inherited (see
-    ``sylvester.perturbed_with_memo``) show a leading coefficient of full row
-    rank and the property.  M is then a minimal basis, as its certificate
-    would find (see ``minimal._full_sylvester_profile``).  Factors nothing;
-    False decides nothing."""
-    m, q, d = M.rows, M.cols, M.degree_bound
-    if not (_implied_full_rank(M, _HR, tol) and m < q and d >= 1
-            and M.coeffs[-1].any(axis=1).all()):
-        return False
-    # Each decisive test asks for the full rank min(shape) of its S_k.
-    tests = decisive_rank_tests(kprime_t(m, q - m, d), m, q, d)
-    return all(_implied_full_rank(M, k, tol) for k, _, _ in tests)
-
-
 def _property_report(M: PolyMat, tol: float | None) -> FullSylReport:
     _require_wide(M, "property", graded=True)
     m, q, d = M.rows, M.cols, M.degree_bound
@@ -153,20 +137,6 @@ def _property_report(M: PolyMat, tol: float | None) -> FullSylReport:
         margin=float(margin),
         tolerance_used=tol_used,
     )
-
-
-def index_sum_check(M: PolyMat, tol: float | None = None) -> bool:
-    """Assert that the right minimal indices sum to m*d (Index Sum consequence)."""
-    from .minimal import right_minimal_indices  # minimal imports this module
-
-    _require_full_sylvester(M, tol, "index_sum_check")
-    total = sum(right_minimal_indices(M, tol=tol))
-    expected = M.rows * M.degree_bound
-    if total != expected:
-        raise PropertyViolationError(
-            f"minimal indices sum to {total}, expected {expected}"
-        )
-    return True
 
 
 # -- random sampling -------------------------------------------------------------

@@ -67,12 +67,12 @@ def build_lification(K: PolyMat, M: PolyMat, tol: float | None = None) -> Lifica
             "k' would not be an integer"
         )
     # With n dividing m*ell, t = n*k' - m*ell is 0: all indices are equal.
-    report = _require_full_sylvester(M, tol, "build_lification")
+    _require_full_sylvester(M, tol, "build_lification")
     pair = dual_minimal_basis(M, tol)
     P = poly_multiply_transpose(K, pair.N)
     L = vstack_polymats([K, M])
     return Lification(
-        K=K, M=M, L=L, N=pair.N, P=P, k_prime=report.k_prime_t.k_prime, ell=ell,
+        K=K, M=M, L=L, N=pair.N, P=P, k_prime=pair.k_prime_t.k_prime, ell=ell,
         pair=pair,
     )
 

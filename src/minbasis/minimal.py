@@ -18,9 +18,10 @@ from .errors import (
     NotFullNormalRankError,
     NumericalInconsistencyError,
     PreconditionError,
+    PropertyViolationError,
     LeadingCoefficientError,
 )
-from .fullsyl import has_full_sylvester_rank
+from .fullsyl import _require_full_sylvester, has_full_sylvester_rank
 from .polymat import PolyMat, evaluate, row_degrees
 from .sylvester import (
     RankDecision,
@@ -40,6 +41,7 @@ __all__ = [
     "ClassicalCheck",
     "rank_profile",
     "right_minimal_indices",
+    "index_sum_check",
     "indices_from_profile",
     "minimal_index_sum",
     "certify_minimal_basis",
@@ -338,6 +340,18 @@ def right_minimal_indices(
             f"recovered {len(indices)} right minimal indices, expected {n}"
         )
     return indices
+
+
+def index_sum_check(M: PolyMat, tol: float | None = None) -> bool:
+    """Assert that the right minimal indices sum to m*d (Index Sum consequence)."""
+    _require_full_sylvester(M, tol, "index_sum_check")
+    total = sum(right_minimal_indices(M, tol=tol))
+    expected = M.rows * M.degree_bound
+    if total != expected:
+        raise PropertyViolationError(
+            f"minimal indices sum to {total}, expected {expected}"
+        )
+    return True
 
 
 def minimal_index_sum(profile: RankProfile, m: int) -> int:

@@ -8,13 +8,10 @@ values are computed once per matrix, a right nullspace basis (by QR, as only
 S_k of full row rank have it taken) once a caller first asks for it, and the
 memo is freed with the matrix.  It never keeps the factored arrays.  The memo
 also keeps the reports built from those decisions that ``memoized`` is asked
-to keep.  A perturbation that ``perturbed_with_memo`` builds may also
-hold full-rank verdicts that Weyl's inequality implies from its parent's
-singular values; only ``_implied_full_rank`` reads them, so every rank
-decision, singular value and report still comes from the matrix's own
-factorization.  A few helpers factor the other constant matrices:
-orthogonal complements, minimum-norm solves and nearest lower-rank
-matrices.
+to keep.  ``weyl_full_rank`` reads a parent's memo to bound the ranks of a
+perturbation of it and writes nothing.  A few helpers factor the other
+constant matrices: orthogonal complements, minimum-norm solves and nearest
+lower-rank matrices.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import InputFormatError, NumericalInconsistencyError, ShapeError
-from .polymat import PolyMat, add, highest_row_degree_matrix, row_degrees
+from .polymat import PolyMat, highest_row_degree_matrix, row_degrees
 
 __all__ = [
     "RankDecision",
@@ -43,7 +40,7 @@ __all__ = [
     "full_leading_rank",
     "sylvester_singular_values",
     "sylvester_nullspace",
-    "perturbed_with_memo",
+    "weyl_full_rank",
 ]
 
 
@@ -295,48 +292,36 @@ def _memo_rank(P: PolyMat, key: int | str, tol: float | None) -> RankDecision:
     return dec
 
 
-# Memo key prefix of an inherited full-rank verdict, (_IMPLIED, key, tol).
-_IMPLIED = "implied"
+def weyl_full_rank(P: PolyMat, child: PolyMat, keys: list, eta: float, tol: float | None) -> bool:
+    """Whether P's memo and Weyl's inequality show full rank at ``tol`` for
+    S_k(child) at each key k of ``keys`` and, at the key "hr", for child's
+    highest-row-degree matrix; ``eta`` must bound the spectral norm of
+    ``s1_stack(child - P)``.  Factors nothing; False decides nothing.
 
-
-def perturbed_with_memo(P: PolyMat, delta: PolyMat, eta: float, tol: float | None) -> PolyMat:
-    """``add(P, delta)``, its memo holding the full-rank verdicts at ``tol``
-    that P's memo and Weyl's inequality imply, without a factorization;
-    ``eta`` must bound the spectral norm of ``s1_stack(delta)``.
-
-    S_k(P + delta) - S_k(P) = S_k(delta) has norm at most sqrt(k) * eta, so
-    sigma_i(S_k(P + delta)) >= sigma_i(S_k(P)) - sqrt(k) * eta and sigma_1
-    is at most sigma_1(S_k(P)) + sqrt(k) * eta (Stewart and Sun, Matrix
-    Perturbation Theory, 1990).  With unchanged row degrees the highest-row-
-    degree matrices differ by rows of ``s1_stack(delta)``, by at most eta.
-    A matrix whose singular values P's memo holds is implied to have full
-    rank when the lower bound of its smallest singular value clears the
-    upper bound of the threshold by the gap of a decision that is not
-    marginal, and an explicit ``tol`` is at least the upper bound of the
-    round-off floor.  Only ``_implied_full_rank`` reads these verdicts.
+    S_k(child - P) has norm at most sqrt(k) * eta, so no singular value of
+    S_k(child) is farther than that from the same one of S_k(P) (Stewart and
+    Sun, Matrix Perturbation Theory, 1990).  With unchanged row degrees the
+    highest-row-degree matrices differ by rows of ``s1_stack(child - P)``,
+    by at most eta.  A key passes when P's memo holds its singular values,
+    the lower bound of the smallest clears the upper bound of the threshold
+    by the gap of a decision that is not marginal, and an explicit ``tol``
+    is at least the upper bound of the round-off floor.
     """
-    child = add(P, delta)
-    for key, entry in P._sylvester_memo.items():
-        if isinstance(key, tuple):  # a report or an inherited verdict
-            continue
+    for key in keys:
+        entry = P._sylvester_memo.get(key)
+        if entry is None:
+            return False
         if key != _HR:
             shift = math.sqrt(key) * eta
         elif row_degrees(child) == row_degrees(P):
             shift = eta
         else:
-            continue
+            return False
         floor = float(default_tolerance(entry.shape, entry.sv[0] + shift))
         tau = floor if tol is None else float(tol)
-        if 0 < tau and floor <= tau and MARGINAL_GAP * tau <= entry.sv[-1] - shift:
-            child._sylvester_memo[(_IMPLIED, key, tol)] = True
-    return child
-
-
-def _implied_full_rank(P: PolyMat, key: int | str, tol: float | None) -> bool:
-    """Whether ``perturbed_with_memo`` found that S_k(P) for key k, or P's
-    highest-row-degree matrix for key "hr", has full rank at ``tol``.
-    Factors nothing; False decides nothing."""
-    return (_IMPLIED, key, tol) in P._sylvester_memo
+        if not (0 < tau and floor <= tau and MARGINAL_GAP * tau <= entry.sv[-1] - shift):
+            return False
+    return True
 
 
 def memoized(P: PolyMat, name: str, tol: float | None, compute: Callable[[], _T]) -> _T:

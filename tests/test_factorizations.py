@@ -139,15 +139,18 @@ def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch)
     keys = [c.key for c in calls if c.kind == "svd" and c.key is not None]
     assert keys and len(keys) == len(set(keys))
     # t = 0: the dual comes from the nullspace of S_{k'+1} alone, one complete
-    # QR, which build_lification then reads from M's memo: it factors no S_k.
+    # QR.  M's memo keeps the pair, which build_lification reads back: it
+    # factors nothing at all.
     assert _qr_of(dual, M) == [(kp + 1, "complete")]
     assert _qr_of(perturb + backward, M) == []
-    assert not [c for c in lify if c.kind == "qr" or c.key is not None]
+    assert lif.pair is pair
+    assert lify == []
     # One reduced QR per correction system, here only the degree-k' one.
     assert _qr_of(perturb, report.perturbed_pair.M) == [(kp + 1, "reduced")]
     assert [c.kind for c in perturb if c.kind == "qr"] == ["qr"]
-    # Inside the admissible radius M + delta inherits its rank decisions from
-    # M's memo: no SVD of its S_k or its highest-row-degree matrix runs.
+    # Inside the admissible radius the rank decisions on M + delta come from
+    # M's memo by Weyl's inequality: no SVD of its S_k or its highest-row-
+    # degree matrix runs.
     assert svds_of(perturb + backward, report.perturbed_pair.M,
                     be.perturbation.perturbed_pair.M) == []
 
@@ -174,7 +177,7 @@ def test_dual_and_perturbation_with_t_positive_factor_by_qr(monkeypatch):
     duals = {id(pair.N), id(report.perturbed_pair.N)}
     assert not [c for c in calls if c.key is not None and c.key[0] in duals]
     # Both decisive tests of M + delta, S_2 and S_3, and its highest-row-
-    # degree matrix are inherited from M's memo: no SVD of them runs.
+    # degree matrix are decided from M's memo: no SVD of them runs.
     assert svds_of(perturb, report.perturbed_pair.M) == []
 
 
@@ -267,3 +270,31 @@ def test_only_sylvester_py_factors_a_matrix():
     }
     assert found == {}
     assert _linalg_uses(ast.parse((package / "sylvester.py").read_text(encoding="utf-8")))
+
+
+def test_only_sylvester_py_reads_or_writes_the_memo():
+    # polymat.py declares the memo field of a PolyMat; every read and write
+    # of it is in sylvester.py, so no other module can store on a matrix a
+    # verdict that its own factorization did not give.
+    package = Path(mb.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py"))}
+    assert {name for name, text in sources.items() if "_sylvester_memo" in text} == {
+        "polymat.py", "sylvester.py"}
+    assert {name for name, text in sources.items()
+            if any(isinstance(node, ast.Attribute) and node.attr == "_sylvester_memo"
+                   for node in ast.walk(ast.parse(text)))} == {"sylvester.py"}
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 2)], ids=["t0", "t1"])
+def test_a_perturbed_pair_starts_with_empty_memos(shape):
+    # Inside the admissible radius the pair is decided from the parents'
+    # memos alone: nothing is factored for, or stored on, M + delta or
+    # N + delta_N.
+    M = mb.sample_full_sylvester(*shape, seed=5)
+    pair = mb.dual_minimal_basis(M)
+    delta = random_perturbation(M, 0.5 * admissible_radius(M, pair.N),
+                                np.random.default_rng(6))
+    new = mb.propagate_perturbation(pair, delta).perturbed_pair
+    assert new.is_valid
+    assert new.M._sylvester_memo == {} and new.N._sylvester_memo == {}

@@ -10,12 +10,12 @@ from minbasis.fullsyl import (
     decisive_rank_tests,
     genericity_experiment,
     has_full_sylvester_rank,
-    index_sum_check,
     kprime_t,
     predicted_minimal_indices,
     sample_full_sylvester,
     sample_polymat,
 )
+from minbasis.minimal import index_sum_check
 
 from helpers import example1, example3, flat_1311
 

@@ -1,8 +1,8 @@
-"""Full-rank verdicts M + delta inherits from its parent's memo by Weyl's
-inequality inside the admissible radius.  Each is checked against the SVD
-of a fresh matrix with the same coefficients, every public result on the
-perturbed pair against the same call on fresh matrices, and the spy checks
-which factorizations the inheritance saves."""
+"""Full-rank verdicts on M + delta that ``weyl_full_rank`` draws from the
+parent's memo by Weyl's inequality inside the admissible radius.  Each is
+checked against the SVD of a fresh matrix with the same coefficients, every
+public result on the perturbed pair against the same call on fresh
+matrices, and the spy checks which factorizations the bounds save."""
 
 import numpy as np
 import pytest
@@ -10,16 +10,15 @@ import pytest
 import minbasis as mb
 import minbasis.dual as dual_module
 from minbasis.dual import admissible_radius
-from minbasis.polymat import PolyMat, add
+from minbasis.polymat import PolyMat, add, s1_stack
 from minbasis.sylvester import (
-    _implied_full_rank,
     highest_row_degree_rank,
-    perturbed_with_memo,
     singular_values,
     sylvester,
     sylvester_nullspace,
     sylvester_rank,
     sylvester_singular_values,
+    weyl_full_rank,
 )
 
 from helpers import LinalgSpy, random_perturbation, svds_of
@@ -43,20 +42,20 @@ def _case(shape, fraction):
 
 
 def _svd_path(monkeypatch, pair, delta, tol=None):
-    """The propagation with every verdict on the perturbed pair factored:
-    ``perturbed_with_memo`` replaced by a plain ``add``."""
+    """The propagation with every check on the perturbed pair factored:
+    ``weyl_full_rank`` patched to decide nothing."""
     with monkeypatch.context() as patch:
-        patch.setattr(dual_module, "perturbed_with_memo",
-                      lambda P, dP, eta, tol: add(P, dP))
+        patch.setattr(dual_module, "weyl_full_rank", lambda *args: False)
+        spy = LinalgSpy(patch)
         report = mb.propagate_perturbation(pair, delta, tol)
-    assert not _implied_full_rank(report.perturbed_pair.M, "hr", tol)
+        assert svds_of(spy.take(), report.perturbed_pair.M) != []
     return report
 
 
-def _implied_keys(P):
-    """The keys whose full rank P inherited, at the default tolerance."""
-    return [key[1] for key in P._sylvester_memo
-            if isinstance(key, tuple) and key[0] == "implied" and key[2] is None]
+def _same_pair(a, b):
+    return (a.residual, a.k_prime_t, a.is_valid, a.failures) == (
+        b.residual, b.k_prime_t, b.is_valid, b.failures) and all(
+        np.array_equal(x.coeffs, y.coeffs) for x, y in ((a.M, b.M), (a.N, b.N)))
 
 
 def _decision(P, key):
@@ -71,18 +70,24 @@ def test_bound_path_agrees_with_the_svd_path(shape, fraction, monkeypatch):
     new = report.perturbed_pair
     fresh = mb.verify_duality(PolyMat(new.M.coeffs), PolyMat(new.N.coeffs))
     assert (new.is_valid, new.failures) == (fresh.is_valid, fresh.failures) == (True, ())
+    assert new.residual == fresh.residual
     svd = _svd_path(monkeypatch, pair, delta)
+    assert _same_pair(new, svd.perturbed_pair)
     assert np.array_equal(report.delta_N.coeffs, svd.delta_N.coeffs)
     assert report.relative_change == svd.relative_change
     assert report.applied_norm == svd.applied_norm
-    # Every matrix whose singular values M's memo held is inherited by
-    # M + delta, and each inherited verdict is the full, not marginal,
-    # decision a fresh SVD takes.
-    assert sorted(map(str, _implied_keys(new.M))) == sorted(
-        str(key) for key in M._sylvester_memo if not isinstance(key, tuple))
-    for P in (new.M, new.N):
-        fresh_P = PolyMat(P.coeffs)
-        for key in _implied_keys(P):
+    # The bound holds for every matrix whose singular values M's memo holds,
+    # and each full-rank verdict it gives, on M + delta or N + delta_N, is
+    # the full, not marginal, decision a fresh SVD takes.
+    norm_delta_n = float(np.linalg.norm(s1_stack(report.delta_N)))
+    keys = [key for key in M._sylvester_memo if not isinstance(key, tuple)]
+    for parent, child, eta in ((M, new.M, report.applied_norm),
+                               (pair.N, new.N, norm_delta_n)):
+        passed = [key for key in keys if weyl_full_rank(parent, child, [key], eta, None)]
+        if parent is M:
+            assert passed == keys
+        fresh_P = PolyMat(child.coeffs)
+        for key in passed:
             measured = _decision(fresh_P, key)
             assert measured.rank == len(measured.singular_values)
             assert not measured.marginal
@@ -93,9 +98,9 @@ def test_bound_path_agrees_with_the_svd_path(shape, fraction, monkeypatch):
 def test_public_results_on_the_perturbed_pair_equal_those_on_fresh_matrices(
     shape, fraction
 ):
-    # Inherited verdicts hold no spectrum: every decision, report, radius and
-    # bound read from the perturbed pair is that of fresh matrices with the
-    # same coefficients, bit for bit, and so is a chained propagation.
+    # Nothing is stored on the perturbed pair: every decision, report, radius
+    # and bound read from it is that of fresh matrices with the same
+    # coefficients, bit for bit, and so is a chained propagation.
     M, pair, delta = _case(shape, fraction)
     new = mb.propagate_perturbation(pair, delta).perturbed_pair
     fresh = mb.verify_duality(PolyMat(new.M.coeffs), PolyMat(new.N.coeffs))
@@ -131,7 +136,7 @@ def test_perturbed_M_is_decided_without_an_svd(shape, fraction, monkeypatch):
     spy = LinalgSpy(monkeypatch)
     report = mb.propagate_perturbation(pair, delta)
     assert svds_of(spy.take(), report.perturbed_pair.M) == []
-    assert _implied_full_rank(report.perturbed_pair.M, "hr", None)
+    assert weyl_full_rank(M, report.perturbed_pair.M, ["hr"], report.applied_norm, None)
     if pair.k_prime_t.t == 0:
         rng = np.random.default_rng(5)
         K = random_perturbation(PolyMat(np.zeros((d + 1, 2, m + n),
@@ -146,8 +151,9 @@ def test_perturbed_M_is_decided_without_an_svd(shape, fraction, monkeypatch):
                          ids=["t0", "t1"])
 def test_an_inconclusive_bound_falls_back_to_the_svd(shape, monkeypatch):
     # A tolerance between sigma_min(S_k')/2 and sigma_min(S_k') leaves a gap
-    # below 2 at S_k': a decision there would be marginal, so nothing is
-    # inherited for S_k', which is factored and decides as on the SVD path.
+    # below 2 at S_k': a decision there would be marginal, so the bound
+    # decides nothing for S_k', which is factored and decides as on the SVD
+    # path.
     M, pair, delta = _case(shape, 0.1)
     kp = pair.k_prime_t.k_prime
     tol = 0.75 * float(sylvester_singular_values(M, kp)[-1])
@@ -155,18 +161,39 @@ def test_an_inconclusive_bound_falls_back_to_the_svd(shape, monkeypatch):
     report = mb.propagate_perturbation(pair, delta, tol)
     M_new = report.perturbed_pair.M
     assert (id(M_new), kp) in [c.key for c in spy.take("svd")]
-    assert not _implied_full_rank(M_new, kp, tol)
+    assert not weyl_full_rank(M, M_new, [kp], report.applied_norm, tol)
     svd = _svd_path(monkeypatch, pair, delta, tol)
-    assert report.perturbed_pair.is_valid == svd.perturbed_pair.is_valid
-    assert report.perturbed_pair.failures == svd.perturbed_pair.failures
+    assert _same_pair(report.perturbed_pair, svd.perturbed_pair)
     assert np.array_equal(report.delta_N.coeffs, svd.delta_N.coeffs)
+
+
+def test_a_bound_that_fails_for_N_alone_sends_the_pair_to_verify_duality(monkeypatch):
+    M, pair, delta = _case((3, 2, 2, "real"), 0.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(dual_module, "weyl_full_rank",
+                      lambda P, *args: P is not pair.N and weyl_full_rank(P, *args))
+        spy = LinalgSpy(patch)
+        new = mb.propagate_perturbation(pair, delta).perturbed_pair
+        assert [c for c in spy.take("svd") if c.hr_of == id(new.N)] != []
+    assert _same_pair(new, mb.propagate_perturbation(pair, delta).perturbed_pair)
+
+
+def test_a_residual_above_the_threshold_fails_the_pair(monkeypatch):
+    # With delta_N forced to 0 every bound passes, N + delta_N being N, and
+    # only the residual check stops the pair.
+    M, pair, delta = _case((3, 2, 2, "real"), 0.5)
+    monkeypatch.setattr(dual_module, "_min_norm_solve",
+                        lambda A, B: np.zeros((A.shape[1], B.shape[1])))
+    with pytest.raises(mb.NumericalInconsistencyError, match="duality residual"):
+        mb.propagate_perturbation(pair, delta)
 
 
 def test_reading_a_decision_of_a_perturbed_matrix_factors_it(monkeypatch):
     M, pair, delta = _case((3, 2, 2, "real"), 0.5)
     kp = pair.k_prime_t.k_prime
-    M_new = mb.propagate_perturbation(pair, delta).perturbed_pair.M
-    assert _implied_full_rank(M_new, kp, None)
+    report = mb.propagate_perturbation(pair, delta)
+    M_new = report.perturbed_pair.M
+    assert weyl_full_rank(M, M_new, [kp], report.applied_norm, None)
     measured = sylvester_rank(PolyMat(M_new.coeffs), kp)
     spy = LinalgSpy(monkeypatch)
     assert sylvester_rank(M_new, kp) == measured
@@ -178,37 +205,51 @@ def test_reading_a_decision_of_a_perturbed_matrix_factors_it(monkeypatch):
     assert np.abs(sylvester(M_new, kp + 1) @ null).max() < 1e-12
 
 
-def test_changed_row_degrees_leave_the_highest_row_degree_matrix_unseeded():
+def test_changed_row_degrees_block_the_highest_row_degree_bound():
     # Row 1 of M has degree 0 and delta gives it degree 1, so the highest-row-
-    # degree matrix of M + delta is not near M's: only S_1 is inherited.
+    # degree matrix of M + delta is not near M's: only S_1 passes.
     M = PolyMat(np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
                           [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]]))
     assert highest_row_degree_rank(M).rank == 2
     assert sylvester_rank(M, 1).rank == 3
     raised = np.zeros((2, 2, 3))
     raised[1, 1, 0] = 1e-9
-    child = perturbed_with_memo(M, PolyMat(raised), 1e-9, None)
-    assert _implied_full_rank(child, 1, None)
-    assert not _implied_full_rank(child, "hr", None)
+    child = add(M, PolyMat(raised))
+    assert weyl_full_rank(M, child, [1], 1e-9, None)
+    assert not weyl_full_rank(M, child, ["hr"], 1e-9, None)
+    assert not weyl_full_rank(M, child, [1, "hr"], 1e-9, None)
     assert highest_row_degree_rank(child).singular_values[-1] == pytest.approx(1e-9)
 
 
-def test_no_key_is_seeded_beyond_the_bound():
-    # A perturbation size of sigma_min(S_1) certifies no rank of S_1, and a
-    # verdict is kept only at the tolerance it was found for.
+def test_no_key_passes_beyond_the_bound():
+    # A perturbation size of sigma_min(S_1) certifies no rank of S_1; with
+    # zero shift the bound decides at the default tolerance, and at an
+    # explicit one only above the round-off floor and below sigma_min / 1e3.
     M = mb.sample_full_sylvester(1, 3, 1, seed=2)
-    sigma = float(sylvester_singular_values(M, 1)[-1])
-    child = perturbed_with_memo(M, mb.scale(M, 0.0), sigma, None)
-    assert not _implied_full_rank(child, 1, None)
-    child = perturbed_with_memo(M, mb.scale(M, 0.0), 0.0, None)
-    assert _implied_full_rank(child, 1, None)
-    assert not _implied_full_rank(child, 1, 1e-12)
+    sv = sylvester_singular_values(M, 1)
+    child = add(M, mb.scale(M, 0.0))
+    assert not weyl_full_rank(M, child, [1], float(sv[-1]), None)
+    assert weyl_full_rank(M, child, [1], 0.0, None)
+    assert weyl_full_rank(M, child, [1], 0.0, 1e-12)
+    assert not weyl_full_rank(M, child, [1], 0.0, 1e-300)
+    assert not weyl_full_rank(M, child, [1], 0.0, 1.01e-3 * float(sv[-1]))
 
 
-def test_a_zero_matrix_inherits_nothing():
+def test_a_key_missing_from_the_parents_memo_passes_nothing():
+    # The sampler factored S_1 of M and nothing else.
+    M = mb.sample_full_sylvester(1, 3, 1, seed=2)
+    child = add(M, mb.scale(M, 0.0))
+    assert not weyl_full_rank(M, child, ["hr"], 0.0, None)
+    assert not weyl_full_rank(M, child, [1, 2], 0.0, None)
+    assert weyl_full_rank(M, child, [1], 0.0, None)
+    highest_row_degree_rank(M)
+    assert weyl_full_rank(M, child, [1, "hr"], 0.0, None)
+
+
+def test_a_zero_matrix_passes_nothing():
     M = PolyMat(np.zeros((2, 1, 3)))
     assert highest_row_degree_rank(M).rank == 0
     assert sylvester_rank(M, 1).rank == 0
-    child = perturbed_with_memo(M, M, 0.0, None)
-    assert not _implied_full_rank(child, 1, None)
-    assert not _implied_full_rank(child, "hr", None)
+    child = add(M, M)
+    assert not weyl_full_rank(M, child, [1], 0.0, None)
+    assert not weyl_full_rank(M, child, ["hr"], 0.0, None)
