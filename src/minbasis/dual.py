@@ -162,12 +162,14 @@ def dual_minimal_basis(M: PolyMat, tol: float | None = None) -> DualPair:
     The t rows of degree k'-1 come from the nullspace of the k'-th Sylvester
     matrix; the remaining n-t rows of degree k' come from the nullspace of
     the next one, orthogonalized against both one-step shifts of the
-    lower-degree rows.  The result is certified and kept in M's memo.
+    lower-degree rows.  The result is certified.  M's memo keeps its N,
+    residual and (k', t), not the pair: through the pair the memo would
+    reference M, which would then outlive its last outside reference.
     """
-    return memoized(M, "dual", tol, lambda: _extracted_dual(M, tol))
+    return DualPair(M, *memoized(M, "dual", tol, lambda: _extracted_dual(M, tol)))
 
 
-def _extracted_dual(M: PolyMat, tol: float | None) -> DualPair:
+def _extracted_dual(M: PolyMat, tol: float | None) -> tuple[PolyMat, float, KPrimeT]:
     report = _require_full_sylvester(M, tol, "dual_minimal_basis")
     m, q, d = M.rows, M.cols, M.degree_bound
     n = q - m
@@ -192,7 +194,8 @@ def _extracted_dual(M: PolyMat, tol: float | None) -> DualPair:
             )
         big = big @ coords
     coeffs[:, t:] = _fix_phases(big).reshape(kp + 1, q, n - t).transpose(0, 2, 1)
-    return _verified(M, PolyMat(coeffs), tol, "extracted dual basis")
+    pair = _verified(M, PolyMat(coeffs), tol, "extracted dual basis")
+    return pair.N, pair.residual, pair.k_prime_t
 
 
 # -- perturbation propagation ---------------------------------------------------

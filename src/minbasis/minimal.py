@@ -9,8 +9,8 @@ the sum of its row degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -118,12 +118,32 @@ def _evaluation_rank(M: PolyMat, tol: float | None) -> int:
     return memoized(M, "normal_rank", tol, probe)
 
 
-def _alphas_from_nullities(nullities: tuple[int, ...]) -> tuple[int, ...]:
-    # alpha_0 = n_1, alpha_k = n_{k+1} - 2 n_k + n_{k-1}; needs n up to K.
-    full = (0,) + nullities
-    return tuple(
-        full[k + 1] - 2 * full[k] + full[k - 1] if k >= 1 else full[1]
-        for k in range(len(nullities))
+def _profile(M: PolyMat, ranks: list[int], normal_rank: int, stopped: bool,
+             decisions: Sequence[RankDecision], tol: float | None) -> RankProfile:
+    """The profile of the ranks r_1, r_2, ... of M's Sylvester matrices, with
+    M's normal rank and the ``decisions`` at ``tol`` the ranks rest on.
+
+    ``stopped`` says the last rank increment is m, so d' = len(ranks) - 1
+    when the normal rank is full; only then are the index counts
+    alpha_0 = n_1, alpha_k = n_{k+1} - 2 n_k + n_{k-1} read off the
+    nullities n_k = kq - r_k.
+    """
+    m, q = M.rows, M.cols
+    full = normal_rank >= m
+    d_prime = len(ranks) - 1 if stopped and full else None
+    n = (0,) + tuple(k * q - r for k, r in enumerate(ranks, start=1))
+    alphas = () if d_prime is None else (n[1],) + tuple(
+        n[k + 1] - 2 * n[k] + n[k - 1] for k in range(1, len(ranks))
+    )
+    return RankProfile(
+        ranks=tuple(ranks),
+        nullities=n[1:],
+        alphas=alphas,
+        d_prime=d_prime,
+        normal_rank_full=full,
+        stabilized_increment=None if full else normal_rank,
+        decisions=tuple(decisions),
+        tolerance=tol,
     )
 
 
@@ -144,19 +164,9 @@ def _full_sylvester_profile(M: PolyMat, tol: float | None) -> RankProfile | None
     if not report.has_full_sylvester_rank:
         return None
     m, q, d = M.rows, M.cols, M.degree_bound
-    k_prime = report.k_prime_t.k_prime
-    ranks = tuple(min((k + d) * m, k * q) for k in range(1, k_prime + 2))
-    nullities = tuple(k * q - r for k, r in enumerate(ranks, start=1))
-    return RankProfile(
-        ranks=ranks,
-        nullities=nullities,
-        alphas=_alphas_from_nullities(nullities),
-        d_prime=k_prime,
-        normal_rank_full=True,
-        stabilized_increment=None,
-        decisions=tuple(sylvester_rank(M, c.k, tol) for c in report.checked_ranks),
-        tolerance=tol,
-    )
+    ranks = [min((k + d) * m, k * q) for k in range(1, report.k_prime_t.k_prime + 2)]
+    decisions = [sylvester_rank(M, c.k, tol) for c in report.checked_ranks]
+    return _profile(M, ranks, m, True, decisions, tol)
 
 
 def _index_sum_jump(
@@ -213,48 +223,37 @@ def _scan(
     rank_at: Callable[[int], int],
     normal_rank: Callable[[], int],
     jump: Callable[[], list[int] | None] | None = None,
+    decisions: Sequence[RankDecision] = (),
+    tol: float | None = None,
 ) -> RankProfile:
     """The rank scan shared by the floating-point and the exact profile.
 
     ``rank_at(k)`` is the rank of S_k and ``normal_rank()`` the normal rank
-    of M; the profile's ``decisions`` and ``tolerance`` are left empty.
-    ``jump()``, called after each rank that does not stop the scan, may end
-    it early with the whole rank list up to d'+1, or return None to go on.
+    of M; ``decisions`` (read once the scan ends) and ``tol`` go into the
+    profile as they are.  ``jump()``, called after each rank that does not
+    stop the scan, may end it early with the whole rank list up to d'+1, or
+    return None to go on.
     """
-    m, q = M.rows, M.cols
+    m = M.rows
     cap = _block_count(k_max, "scan cap") if k_max is not None else m * M.degree_bound + 2
     ranks: list[int] = []
-    d_prime = None
+    stopped = False
     prev = 0
     for k in range(1, cap + 1):
         ranks.append(rank_at(k))
         if ranks[-1] - prev == m:
-            d_prime = k - 1
+            stopped = True
             break
         prev = ranks[-1]
         implied = jump() if jump is not None else None
         if implied is not None:
-            ranks, d_prime = implied, len(implied) - 1
+            ranks, stopped = implied, True
             break
 
     # Normal rank guards a stop against a transient m-increment of a rank-
     # deficient input; without a stop, it tells a scan truncated by a small
     # user cap (full rank) from increments that stabilized below m.
-    rank = normal_rank()
-    normal_rank_full = rank >= m
-    if not normal_rank_full:
-        d_prime = None
-    nullities = tuple(k * q - r for k, r in enumerate(ranks, start=1))
-    return RankProfile(
-        ranks=tuple(ranks),
-        nullities=nullities,
-        alphas=_alphas_from_nullities(nullities) if d_prime is not None else (),
-        d_prime=d_prime,
-        normal_rank_full=normal_rank_full,
-        stabilized_increment=None if normal_rank_full else rank,
-        decisions=(),
-        tolerance=None,
-    )
+    return _profile(M, ranks, normal_rank(), stopped, decisions, tol)
 
 
 def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None) -> RankProfile:
@@ -293,14 +292,15 @@ def _float_scan(M: PolyMat, k_max: int | None, tol: float | None) -> RankProfile
         decisions.append(sylvester_rank(M, k, tol))
         return decisions[-1].rank
 
-    profile = _scan(
+    return _scan(
         M,
         k_max,
         rank_at,
         lambda: _evaluation_rank(M, tol),
         (lambda: _index_sum_jump(M, tol, decisions)) if k_max is None else None,
+        decisions,
+        tol,
     )
-    return replace(profile, decisions=tuple(decisions), tolerance=tol)
 
 
 def indices_from_profile(profile: RankProfile) -> list[int]:
@@ -355,23 +355,11 @@ def index_sum_check(M: PolyMat, tol: float | None = None) -> bool:
 
 
 def minimal_index_sum(profile: RankProfile, m: int) -> int:
-    """Sum of the right minimal indices, computed as r_{d'} - m*d'.
-
-    Cross-computes the nullity form n*d' - n_{d'} and insists the two agree.
-    """
+    """Sum of the right minimal indices, computed as r_{d'} - m*d'."""
     if profile.d_prime is None:
         raise PreconditionError("profile has no stopping index d'")
     dp = profile.d_prime
-    r_dp = profile.ranks[dp - 1] if dp >= 1 else 0
-    n_dp = profile.nullities[dp - 1] if dp >= 1 else 0
-    n = (profile.ranks[0] + profile.nullities[0]) - m
-    by_rank = r_dp - m * dp
-    by_nullity = n * dp - n_dp
-    if by_rank != by_nullity:
-        raise NumericalInconsistencyError(
-            f"degree-sum formulas disagree: r-form {by_rank}, n-form {by_nullity}"
-        )
-    return by_rank
+    return (profile.ranks[dp - 1] if dp >= 1 else 0) - m * dp
 
 
 @dataclass(frozen=True)

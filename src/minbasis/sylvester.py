@@ -4,12 +4,12 @@ for a Frobenius or Euclidean norm.
 
 Every rank or singular-value read of a Sylvester matrix S_k(P) and of P's
 highest-row-degree matrix goes through a memo held by P itself: singular
-values are computed once per matrix, a right nullspace basis (by QR, as only
-S_k of full row rank have it taken) once a caller first asks for it, and the
-memo is freed with the matrix.  It never keeps the factored arrays.  The memo
-also keeps the reports built from those decisions that ``memoized`` is asked
-to keep.  ``weyl_full_rank`` reads a parent's memo to bound the ranks of a
-perturbation of it and writes nothing.  A few helpers factor the other
+values are computed once per matrix, and the memo is freed with the matrix.
+It never keeps the factored arrays or a nullspace basis (a QR of S_k^H, taken
+only of S_k of full row rank).  The memo also keeps the reports built from
+those decisions that ``memoized`` is asked to keep.  ``weyl_full_rank`` reads
+a parent's memo to bound the ranks of a perturbation of it and writes
+nothing.  A few helpers factor the other
 constant matrices: orthogonal complements, minimum-norm solves and nearest
 lower-rank matrices.
 """
@@ -263,13 +263,11 @@ _HR = "hr"
 
 @dataclass(eq=False, slots=True)
 class _Factored:
-    """Memo entry for one matrix: its shape, descending singular values, an
-    orthonormal right nullspace basis once asked for, and the rank decisions
-    already taken, keyed by tolerance."""
+    """Memo entry for one matrix: its shape, descending singular values and
+    the rank decisions already taken, keyed by tolerance."""
 
     shape: tuple[int, int]
     sv: np.ndarray
-    null: np.ndarray | None = None
     decisions: dict = field(default_factory=dict)
 
 
@@ -344,21 +342,16 @@ def sylvester_nullspace(P: PolyMat, k: int, tol: float | None = None) -> np.ndar
 
     S_k(P) must have full row rank at ``tol``; then the nullspace is the
     orthogonal complement of its row space, that is of the columns of
-    S_k^H.  Computed once per matrix.
+    S_k^H.  Its rank decision comes from P's memo; the basis is not kept.
     """
     dec = sylvester_rank(P, k, tol)
-    entry = P._sylvester_memo[k]
-    rows = entry.shape[0]
+    rows = P._sylvester_memo[k].shape[0]
     if dec.rank < rows:
         raise NumericalInconsistencyError(
             f"S_{k} has rank {dec.rank} below its {rows} rows (nullity "
             f"{dec.nullity}); a QR nullspace needs full row rank"
         )
-    if entry.null is None:
-        null, _ = _complement(sylvester(P, k).conj().T)
-        entry.null = null.copy()  # not a view that keeps all of q
-        entry.null.flags.writeable = False
-    return entry.null
+    return _complement(sylvester(P, k).conj().T)[0]
 
 
 def sylvester_rank(P: PolyMat, k: int, tol: float | None = None) -> RankDecision:

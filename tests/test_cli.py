@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +76,26 @@ def test_analyze_invalid_json_syntax_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line" in err
+
+
+@pytest.mark.parametrize("fixture, code", [("ex1_file", 0), ("ex2_file", 1)],
+                         ids=["minimal", "not_minimal"])
+def test_the_cli_runs_as_its_own_process(request, fixture, code):
+    # ``python -m minbasis.cli`` in a fresh interpreter: the module entry
+    # point turns main()'s return value into the process exit code and
+    # prints one JSON report on stdout.
+    package_root = str(Path(mb.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "minbasis.cli", "certify", "--json", "--strict",
+         request.getfixturevalue(fixture)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["command"] == "certify"
+    assert report["results"]["is_minimal_basis"] is (code == 0)
 
 
 def test_certify_strict_exit_codes(capsys, ex1_file, ex2_file):

@@ -2,7 +2,9 @@
 matrix fails here even when it is too cheap to show in a benchmark."""
 
 import ast
+import gc
 import importlib.util
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import minbasis as mb
 from minbasis.dual import admissible_radius
 from minbasis.fullsyl import BLOCK_BYTES, decisive_rank_tests
 from minbasis.polymat import PolyMat
+from minbasis.sylvester import _Factored
 
 from helpers import Call, LinalgSpy, planted_indices, random_perturbation, svds_of
 
@@ -139,11 +142,11 @@ def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch)
     keys = [c.key for c in calls if c.kind == "svd" and c.key is not None]
     assert keys and len(keys) == len(set(keys))
     # t = 0: the dual comes from the nullspace of S_{k'+1} alone, one complete
-    # QR.  M's memo keeps the pair, which build_lification reads back: it
+    # QR.  M's memo keeps the dual, which build_lification reads back: it
     # factors nothing at all.
     assert _qr_of(dual, M) == [(kp + 1, "complete")]
     assert _qr_of(perturb + backward, M) == []
-    assert lif.pair is pair
+    assert lif.pair.N is pair.N
     assert lify == []
     # One reduced QR per correction system, here only the degree-k' one.
     assert _qr_of(perturb, report.perturbed_pair.M) == [(kp + 1, "reduced")]
@@ -298,3 +301,33 @@ def test_a_perturbed_pair_starts_with_empty_memos(shape):
     new = mb.propagate_perturbation(pair, delta).perturbed_pair
     assert new.is_valid
     assert new.M._sylvester_memo == {} and new.N._sylvester_memo == {}
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 2)], ids=["t0", "t1"])
+def test_a_matrix_is_freed_at_its_last_reference_after_its_dual(shape):
+    # M's memo keeps its dual's N, residual and (k', t), never a DualPair,
+    # which holds M: with no reference cycle M goes without the collector.
+    M = PolyMat(mb.sample_full_sylvester(*shape, seed=5).coeffs)
+    ref = weakref.ref(M)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert mb.dual_minimal_basis(M).is_valid
+        del M
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 2)], ids=["t0", "t1"])
+def test_the_memo_keeps_singular_values_but_no_nullspace(shape):
+    # The dual takes a QR nullspace of S_k' (t > 0) and of S_{k'+1}; the
+    # memo keeps their singular values and rank decisions, not the bases.
+    M = PolyMat(mb.sample_full_sylvester(*shape, seed=5).coeffs)
+    pair = mb.dual_minimal_basis(M)
+    kp = pair.k_prime_t.k_prime
+    entries = {key: v for key, v in M._sylvester_memo.items() if isinstance(v, _Factored)}
+    assert kp + 1 in entries
+    assert set(_Factored.__slots__) == {"shape", "sv", "decisions"}
+    assert all(entry.sv.ndim == 1 for entry in entries.values())

@@ -1,14 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import minbasis as mb
+from minbasis.fullsyl import kprime_t, predicted_minimal_indices
 from minbasis.minimal import (
     REASON_DEGREE_SUM,
     REASON_HR,
     ClassicalCheck,
+    _profile,
     certify_full_leading,
     certify_minimal_basis,
     classical_check,
+    indices_from_profile,
     minimal_index_sum,
     rank_profile,
     right_minimal_indices,
@@ -42,6 +47,20 @@ def test_rank_profile_example3():
     assert prof.nullities == (0, 0, 0, 0, 2)
     assert prof.d_prime == 4
     assert prof.alphas == (0, 0, 0, 0, 2)
+
+
+def test_the_profile_of_the_full_sylvester_ranks_is_the_predicted_one():
+    # Pure arithmetic, no SVD: the ranks min((k+d)m, kq) that full-Sylvester-
+    # rank forces up to k'+1 stop the scan there, encode t indices k'-1 and
+    # n-t indices k', and sum to m*d (the index sum theorem).
+    for m, n, d in itertools.product(range(1, 9), range(1, 9), range(1, 7)):
+        q, kp = m + n, kprime_t(m, n, d).k_prime
+        ranks = [min((k + d) * m, k * q) for k in range(1, kp + 2)]
+        assert [b - a for a, b in zip([0] + ranks, ranks)].index(m) == kp, (m, n, d)
+        profile = _profile(PolyMat(np.zeros((d + 1, m, q))), ranks, m, True, (), None)
+        assert profile.d_prime == kp
+        assert indices_from_profile(profile) == predicted_minimal_indices(m, n, d), (m, n, d)
+        assert minimal_index_sum(profile, m) == m * d, (m, n, d)
 
 
 def test_rank_profile_increments_non_increasing():
