@@ -6,8 +6,9 @@ indices, detects the generic full-Sylvester-rank property, computes
 robustness radii under coefficient perturbations, extracts and perturbs dual
 minimal bases with certified bounds, and evaluates the backward-error
 constant of strong l-ifications.  An exact rational oracle, built on the
-same Sylvester builder over numpy object arrays of ints and Fractions,
-cross-checks every floating-point rank decision at desk scale.
+same Sylvester builder over numpy object arrays of ints and Fractions and
+on modular elimination with a certified integer nullspace, cross-checks
+every floating-point rank decision at the float pipeline's sizes.
 """
 
 from .errors import (

@@ -1,7 +1,9 @@
 """Shared builders for the block-bidiagonal worked examples and random
-inputs, and a spy on the package's factorizations."""
+inputs, a reference exact nullspace, and a spy on the package's
+factorizations."""
 
 import sys
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -143,6 +145,32 @@ def planted_indices(epsilons, rng: np.random.Generator) -> PolyMat:
 
     U, V = unimodular(m), unimodular(q)
     return PolyMat(np.stack([U @ C @ V for C in L]))
+
+
+def fraction_nullspace(A) -> list[list[Fraction]]:
+    """Right nullspace basis of a matrix of ints or Fractions, one vector per
+    non-pivot column of its reduced row echelon form, by Gauss-Jordan
+    elimination over Fractions: the reference for ``exact_nullspace``."""
+    R = [[Fraction(x) for x in row] for row in A]
+    cols = len(R[0])
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        R[r] = [x / R[r][c] for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                R[i] = [x - R[i][c] * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = [[Fraction(int(c == f)) for c in range(cols)] for f in free]
+    for vec, f in zip(basis, free):
+        for i, c in enumerate(pivots):
+            vec[c] = -R[i][f]
+    return basis
 
 
 class Call(NamedTuple):

@@ -77,7 +77,7 @@ def _check_against_scan(M, monkeypatch):
         ref.degree_sum_expected, ref.degree_sum_observed
     )
     assert _same_profile(cert.profile, fast)
-    if M.field == "real" and M.rows * M.cols * M.degree_bound <= 100:  # desk size
+    if M.field == "real" and M.rows * M.cols * M.degree_bound <= 200:  # desk size
         assert _same_profile(mb.exact_rank_profile(M), fast)
     return fast
 

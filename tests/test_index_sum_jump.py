@@ -69,7 +69,7 @@ def test_jump_profile_matches_the_forced_scan(indices, seed):
     if profile.marginal:
         return
     assert mb.right_minimal_indices(M) == sorted(indices)
-    if M.rows * M.cols <= 60:  # desk size for the exact oracle
+    if M.rows * M.cols <= 200:  # desk size for the exact oracle
         exact = mb.exact_rank_profile(M)
         assert (exact.ranks, exact.d_prime, exact.normal_rank_full) == (
             profile.ranks, profile.d_prime, profile.normal_rank_full

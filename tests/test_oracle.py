@@ -1,9 +1,12 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import minbasis as mb
+from minbasis import oracle
 from minbasis.oracle import (
     exact_evaluate,
     exact_nullspace,
@@ -14,7 +17,34 @@ from minbasis.oracle import (
 from minbasis.polymat import PolyMat
 from minbasis.sylvester import rank_nullity, sylvester
 
-from helpers import common_factor_2x4, example1, example1_N, example2, example3, planted_indices
+from helpers import (
+    common_factor_2x4,
+    example1,
+    example1_N,
+    example2,
+    example3,
+    fraction_nullspace,
+    planted_indices,
+)
+
+# The kernel's first two primes: a residue test that only one of them fails
+# exercises the bad-prime path.
+P1, P2 = itertools.islice(oracle._primes(), 2)
+
+
+def _integers(vec) -> list[int]:
+    """A vector of ints, floats or Fractions times the lcm of its denominators."""
+    vec = [Fraction(x) for x in vec]
+    scale = math.lcm(*(x.denominator for x in vec))
+    return [int(x * scale) for x in vec]
+
+
+def _assert_null_vectors(A, basis, nullity):
+    """``basis`` has ``nullity`` vectors, each with A @ v == 0 in integers."""
+    assert len(basis) == nullity
+    rows = [_integers(row) for row in A]
+    for vec in map(_integers, basis):
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
 
 
 def test_exact_rank_worked_example_values():
@@ -67,6 +97,7 @@ def test_exact_rank_desk_scale_60x60():
     A = B @ C  # rank 40 with probability one
     exact = exact_rank(A.tolist())
     assert exact == rank_nullity(A.astype(float)).rank == 40
+    _assert_null_vectors(A.tolist(), exact_nullspace(A.tolist()), 20)
 
 
 def test_exact_nullspace_of_example1_s4_reproduces_dual():
@@ -218,3 +249,127 @@ def test_exact_rank_is_invariant_under_row_scaling():
 def test_exact_rank_rejects_bad_entries_and_shapes(A, where):
     with pytest.raises(mb.InputFormatError, match=where):
         exact_rank(A)
+
+
+def test_primes_are_every_prime_below_2_to_the_31_in_order():
+    def trial_division(n):
+        return all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+
+    first = list(itertools.islice(oracle._primes(), 20))
+    expected = [n for n in range(2**31 - 1, first[-1] - 1, -2) if trial_division(n)]
+    assert first == expected
+
+
+def test_a_prime_that_divides_every_maximal_minor_is_not_believed():
+    # diag(1, P1) has rank 1 modulo P1; the lift of its null vector (0, 1)
+    # fails the check over Z, and the next prime proves rank 2.
+    assert exact_rank([[1, 0], [0, P1]]) == 2
+    assert exact_nullspace([[1, 0], [0, P1]]) == []
+
+
+@pytest.mark.parametrize("p", [P1, P2], ids=["first_prime", "second_prime"])
+def test_a_bad_prime_with_a_later_pivot_column_is_skipped(p):
+    # Same rank modulo p, but pivot column 1 instead of 0.  The entry -1/p
+    # needs more than one good prime to lift, so with p = P2 the bad prime
+    # comes after the first good one and must not enter its CRT.
+    A = [[p, 1], [0, 0]]
+    assert exact_rank(A) == 1
+    basis = exact_nullspace(A)
+    assert basis == fraction_nullspace(A) == [[Fraction(-1, p), Fraction(1)]]
+    _assert_null_vectors(A, basis, 1)
+
+
+def test_exact_profile_with_a_row_times_the_first_prime():
+    # Every entry of that row of each S_k is 0 modulo P1, so the first prime
+    # undercounts every rank; a row scaling keeps the exact profile.
+    M = planted_indices((1, 2), np.random.default_rng(17))
+    coeffs = M.coeffs.copy()
+    coeffs[:, 0, :] *= P1
+    scaled = exact_rank_profile(PolyMat(coeffs))
+    floating = mb.rank_profile(M)
+    assert (scaled.ranks, scaled.d_prime, scaled.normal_rank_full) == (
+        floating.ranks, 2, True
+    )
+
+
+def test_rows_wider_than_63_bits():
+    # Integer rows a, b plus noise of size 1e-9, as in near_common_factor_2x4,
+    # have dyadic denominators near 2**82; with a + 3b / 7: rank 2, nullity 4.
+    rng = np.random.default_rng(23)
+    base = np.array([[1, 0, 2, 0, -1, 3], [0, 1, 1, 2, 0, -2]])
+    a, b = base + 1e-9 * rng.standard_normal((2, 6))
+    A = [list(a), list(b), [Fraction(x) + Fraction(3, 7) * Fraction(y) for x, y in zip(a, b)]]
+    wide = oracle._integer_rows(oracle._fraction_matrix(A))
+    assert max(abs(x) for x in wide.flat) > 2**63
+    assert exact_rank(A) == 2
+    basis = exact_nullspace(A)
+    assert basis == fraction_nullspace(A)
+    _assert_null_vectors(A, basis, 4)
+
+
+@pytest.mark.parametrize("A,rank", [
+    (np.zeros((3, 4), dtype=int), 0),
+    (np.zeros((1, 1), dtype=int), 0),
+    (np.array([[-7]]), 1),
+], ids=["zero_3x4", "zero_1x1", "one_by_one"])
+def test_exact_rank_and_nullspace_of_trivial_shapes(A, rank):
+    assert exact_rank(A) == rank
+    basis = exact_nullspace(A)
+    assert basis == fraction_nullspace(A.tolist())
+    _assert_null_vectors(A.tolist(), basis, A.shape[1] - rank)
+
+
+def _nullspace_corpus():
+    """Seeded integer and Fraction matrices: every fourth of full rank (tall
+    ones of full column rank), the others of random rank, zero included."""
+    rng = np.random.default_rng(29)
+    for i in range(40):
+        p, q = (int(v) for v in rng.integers(1, 9, size=2))
+        r = min(p, q) if i % 4 == 0 else int(rng.integers(0, min(p, q) + 1))
+        A = rng.integers(-6, 7, size=(p, r)) @ rng.integers(-6, 7, size=(r, q))
+        if i % 2:
+            A = [[Fraction(int(x), int(rng.integers(1, 50))) for x in row] for row in A]
+        yield A if isinstance(A, list) else A.tolist()
+
+
+@pytest.mark.parametrize("A", list(_nullspace_corpus()))
+def test_exact_nullspace_is_the_reduced_row_echelon_basis(A):
+    basis = exact_nullspace(A)
+    assert basis == fraction_nullspace(A)
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+    _assert_null_vectors(A, basis, len(A[0]) - exact_rank(A))
+
+
+def test_no_certificate_by_the_hadamard_bound_raises(monkeypatch):
+    # With every check over Z failing, the kernel stops once the prime
+    # product passes 2 H^2 instead of trying primes forever.
+    monkeypatch.setattr(oracle, "_vanishes", lambda A, V: False)
+    with pytest.raises(mb.NumericalInconsistencyError, match="Hadamard bound"):
+        exact_rank([[1, 2, 3], [2, 4, 6]])
+
+
+@pytest.mark.parametrize("indices,seed", [((1, 1, 1, 1, 8), 0), ((1, 1, 1, 1, 20), 7)],
+                         ids=["12x17", "24x29"])
+def test_exact_profile_at_benchmark_scale(indices, seed):
+    # The 24x29 input is structured_scan's longest scan, S_1 .. S_21; the
+    # float profile implies most of those ranks by the index-sum jump.
+    M = planted_indices(indices, np.random.default_rng(seed))
+    exact = exact_rank_profile(M)
+    floating = mb.rank_profile(M)
+    assert len(exact.ranks) == max(indices) + 1
+    assert (exact.ranks, exact.d_prime, exact.normal_rank_full) == (
+        floating.ranks, floating.d_prime, floating.normal_rank_full
+    )
+
+
+@pytest.mark.parametrize("M,error", [
+    (PolyMat.zeros(3, 2, 1, field="complex"), "requires a wide matrix"),
+    (PolyMat.zeros(2, 4, 0), "requires degree_bound >= 1"),
+], ids=["tall_complex", "grade_0"])
+def test_exact_profile_checks_the_shape_before_converting(M, error, monkeypatch):
+    def no_conversion(M):
+        raise AssertionError("coefficients converted before the shape check")
+
+    monkeypatch.setattr(oracle, "_fraction_coeffs", no_conversion)
+    with pytest.raises(mb.ShapeError, match=error):
+        exact_rank_profile(M)
