@@ -15,8 +15,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import dual as dual_mod
 from . import fullsyl as fullsyl_mod
 from . import lify as lify_mod
@@ -100,21 +98,11 @@ def _emit(args, input_digest, results: dict, tol: float | None, started: float) 
         "wall_time": time.perf_counter() - started,
     }
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         _print_text(report)
         if args.summary:
             print(args.summary.format(**results))
-
-
-def _json_default(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
 def _print_text(report: dict, indent: int = 0) -> None:

@@ -124,7 +124,10 @@ def _profile(M: PolyMat, ranks: list[int], normal_rank: int, stopped: bool,
     M's normal rank and the ``decisions`` at ``tol`` the ranks rest on.
 
     ``stopped`` says the last rank increment is m, so d' = len(ranks) - 1
-    when the normal rank is full; only then are the index counts
+    when the normal rank is full: the normal rank guards a stop against a
+    transient m-increment of a rank-deficient input and, without a stop,
+    tells a scan truncated by a small cap (full rank) from increments that
+    stabilized below m.  Only with d' are the index counts
     alpha_0 = n_1, alpha_k = n_{k+1} - 2 n_k + n_{k-1} read off the
     nullities n_k = kq - r_k.
     """
@@ -170,10 +173,11 @@ def _full_sylvester_profile(M: PolyMat, tol: float | None) -> RankProfile | None
 
 
 def _index_sum_jump(
-    M: PolyMat, tol: float | None, decisions: list[RankDecision]
-) -> list[int] | None:
-    """The ranks r_1 .. r_{d'+1} that the measured r_1 .. r_k (the ranks of
-    ``decisions``) and the index sum theorem settle, or None.
+    M: PolyMat, tol: float | None, ranks: list[int]
+) -> tuple[list[int], list[int]] | None:
+    """The ranks r_1 .. r_{d'+1} that the measured ``ranks`` r_1 .. r_k and
+    the index sum theorem settle, with the j > k whose S_j it factored, or
+    None.
 
     With full row normal rank and a highest-row-degree matrix of full row
     rank, the right minimal indices sum to D minus the degree of the finite
@@ -185,13 +189,11 @@ def _index_sum_jump(
     The stop pair d' = eps, d'+1 must rest on rank decisions that agree with
     the implied ranks, so S_eps is factored too, and S_{eps+1} unless it is
     S_{R+1} (it is, without finite eigenvalues): r_eps catches an eps too
-    large, r_{eps+1} one too small.  On success their decisions are appended
-    to ``decisions``; a check that fails returns None with ``decisions``
-    unchanged, and the scan goes on from the memo.
+    large, r_{eps+1} one too small.  A check that fails returns None, and the
+    scan goes on from the memo.
     """
     m, q = M.rows, M.cols
-    n, k = q - m, len(decisions)
-    ranks = [dec.rank for dec in decisions]
+    n, k = q - m, len(ranks)
     # n_k - n_{k-1} = n - 1 is the rank increment r_k - r_{k-1} = m + 1.
     if ranks[-1] - (ranks[-2] if k > 1 else 0) != m + 1 or not _convex(ranks):
         return None
@@ -208,52 +210,41 @@ def _index_sum_jump(
     implied = ranks + [
         j * q - ((n - 1) * j - known) - max(0, j - eps) for j in range(k + 1, eps + 2)
     ]
-    factored = [
-        (j, sylvester_rank(M, j, tol)) for j in sorted({eps, eps + 1, top + 1}) if j > k
-    ]
-    if any(j <= eps + 1 and dec.rank != implied[j - 1] for j, dec in factored):
+    factored = [j for j in sorted({eps, eps + 1, top + 1}) if j > k]
+    decided = [sylvester_rank(M, j, tol).rank for j in factored]
+    if any(j <= eps + 1 and r != implied[j - 1] for j, r in zip(factored, decided)):
         return None
-    decisions.extend(dec for _, dec in factored)
-    return implied
+    return implied, factored
 
 
 def _scan(
     M: PolyMat,
     k_max: int | None,
     rank_at: Callable[[int], int],
-    normal_rank: Callable[[], int],
-    jump: Callable[[], list[int] | None] | None = None,
-    decisions: Sequence[RankDecision] = (),
-    tol: float | None = None,
-) -> RankProfile:
-    """The rank scan shared by the floating-point and the exact profile.
+    jump: Callable[[list[int]], tuple[list[int], list[int]] | None] | None = None,
+) -> tuple[list[int], bool, list[int]]:
+    """The rank scan shared by the floating-point and the exact profile: the
+    ranks r_1, r_2, ..., whether the last increment is m, and the k whose
+    S_k were measured, in increasing order.
 
-    ``rank_at(k)`` is the rank of S_k and ``normal_rank()`` the normal rank
-    of M; ``decisions`` (read once the scan ends) and ``tol`` go into the
-    profile as they are.  ``jump()``, called after each rank that does not
-    stop the scan, may end it early with the whole rank list up to d'+1, or
-    return None to go on.
+    ``rank_at(k)`` is the rank of S_k.  ``jump(ranks)``, called after each
+    rank that does not stop the scan, may end it early with the whole rank
+    list up to d'+1 and the k beyond the scanned ones it measured, or return
+    None to go on.
     """
     m = M.rows
     cap = _block_count(k_max, "scan cap") if k_max is not None else m * M.degree_bound + 2
     ranks: list[int] = []
-    stopped = False
     prev = 0
     for k in range(1, cap + 1):
         ranks.append(rank_at(k))
         if ranks[-1] - prev == m:
-            stopped = True
-            break
+            return ranks, True, list(range(1, k + 1))
         prev = ranks[-1]
-        implied = jump() if jump is not None else None
-        if implied is not None:
-            ranks, stopped = implied, True
-            break
-
-    # Normal rank guards a stop against a transient m-increment of a rank-
-    # deficient input; without a stop, it tells a scan truncated by a small
-    # user cap (full rank) from increments that stabilized below m.
-    return _profile(M, ranks, normal_rank(), stopped, decisions, tol)
+        jumped = jump(ranks) if jump is not None else None
+        if jumped is not None:
+            return jumped[0], True, list(range(1, k + 1)) + jumped[1]
+    return ranks, False, list(range(1, cap + 1))
 
 
 def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None) -> RankProfile:
@@ -286,21 +277,14 @@ def _float_scan(M: PolyMat, k_max: int | None, tol: float | None) -> RankProfile
     shortcut = _full_sylvester_profile(M, tol) if k_max is None else None
     if shortcut is not None:
         return shortcut
-    decisions: list[RankDecision] = []
-
-    def rank_at(k: int) -> int:
-        decisions.append(sylvester_rank(M, k, tol))
-        return decisions[-1].rank
-
-    return _scan(
+    ranks, stopped, measured = _scan(
         M,
         k_max,
-        rank_at,
-        lambda: _evaluation_rank(M, tol),
-        (lambda: _index_sum_jump(M, tol, decisions)) if k_max is None else None,
-        decisions,
-        tol,
+        lambda k: sylvester_rank(M, k, tol).rank,
+        (lambda prefix: _index_sum_jump(M, tol, prefix)) if k_max is None else None,
     )
+    decisions = [sylvester_rank(M, k, tol) for k in measured]
+    return _profile(M, ranks, _evaluation_rank(M, tol), stopped, decisions, tol)
 
 
 def indices_from_profile(profile: RankProfile) -> list[int]:
@@ -451,6 +435,7 @@ class ClassicalCheck:
     hr_rank: int
 
 
+# Sample radii of classical_check and of robust.classical_lower_bound_check.
 _CLASSICAL_RADII = (0.5, 1.0, 2.0, 10.0)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputFormatError, NumericalInconsistencyError
-from .minimal import RankProfile, _scan
+from .minimal import RankProfile, _profile, _scan
 from .polymat import PolyMat
 from .sylvester import _block_count, _require_wide, sylvester_array
 
@@ -307,6 +307,5 @@ def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     _require_wide(M, "rank profile", graded=True)
     Z = _integer_rows(_fraction_coeffs(M))
     compact = _compact(Z)  # so that every S_k is built on int64 when it fits
-    return _scan(
-        M, k_max, lambda k: _rank(sylvester_array(compact, k)), lambda: _exact_normal_rank(Z)
-    )
+    ranks, stopped, _ = _scan(M, k_max, lambda k: _rank(sylvester_array(compact, k)))
+    return _profile(M, ranks, _exact_normal_rank(Z), stopped, (), None)

@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .fullsyl import _require_full_sylvester, has_full_sylvester_rank
-from .minimal import certify_minimal_basis
+from .minimal import _CLASSICAL_RADII, certify_minimal_basis
 from .polymat import PolyMat, _require_congruent, evaluate, s1_stack
 from .sylvester import (
     _block_count,
@@ -205,7 +205,7 @@ def classical_lower_bound_check(
     M: PolyMat,
     num_samples: int = 500,
     seed: int = 0,
-    radii: tuple[float, ...] = (0.5, 1.0, 2.0, 10.0),
+    radii: tuple[float, ...] = _CLASSICAL_RADII,
     tol: float | None = None,
 ) -> LowerBoundReport:
     """Check sigma_{(d+d')m}(S_{d'}) against the leading coefficient and

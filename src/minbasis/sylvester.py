@@ -3,13 +3,15 @@ factorization of the package: no other module calls ``numpy.linalg`` except
 for a Frobenius or Euclidean norm.
 
 Every rank or singular-value read of a Sylvester matrix S_k(P) and of P's
-highest-row-degree matrix goes through a memo held by P itself: singular
-values are computed once per matrix, and the memo is freed with the matrix.
-It never keeps the factored arrays or a nullspace basis (a QR of S_k^H, taken
-only of S_k of full row rank).  The memo also keeps the reports built from
-those decisions that ``memoized`` is asked to keep.  ``weyl_full_rank`` reads
-a parent's memo to bound the ranks of a perturbation of it and writes
-nothing.  A few helpers factor the other
+highest-row-degree matrix goes through a memo held by P itself, freed with
+the matrix.  It keeps the read-only descending singular values of S_k under
+the key k and of the highest-row-degree matrix under "hr", each computed
+once; the rank decision at ``tol`` of the matrix under a key, under
+(key, tol); and the reports built from those decisions that ``memoized`` is
+asked to keep, under (name, tol).  It never keeps the factored arrays or a
+nullspace basis (a QR of S_k^H, taken only of S_k of full row rank).
+``weyl_full_rank`` reads a parent's memo to bound the ranks of a
+perturbation of it and writes nothing.  A few helpers factor the other
 constant matrices: orthogonal complements, minimum-norm solves and nearest
 lower-rank matrices.
 """
@@ -17,7 +19,7 @@ lower-rank matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -73,7 +75,7 @@ def _block_count(k, what: str = "block-column count k", least: int = 1) -> int:
 def _require_wide(M: PolyMat, what: str, graded: bool = False) -> None:
     """ShapeError naming ``what`` unless M is wide and, when ``graded``, of
     grade >= 1."""
-    if M.rows >= M.cols:
+    if not M.is_wide:
         raise ShapeError(f"{what} requires a wide matrix, got {M.rows}x{M.cols}")
     if graded and M.degree_bound < 1:
         raise ShapeError(f"{what} requires degree_bound >= 1")
@@ -256,37 +258,34 @@ def _nearest_lower_rank(A) -> tuple[np.ndarray, np.ndarray]:
 # -- per-matrix memo -------------------------------------------------------------
 
 
-# Memo key of the highest-row-degree matrix, next to the integer keys k of S_k
-# and the keys (name, tol) of the reports that ``memoized`` keeps.
+# Memo key of the highest-row-degree matrix, next to the integer keys k of S_k.
 _HR = "hr"
 
 
-@dataclass(eq=False, slots=True)
-class _Factored:
-    """Memo entry for one matrix: its shape, descending singular values and
-    the rank decisions already taken, keyed by tolerance."""
-
-    shape: tuple[int, int]
-    sv: np.ndarray
-    decisions: dict = field(default_factory=dict)
+def _shape(P: PolyMat, key: int | str) -> tuple[int, int]:
+    """Shape of S_key(P), or of P's highest-row-degree matrix at "hr"."""
+    if key == _HR:
+        return P.rows, P.cols
+    return (key + P.degree_bound) * P.rows, key * P.cols
 
 
-def _factored(P: PolyMat, key: int | str) -> _Factored:
+def _spectrum(P: PolyMat, key: int | str) -> np.ndarray:
+    """The read-only descending singular values of S_key(P), or of P's
+    highest-row-degree matrix at "hr", computed once per matrix."""
     memo = P._sylvester_memo
-    entry = memo.get(key)
-    if entry is None:
+    sv = memo.get(key)
+    if sv is None:
         data = highest_row_degree_matrix(P) if key == _HR else sylvester(P, key)
-        sv = singular_values(data)
+        sv = memo[key] = singular_values(data)
         sv.flags.writeable = False
-        entry = memo[key] = _Factored(shape=data.shape, sv=sv)
-    return entry
+    return sv
 
 
 def _memo_rank(P: PolyMat, key: int | str, tol: float | None) -> RankDecision:
-    entry = _factored(P, key)
-    dec = entry.decisions.get(tol)
+    memo = P._sylvester_memo
+    dec = memo.get((key, tol))
     if dec is None:
-        dec = entry.decisions[tol] = rank_decision(entry.sv, entry.shape, tol)
+        dec = memo[key, tol] = rank_decision(_spectrum(P, key), _shape(P, key), tol)
     return dec
 
 
@@ -306,8 +305,8 @@ def weyl_full_rank(P: PolyMat, child: PolyMat, keys: list, eta: float, tol: floa
     is at least the upper bound of the round-off floor.
     """
     for key in keys:
-        entry = P._sylvester_memo.get(key)
-        if entry is None:
+        sv = P._sylvester_memo.get(key)
+        if sv is None:
             return False
         if key != _HR:
             shift = math.sqrt(key) * eta
@@ -315,9 +314,9 @@ def weyl_full_rank(P: PolyMat, child: PolyMat, keys: list, eta: float, tol: floa
             shift = eta
         else:
             return False
-        floor = float(default_tolerance(entry.shape, entry.sv[0] + shift))
+        floor = float(default_tolerance(_shape(P, key), sv[0] + shift))
         tau = floor if tol is None else float(tol)
-        if not (0 < tau and floor <= tau and MARGINAL_GAP * tau <= entry.sv[-1] - shift):
+        if not (0 < tau and floor <= tau and MARGINAL_GAP * tau <= sv[-1] - shift):
             return False
     return True
 
@@ -334,7 +333,7 @@ def memoized(P: PolyMat, name: str, tol: float | None, compute: Callable[[], _T]
 
 def sylvester_singular_values(P: PolyMat, k: int) -> np.ndarray:
     """Descending singular values of S_k(P), computed once per matrix."""
-    return _factored(P, k).sv
+    return _spectrum(P, k)
 
 
 def sylvester_nullspace(P: PolyMat, k: int, tol: float | None = None) -> np.ndarray:
@@ -345,7 +344,7 @@ def sylvester_nullspace(P: PolyMat, k: int, tol: float | None = None) -> np.ndar
     S_k^H.  Its rank decision comes from P's memo; the basis is not kept.
     """
     dec = sylvester_rank(P, k, tol)
-    rows = P._sylvester_memo[k].shape[0]
+    rows = _shape(P, k)[0]
     if dec.rank < rows:
         raise NumericalInconsistencyError(
             f"S_{k} has rank {dec.rank} below its {rows} rows (nullity "

@@ -383,6 +383,39 @@ def test_invalid_tolerance_exits_2(capsys, tmp_path, monkeypatch, value):
     assert main(generic) == 2
 
 
+def test_a_non_numeric_env_tolerance_exits_2(capsys, ex1_file, monkeypatch):
+    monkeypatch.setenv("MINBASIS_TOL", "abc")
+    assert main(["certify", ex1_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MINBASIS_TOL is not a number" in captured.err
+
+
+def test_complex_input_through_the_cli(capsys, tmp_path):
+    # The "field": "complex" file format of the README, in and out.
+    M = mb.sample_full_sylvester(4, 3, 2, seed=3, field_tag="complex")
+    path = tmp_path / "complex.json"
+    save(M, path)
+    code, report = run_json(capsys, ["analyze", str(path), "--json"])
+    assert code == 0
+    assert report["input"]["field"] == "complex"
+    assert report["results"]["certificate"]["is_minimal_basis"] is True
+    code, report = run_json(capsys, ["dual", str(path), "--json"])
+    assert code == 0
+    N = mb.from_dict(report["results"]["dual_basis"])
+    assert N.field == "complex"
+    assert np.array_equal(N.coeffs, mb.dual_minimal_basis(M).N.coeffs)
+    from minbasis.dual import admissible_radius
+
+    delta = random_perturbation(M, 0.1 * admissible_radius(M, N), np.random.default_rng(0))
+    assert delta.field == "complex"
+    dpath = tmp_path / "delta.json"
+    save(delta, dpath)
+    code, report = run_json(capsys, ["perturb", str(path), str(dpath), "--json"])
+    assert code == 0
+    assert report["results"]["residual"] < 1e-10
+
+
 def test_zero_tolerance_certificate_is_marginal(capsys, tmp_path):
     # tol = 0 lets round-off pass (lam - 2) C; the report must say marginal.
     path = tmp_path / "cf.json"

@@ -14,7 +14,6 @@ import minbasis as mb
 from minbasis.dual import admissible_radius
 from minbasis.fullsyl import BLOCK_BYTES, decisive_rank_tests
 from minbasis.polymat import PolyMat
-from minbasis.sylvester import _Factored
 
 from helpers import Call, LinalgSpy, planted_indices, random_perturbation, svds_of
 
@@ -327,7 +326,12 @@ def test_the_memo_keeps_singular_values_but_no_nullspace(shape):
     M = PolyMat(mb.sample_full_sylvester(*shape, seed=5).coeffs)
     pair = mb.dual_minimal_basis(M)
     kp = pair.k_prime_t.k_prime
-    entries = {key: v for key, v in M._sylvester_memo.items() if isinstance(v, _Factored)}
-    assert kp + 1 in entries
-    assert set(_Factored.__slots__) == {"shape", "sv", "decisions"}
-    assert all(entry.sv.ndim == 1 for entry in entries.values())
+    memo = M._sylvester_memo
+    spectra = {key: v for key, v in memo.items() if not isinstance(key, tuple)}
+    assert kp + 1 in spectra
+    assert all(isinstance(sv, np.ndarray) and sv.ndim == 1 and not sv.flags.writeable
+               for sv in spectra.values())
+    assert not any(isinstance(v, np.ndarray) for key, v in memo.items() if isinstance(key, tuple))
+    dec = memo[kp + 1, None]
+    assert isinstance(dec, mb.RankDecision)
+    assert dec.singular_values == tuple(spectra[kp + 1].tolist())

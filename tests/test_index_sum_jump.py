@@ -12,7 +12,6 @@ import minbasis as mb
 from minbasis import minimal
 from minbasis.minimal import RankProfile
 from minbasis.polymat import PolyMat
-from minbasis.sylvester import RankDecision
 
 from helpers import LinalgSpy, planted_indices
 
@@ -151,20 +150,14 @@ def test_non_convex_ranks_make_a_profile_marginal():
     assert bad.marginal and not good.marginal
 
 
-def _decisions(ranks, cols):
-    return [RankDecision(rank=r, nullity=k * cols - r, singular_values=(1.0,) * r,
-                         tolerance_used=1e-14, roundoff_floor=1e-14)
-            for k, r in enumerate(ranks, start=1)]
-
-
 def test_jump_does_not_fire_on_a_non_convex_prefix(monkeypatch):
     # Indices (1, 2, 5), m = 8, q = 11: the true prefix r_1..r_3 = 11, 21, 30
     # has increments 11, 10, 9 and leaves one index unknown.  The same last
     # increment after a non-convex start is refused before any factorization.
     M = planted_indices((1, 2, 5), np.random.default_rng(2024))
     spy = LinalgSpy(monkeypatch)
-    assert minimal._index_sum_jump(M, None, _decisions([9, 21, 30], 11)) is None
+    assert minimal._index_sum_jump(M, None, [9, 21, 30]) is None
     assert spy.take() == []
-    decisions = _decisions([11, 21, 30], 11)
-    assert minimal._index_sum_jump(M, None, decisions) == [11, 21, 30, 39, 48, 56]
-    assert len(decisions) == 5  # S_5 and S_6 appended
+    ranks = [11, 21, 30]
+    assert minimal._index_sum_jump(M, None, ranks) == ([11, 21, 30, 39, 48, 56], [5, 6])
+    assert ranks == [11, 21, 30]  # S_5 and S_6 factored, the prefix unchanged

@@ -170,6 +170,25 @@ def test_index_shift_random_perturbed_instance():
     assert minimal_index_shift_check(lif, dk, propagate_perturbation(lif.pair, dm)) is True
 
 
+def test_index_shift_is_skipped_when_the_perturbed_P_lacks_full_row_normal_rank():
+    # K and delta K each have two equal rows, so P + delta P = (K + dK) N_new^T
+    # has two equal rows, rank 1 < 2: its right minimal indices are
+    # undefined and the check is skipped, not failed.
+    M = mb.sample_full_sylvester(6, 3, 3, seed=11)
+    rng = np.random.default_rng(12)
+    row = rng.standard_normal((4, 1, 9))
+    lif = build_lification(PolyMat(np.concatenate([row, row], axis=1)), M)
+    assert (lif.P.rows, lif.P.cols) == (2, 3)
+    drow = 0.01 * rng.standard_normal((4, 1, 9))
+    dk = PolyMat(np.concatenate([drow, drow], axis=1))
+    dm = random_perturbation(M, 0.25 * admissible_radius(M, lif.N), rng)
+    perturbation = propagate_perturbation(lif.pair, dm)
+    assert minimal_index_shift_check(lif, dk, perturbation) is None
+    # The same perturbation with two different rows in delta K is checked.
+    dk_full = PolyMat(0.01 * rng.standard_normal((4, 2, 9)))
+    assert minimal_index_shift_check(lif, dk_full, perturbation) is True
+
+
 def test_ell_two_family():
     rng = np.random.default_rng(23)
     M = mb.sample_full_sylvester(2, 2, 2, seed=29)  # k' = 2, t = 0
