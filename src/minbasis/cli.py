@@ -123,60 +123,58 @@ def _print_text(report: dict, indent: int = 0) -> None:
 
 
 # -- subcommand bodies -----------------------------------------------------------
-# Each returns (input digest, results, verdict); the verdict is None for
-# commands that --strict does not apply to.
+# The commands on one matrix file take it loaded and return (results, verdict);
+# generic and lify read their own inputs and return (input digest, results,
+# verdict).  The verdict is None for commands that --strict does not apply to.
 
 
-def _cmd_analyze(args, tol):
-    M = load(args.file)
+def _profile_results(profile) -> dict:
+    return {
+        **_fields(profile, *_PROFILE_DROP),
+        "minimal_indices": minimal_mod._indices_or_none(profile),
+    }
+
+
+def _cmd_analyze(M, args, tol):
     cert = minimal_mod.certify_minimal_basis(M, tol=tol)
     profile = (
         cert.profile
         if args.kmax is None
         else minimal_mod.rank_profile(M, k_max=args.kmax, tol=tol)
     )
-    results = {
-        **_fields(profile, *_PROFILE_DROP),
-        "minimal_indices": minimal_mod._indices_or_none(profile),
-        "certificate": _fields(cert, *_CERT_DROP),
-    }
-    return _digest(M), results, None
+    results = {**_profile_results(profile), "certificate": _fields(cert, *_CERT_DROP)}
+    return results, None
 
 
-def _cmd_certify(args, tol):
-    M = load(args.file)
+def _cmd_certify(M, args, tol):
     cert = minimal_mod.certify_minimal_basis(M, tol=tol)
-    return _digest(M), _fields(cert, *_CERT_DROP), cert.is_minimal_basis
+    return _fields(cert, *_CERT_DROP), cert.is_minimal_basis
 
 
-def _cmd_fullsyl(args, tol):
-    M = load(args.file)
+def _cmd_fullsyl(M, args, tol):
     report = fullsyl_mod.has_full_sylvester_rank(M, tol=tol)
-    return _digest(M), _fields(report, "tolerance_used"), report.has_full_sylvester_rank
+    return _fields(report, "tolerance_used"), report.has_full_sylvester_rank
 
 
-def _cmd_radius(args, tol):
-    M = load(args.file)
+def _cmd_radius(M, args, tol):
     if args.kind == "fullsyl":
         report = robust_mod.robustness_radius_fullsyl(M, tol=tol)
     else:
         report = robust_mod.robustness_radius_minimal(M, scan_extra=args.scan_extra, tol=tol)
-    return _digest(M), _fields(report), None
+    return _fields(report), None
 
 
-def _cmd_dual(args, tol):
-    M = load(args.file)
+def _cmd_dual(M, args, tol):
     pair = dual_mod.dual_minimal_basis(M, tol=tol)
     results = {
         "row_degrees": row_degrees(pair.N),
         **_fields(pair, "M", "N", "is_valid", "failures"),
         "dual_basis": to_dict(pair.N),
     }
-    return _digest(M), results, None
+    return results, None
 
 
-def _cmd_perturb(args, tol):
-    M = load(args.file)
+def _cmd_perturb(M, args, tol):
     delta_M = load(args.delta)
     if args.dual_file:
         N = load(args.dual_file)
@@ -188,8 +186,7 @@ def _cmd_perturb(args, tol):
         pair = dual_mod.dual_minimal_basis(M, tol=tol)
     report = dual_mod.propagate_perturbation(pair, delta_M, tol=tol)
     # Of the perturbed pair, only its residual is reported.
-    results = _fields(report, "M", "N", "k_prime_t", "is_valid", "failures")
-    return _digest(M), results, None
+    return _fields(report, "M", "N", "k_prime_t", "is_valid", "failures"), None
 
 
 def _cmd_generic(args, tol):
@@ -234,14 +231,8 @@ def _cmd_lify(args, tol):
     return _digest(M), results, None
 
 
-def _cmd_oracle_rank(args, tol):
-    M = load(args.file)
-    profile = oracle_mod.exact_rank_profile(M, k_max=args.kmax)
-    results = {
-        **_fields(profile, *_PROFILE_DROP),
-        "minimal_indices": minimal_mod._indices_or_none(profile),
-    }
-    return _digest(M), results, None
+def _cmd_oracle_rank(M, args, tol):
+    return _profile_results(oracle_mod.exact_rank_profile(M, k_max=args.kmax)), None
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -265,36 +256,33 @@ def _build_parser() -> argparse.ArgumentParser:
     # policy: tolerance policy reported in place of the --tol one; summary: a
     # line printed after the text report, formatted from the results.
     common.set_defaults(policy=None, summary=None)
+    # The input of every command that reads one matrix file.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, source],
                        help="rank profile, index counts, and certificate")
-    p.add_argument("file")
     p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("certify", parents=[common], help="minimal-basis certificate")
-    p.add_argument("file")
+    p = sub.add_parser("certify", parents=[common, source], help="minimal-basis certificate")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("fullsyl", parents=[common], help="full-Sylvester-rank test")
-    p.add_argument("file")
+    p = sub.add_parser("fullsyl", parents=[common, source], help="full-Sylvester-rank test")
     p.set_defaults(func=_cmd_fullsyl)
 
-    p = sub.add_parser("radius", parents=[common], help="robustness radius")
-    p.add_argument("file")
+    p = sub.add_parser("radius", parents=[common, source], help="robustness radius")
     p.add_argument("--kind", choices=["minimal", "fullsyl"], default="minimal")
     p.add_argument("--scan-extra", type=int, default=3)
     p.set_defaults(func=_cmd_radius, summary="radius = {radius:.6g} at k = {k_used}")
 
-    p = sub.add_parser("dual", parents=[common], help="extract a dual minimal basis")
-    p.add_argument("file")
+    p = sub.add_parser("dual", parents=[common, source], help="extract a dual minimal basis")
     p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("perturb", parents=[common],
+    p = sub.add_parser("perturb", parents=[common, source],
                        help="propagate a perturbation to the dual basis")
-    p.add_argument("file")
     p.add_argument("delta")
     p.add_argument("--dual", dest="dual_file", default=None,
                    help="use this dual basis instead of extracting one")
@@ -320,9 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dm", default=None, help="perturbation of M (JSON file)")
     p.set_defaults(func=_cmd_lify)
 
-    p = sub.add_parser("oracle-rank", parents=[common],
+    p = sub.add_parser("oracle-rank", parents=[common, source],
                        help="exact rational rank profile")
-    p.add_argument("file")
     p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=_cmd_oracle_rank, policy="exact")
 
@@ -335,7 +322,12 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         tol = _resolve_tol(args)
-        input_digest, results, verdict = args.func(args, tol)
+        if "file" in args:
+            M = load(args.file)
+            input_digest = _digest(M)
+            results, verdict = args.func(M, args, tol)
+        else:
+            input_digest, results, verdict = args.func(args, tol)
         _emit(args, input_digest, results, tol, started)
     except (MinBasisError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

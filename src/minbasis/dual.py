@@ -33,6 +33,7 @@ from .fullsyl import (
 from .minimal import REASON_DEGREE_SUM, REASON_HR, certify_minimal_basis
 from .polymat import (
     PolyMat,
+    _require_congruent,
     add,
     poly_multiply_transpose,
     reversal,
@@ -238,8 +239,7 @@ def propagate_perturbation(
     if not pair.is_valid:
         raise PreconditionError("propagation requires a valid dual pair")
     M, N = pair.M, pair.N
-    if delta_M.coeffs.shape != M.coeffs.shape or delta_M.field != M.field:
-        raise ShapeError("perturbation must match M's shape, grade, and field")
+    _require_congruent(M, delta_M, "propagate_perturbation")
     m, q, d = M.rows, M.cols, M.degree_bound
     n = q - m
     kp, t = pair.k_prime_t.k_prime, pair.k_prime_t.t

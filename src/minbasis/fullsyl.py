@@ -17,8 +17,8 @@ import numpy as np
 from .errors import InputFormatError, PreconditionError
 from .polymat import PolyMat
 from .sylvester import (
-    _block_count, _require_wide, clearance, memoized, singular_values,
-    stacked_ranks, sylvester_array, sylvester_rank,
+    MARGINAL_GAP, _block_count, _require_wide, clearance, memoized,
+    singular_values, stacked_ranks, sylvester_array, sylvester_rank,
 )
 
 __all__ = [
@@ -34,10 +34,6 @@ __all__ = [
     "sample_full_sylvester",
     "sample_polymat",
 ]
-
-# Rejection sampling keeps only samples whose smallest decisive singular value
-# clears the rank tolerance by this factor, so perturbation radii stay usable.
-SAMPLE_MARGIN = 1e3
 
 # Bytes of Sylvester matrices that genericity_experiment holds at once.  A
 # block of trials, decided by one batched SVD per rank test, holds this budget
@@ -272,14 +268,17 @@ def sample_full_sylvester(
     seed: int,
     dist: str = "gaussian",
     field_tag: str = "real",
-    min_margin: float = SAMPLE_MARGIN,
+    min_margin: float = MARGINAL_GAP,
     max_rejects: int = 50,
     tol: float | None = None,
 ) -> PolyMat:
     """Rejection-sample a certified full-Sylvester-rank matrix.
 
     Accepts only samples whose decision margin is at least ``min_margin``;
-    repeated rejection signals suspicious dimensions or tolerance.
+    repeated rejection signals suspicious dimensions or tolerance.  A passing
+    decisive test's margin is its gap ratio, so the default ``MARGINAL_GAP``
+    accepts exactly the samples whose decisions are not marginal by gap,
+    which keeps perturbation radii usable.
     """
     max_rejects = _block_count(max_rejects, "max_rejects")
     kprime_t(m, n, d)  # checks the counts before any draw

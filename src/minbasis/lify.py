@@ -20,6 +20,7 @@ from .fullsyl import _require_full_sylvester
 from .minimal import _evaluation_rank, _indices_or_none, rank_profile
 from .polymat import (
     PolyMat,
+    _require_congruent,
     add,
     poly_multiply_transpose,
     s1_stack,
@@ -105,8 +106,7 @@ def backward_error_map(
     change of P is asserted against min(sqrt(k'+1), sqrt(ell+1)) * C_PL times
     the relative change of L.
     """
-    if delta_K.coeffs.shape != lif.K.coeffs.shape:
-        raise ShapeError("delta_K must match K's shape and grade")
+    _require_congruent(lif.K, delta_K, "backward_error_map: delta_K")
     pert = propagate_perturbation(lif.pair, delta_M, tol)
     delta_N = pert.delta_N
     K, M, N, P = lif.K, lif.M, lif.N, lif.P
@@ -160,10 +160,10 @@ def backward_error_map(
 
 
 def _right_indices_or_none(Q: PolyMat, tol: float | None) -> list[int] | None:
-    """Right minimal indices of a wide or square matrix; None when the matrix
-    lacks full row normal rank (check skipped)."""
+    """Right minimal indices of Q; None when Q lacks full row normal rank
+    (check skipped), as a tall Q always does."""
     if Q.rows > Q.cols:
-        raise ShapeError("right indices computed only for wide or square matrices")
+        return None
     if Q.rows == Q.cols:
         # Square: full normal rank means an empty right nullspace.
         return [] if _evaluation_rank(Q, tol) == Q.rows else None
@@ -182,7 +182,8 @@ def minimal_index_shift_check(
     ``perturbation`` is the propagation of delta_M to ``lif``'s dual basis
     (``BackwardErrorReport.perturbation``); M + delta_M and N + delta_N are
     read from its perturbed pair.  Returns None (skipped) when the perturbed
-    P lacks full row normal rank, where the index computation does not apply.
+    P lacks full row normal rank, where the index computation does not apply;
+    a tall P (K with more rows than N) always lacks it.
     """
     K_new = add(lif.K, delta_K)
     M_new = perturbation.perturbed_pair.M

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputFormatError, NumericalInconsistencyError
 from .minimal import RankProfile, _profile, _scan
-from .polymat import PolyMat
+from .polymat import PolyMat, evaluate_array
 from .sylvester import _block_count, _require_wide, sylvester_array
 
 __all__ = [
@@ -260,14 +260,6 @@ def exact_nullspace(A) -> list[list[Fraction]]:
     return [[Fraction(int(v), D) for v in row] for row in V]
 
 
-def _horner(coeffs: np.ndarray, lam) -> np.ndarray:
-    """Exact value at ``lam`` of an object coefficient stack (d + 1, m, q)."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * lam + c
-    return acc
-
-
 def _fraction_coeffs(M: PolyMat) -> np.ndarray:
     if M.field != "real":
         raise InputFormatError("exact oracle requires real (rational-valued) entries")
@@ -277,7 +269,8 @@ def _fraction_coeffs(M: PolyMat) -> np.ndarray:
 
 def exact_evaluate(M: PolyMat, lam) -> np.ndarray:
     """Exact Horner evaluation at a rational point, as an object array."""
-    return _horner(_fraction_coeffs(M), _to_fraction(lam, "evaluation point"))
+    lam = _to_fraction(lam, "evaluation point")
+    return evaluate_array(_fraction_coeffs(M), np.asarray(lam))
 
 
 def exact_sylvester(M: PolyMat, k: int) -> np.ndarray:
@@ -292,7 +285,7 @@ def _exact_normal_rank(Z: np.ndarray) -> int:
     full = min(m, q)
     best = 0
     for lam in range(1, (grade - 1) * full + 2):
-        best = max(best, _rank(_horner(Z, lam)))
+        best = max(best, _rank(evaluate_array(Z, np.asarray(lam))))
         if best == full:
             break
     return best

@@ -22,6 +22,7 @@ __all__ = [
     "row_degrees",
     "highest_row_degree_matrix",
     "evaluate",
+    "evaluate_array",
     "reversal",
     "poly_multiply_transpose",
     "s1_stack",
@@ -104,7 +105,7 @@ class PolyMat:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_coeff_list(cls, coeff_list: Sequence, field: str | None = None) -> "PolyMat":
+    def from_coeff_list(cls, coeff_list: Sequence) -> "PolyMat":
         """Build from an iterable of (rows x cols) coefficient matrices C_0..C_d."""
         mats = [np.asarray(c) for c in coeff_list]
         if not mats:
@@ -115,16 +116,7 @@ class PolyMat:
                 raise ShapeError(
                     f"coefficient {i} has shape {c.shape}, expected {shape}"
                 )
-        arr = np.stack(mats)
-        if field == "complex":
-            arr = arr.astype(_COMPLEX_DTYPE)
-        elif field == "real":
-            if np.iscomplexobj(arr):
-                raise FieldMismatchError("complex entries in a matrix tagged real")
-            arr = arr.astype(_REAL_DTYPE)
-        elif field is not None:
-            raise InputFormatError(f"unknown field tag {field!r}")
-        return cls(arr)
+        return cls(np.stack(mats))
 
     @classmethod
     def zeros(cls, rows: int, cols: int, degree_bound: int, field: str = "real") -> "PolyMat":
@@ -163,6 +155,21 @@ def highest_row_degree_matrix(P: PolyMat) -> np.ndarray:
     return P.coeffs[row_degrees(P), np.arange(P.rows), :]
 
 
+def evaluate_array(coeffs: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Horner evaluation of a coefficient stack of shape (d + 1, rows, cols)
+    at each point of the array ``lam``, as an array of shape
+    ``lam.shape + (rows, cols)``.
+
+    Any dtype serves: float and complex stacks, and object stacks of Python
+    ints and Fractions, which stay exact at an int or Fraction point.
+    """
+    acc = np.empty(lam.shape + coeffs.shape[1:], np.result_type(coeffs.dtype, lam.dtype))
+    acc[...] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * lam[..., None, None] + c
+    return acc
+
+
 def evaluate(P: PolyMat, lam) -> np.ndarray:
     """Horner evaluation of P at the point ``lam``, or at each point of an
     array of points, as an array of shape ``lam.shape + (rows, cols)``.
@@ -175,11 +182,7 @@ def evaluate(P: PolyMat, lam) -> np.ndarray:
     lam = lam.astype(_COMPLEX_DTYPE if np.iscomplexobj(lam) else _REAL_DTYPE)
     if not np.isfinite(np.abs(lam)).all():
         raise InputFormatError("evaluation point must be finite")
-    acc = np.empty(lam.shape + P.coeffs.shape[1:], np.result_type(P.coeffs.dtype, lam.dtype))
-    acc[...] = P.coeffs[-1]
-    for i in range(P.degree_bound - 1, -1, -1):
-        acc = acc * lam[..., None, None] + P.coeffs[i]
-    return acc
+    return evaluate_array(P.coeffs, lam)
 
 
 def reversal(P: PolyMat, grade: int) -> PolyMat:
@@ -288,14 +291,18 @@ def _parse_entry(value, field: str, where: str):
     if field == "real":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputFormatError(f"{where}: expected a real number, got {value!r}")
-        return float(value)
-    if (
+    elif (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
     ):
         raise InputFormatError(f"{where}: expected an [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return float(value) if field == "real" else complex(value[0], value[1])
+    except OverflowError:
+        # An integer literal past the float range (a float literal such as
+        # 1e400 reads as inf, which PolyMat rejects as non-finite).
+        raise InputFormatError(f"{where}: number too large for a float") from None
 
 
 def from_dict(obj: dict) -> PolyMat:
@@ -364,6 +371,8 @@ def load(path) -> PolyMat:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # bytes that are not UTF-8, or an int past the digit limit
+            raise InputFormatError(f"{path}: {exc}") from exc
     try:
         return from_dict(obj)
     except InputFormatError as exc:

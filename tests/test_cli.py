@@ -261,6 +261,25 @@ def test_lify_with_perturbation_propagates_once(capsys, tmp_path, ex1_file, monk
     assert len(calls) == 1
 
 
+def test_lify_with_a_tall_recovered_P_skips_the_index_shift_check(capsys, tmp_path):
+    from minbasis.dual import admissible_radius
+
+    M = mb.sample_full_sylvester(4, 2, 1, seed=3)
+    K = PolyMat(np.random.default_rng(0).standard_normal((2, 3, 6)))  # P is 3x2
+    rng = np.random.default_rng(1)
+    radius = admissible_radius(M, mb.dual_minimal_basis(M).N)
+    paths = {}
+    for name, P in (("k", K), ("m", M), ("dk", random_perturbation(K, 1e-3, rng)),
+                    ("dm", random_perturbation(M, 0.01 * radius, rng))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save(P, paths[name])
+    code, report = run_json(capsys, ["lify", paths["k"], paths["m"], "--dk", paths["dk"],
+                                     "--dm", paths["dm"], "--json"])
+    assert code == 0
+    assert (report["results"]["p_rows"], report["results"]["p_cols"]) == (3, 2)
+    assert report["results"]["index_shift_check"] is None
+
+
 def test_lify_of_a_square_matrix_exits_2(capsys, tmp_path):
     kpath, mpath = str(tmp_path / "k.json"), str(tmp_path / "m.json")
     save(PolyMat(np.ones((2, 1, 3))), kpath)
@@ -427,6 +446,32 @@ def test_zero_tolerance_certificate_is_marginal(capsys, tmp_path):
     code, report = run_json(capsys, ["certify", str(path), "--json"])
     assert report["results"]["is_minimal_basis"] is False
     assert report["results"]["marginal"] is False
+
+
+def _one_row_file(field, entry, zero) -> bytes:
+    return json.dumps({"field": field, "rows": 1, "cols": 2, "degree_bound": 1,
+                       "coefficients": [[[zero, entry]], [[zero, zero]]]}).encode()
+
+
+PAST_FLOAT_RANGE = "coefficients[0][0][1]: number too large for a float\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    # 10**400 written out: json reads it as an exact int, which no float holds.
+    (_one_row_file("real", 10**400, 0), PAST_FLOAT_RANGE),
+    (_one_row_file("complex", [1, 10**400], [0, 0]), PAST_FLOAT_RANGE),
+    # Python 3.11 and later refuse to read an int of more than 4300 digits.
+    (b'{"field": "real", "rows": 1, "cols": 2, "degree_bound": 1, '
+     b'"coefficients": [[[0, ' + b"1" * 5000 + b']], [[0, 0]]]}', ""),
+    (b"\xff\xfe{}", ""),
+], ids=["real_past_float_range", "complex_past_float_range", "5000_digits", "not_utf8"])
+def test_an_unreadable_number_or_file_exits_2(capsys, tmp_path, content, reason):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    assert main(["certify", "--strict", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"minbasis: error: {path}: {reason}")
 
 
 def test_missing_file_exits_2(capsys):

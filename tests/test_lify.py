@@ -189,6 +189,18 @@ def test_index_shift_is_skipped_when_the_perturbed_P_lacks_full_row_normal_rank(
     assert minimal_index_shift_check(lif, dk_full, perturbation) is True
 
 
+def test_index_shift_is_skipped_when_the_perturbed_P_is_tall():
+    # K has 3 rows and N has n = 2, so P = K N^T is 3x2: a tall matrix
+    # never has full row normal rank.
+    M = mb.sample_full_sylvester(4, 2, 1, seed=3)
+    lif = build_lification(PolyMat(np.random.default_rng(0).standard_normal((2, 3, 6))), M)
+    assert (lif.P.rows, lif.P.cols) == (3, 2)
+    rng = np.random.default_rng(1)
+    dm = random_perturbation(M, 0.01 * admissible_radius(M, lif.N), rng)
+    dk = random_perturbation(lif.K, 1e-3, rng)
+    assert minimal_index_shift_check(lif, dk, propagate_perturbation(lif.pair, dm)) is None
+
+
 def test_ell_two_family():
     rng = np.random.default_rng(23)
     M = mb.sample_full_sylvester(2, 2, 2, seed=29)  # k' = 2, t = 0

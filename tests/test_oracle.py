@@ -245,6 +245,7 @@ def test_exact_rank_is_invariant_under_row_scaling():
     (np.array([[1.0, 0.0], [np.nan, 1.0]]), r"entry \(1, 0\): non-finite"),
     (np.zeros((2, 2, 2)), r"shape \(2, 2, 2\)"),
     (np.zeros((0, 3)), r"shape \(0, 3\)"),
+    ([[1, "2"], [0, 1]], r"entry \(0, 1\): cannot ingest str exactly"),
 ])
 def test_exact_rank_rejects_bad_entries_and_shapes(A, where):
     with pytest.raises(mb.InputFormatError, match=where):

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import minbasis as mb
 from minbasis.polymat import (
     PolyMat,
+    evaluate_array,
     from_dict,
     load,
     poly_equal,
@@ -126,6 +128,30 @@ def test_evaluate_on_a_point_array_equals_per_point_calls(P, points):
 def test_evaluate_rejects_a_non_finite_point_anywhere_in_an_array(bad):
     with pytest.raises(mb.InputFormatError, match="finite"):
         mb.evaluate(example1(), np.array([[0.5, 1.0], [bad, 2.0]]))
+
+
+def _python_horner(coeffs, lam):
+    rows, cols = coeffs.shape[1:]
+    out = [[coeffs[-1, r, c] for c in range(cols)] for r in range(rows)]
+    for C in coeffs[-2::-1]:
+        out = [[out[r][c] * lam + C[r, c] for c in range(cols)] for r in range(rows)]
+    return out
+
+
+@pytest.mark.parametrize("lam", [12345, -(2**40), Fraction(-7, 3)],
+                         ids=["int", "big_int", "fraction"])
+def test_evaluate_array_is_exact_on_object_stacks(lam):
+    # Entries past 2**63: a route through int64 or float64 would lose them.
+    rng = np.random.default_rng(8)
+    coeffs = np.empty((4, 2, 3), dtype=object)
+    for idx in np.ndindex(coeffs.shape):
+        coeffs[idx] = int(rng.integers(-10**6, 10**6)) * 2**70 + int(rng.integers(-9, 10))
+    coeffs[1, 0, 0] = Fraction(2**80 + 1, 3)
+    value = evaluate_array(coeffs, np.asarray(lam))
+    assert value.dtype == object and value.shape == (2, 3)
+    assert value.tolist() == _python_horner(coeffs, lam)
+    kind = Fraction if isinstance(lam, Fraction) else int
+    assert all(type(x) is kind for x in value.flat[1:])
 
 
 def test_reversal_swaps_coefficients():

@@ -141,3 +141,69 @@ CONSTANT = PolyMat(np.ones((1, 2, 3)))
 def test_the_wide_checks_keep_their_messages(call, M, match):
     with pytest.raises(mb.ShapeError, match=match):
         call(M)
+
+
+def _one_lambda_dict(**changes):
+    obj = mb.to_dict(one_lambda())
+    obj.update(changes)
+    return obj
+
+
+def _perturb(pair, delta_M):
+    return lambda: mb.propagate_perturbation(pair, delta_M)
+
+
+def _backward_error(delta_K):
+    K = PolyMat.zeros(1, 8, 1)
+    return lambda: mb.backward_error_map(build_lification(K, example1()), delta_K, example1())
+
+
+ONE_LAMBDA_PAIR = mb.dual_minimal_basis(one_lambda())
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: mb.from_dict([]), mb.InputFormatError, "top-level value must be an object"),
+    (lambda: mb.from_dict(_one_lambda_dict(rows=0)), mb.InputFormatError,
+     "rows: expected an integer >= 1, got 0"),
+    (lambda: mb.from_dict(_one_lambda_dict(cols=True)), mb.InputFormatError,
+     "cols: expected an integer >= 1, got True"),
+    (lambda: mb.from_dict(_one_lambda_dict(degree_bound=1.0)), mb.InputFormatError,
+     "degree_bound: expected an integer >= 0, got 1.0"),
+    (lambda: mb.from_dict(_one_lambda_dict(coefficients=[[[1, 0], [0, 1]], [[0, 1]]])),
+     mb.InputFormatError, r"coefficients\[0\]: expected 1 rows, got 2"),
+    (lambda: mb.from_dict(_one_lambda_dict(coefficients=[[[1, "0"]], [[0, 1]]])),
+     mb.InputFormatError, r"coefficients\[0\]\[0\]\[1\]: expected a real number, got '0'"),
+    (lambda: mb.from_dict(_one_lambda_dict(field="complex")), mb.InputFormatError,
+     r"coefficients\[0\]\[0\]\[0\]: expected an \[re, im\] pair, got 1.0"),
+    (lambda: PolyMat(np.ones((2, 3))), mb.ShapeError,
+     r"coefficient stack must be 3-dimensional, got shape \(2, 3\)"),
+    (lambda: PolyMat(np.ones((2, 0, 3))), mb.ShapeError,
+     r"degenerate coefficient stack shape \(2, 0, 3\)"),
+    (lambda: PolyMat.from_coeff_list([]), mb.ShapeError,
+     "at least one coefficient matrix is required"),
+    (lambda: PolyMat.from_coeff_list([np.ones((1, 2)), np.ones((2, 1))]), mb.ShapeError,
+     r"coefficient 1 has shape \(2, 1\), expected \(1, 2\)"),
+    (lambda: mb.vstack_polymats([]), mb.ShapeError, "nothing to stack"),
+    (lambda: mb.vstack_polymats([one_lambda(), example1()]), mb.ShapeError,
+     "vstack requires equal column counts and grades"),
+    (lambda: mb.vstack_polymats([one_lambda(), mb.embed(one_lambda(), 2)]), mb.ShapeError,
+     "vstack requires equal column counts and grades"),
+    (lambda: mb.embed(one_lambda(), 0), mb.ShapeError,
+     "cannot embed grade 1 matrix into smaller grade 0"),
+    (lambda: mb.verify_duality(example1(), one_lambda()), mb.ShapeError,
+     r"column counts differ \(8 vs 2\)"),
+    (_perturb(mb.verify_duality(one_lambda(), one_lambda()), PolyMat.zeros(1, 2, 1)),
+     mb.PreconditionError, "propagation requires a valid dual pair"),
+    (_perturb(ONE_LAMBDA_PAIR, PolyMat.zeros(1, 2, 2)), mb.ShapeError,
+     r"propagate_perturbation: shape/grade mismatch \(2, 1, 2\) vs \(3, 1, 2\)"),
+    (_perturb(ONE_LAMBDA_PAIR, PolyMat.zeros(1, 2, 1, field="complex")),
+     mb.FieldMismatchError, r"propagate_perturbation: mixed fields \(real vs complex\)"),
+    (lambda: build_lification(PolyMat.zeros(1, 2, 1), example1()), mb.ShapeError,
+     "K and M must share column count and grade"),
+    (_backward_error(PolyMat.zeros(2, 8, 1)), mb.ShapeError,
+     r"backward_error_map: delta_K: shape/grade mismatch \(2, 1, 8\) vs \(2, 2, 8\)"),
+])
+def test_malformed_inputs_are_rejected_with_their_reason(call, error, match):
+    with pytest.raises(error, match=match) as info:
+        call()
+    assert type(info.value) is error
