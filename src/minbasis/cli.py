@@ -28,7 +28,7 @@ PROG = "minbasis"
 
 
 def _resolve_tol(args) -> float | None:
-    if args.policy == "exact":  # exact ranks take no tolerance
+    if "tol" not in args:  # oracle-rank: exact ranks take no tolerance
         return None
     if args.tol is not None:
         return args.tol
@@ -87,14 +87,12 @@ _CERT_DROP = ("tolerance_used", "profile")
 
 
 def _emit(args, input_digest, results: dict, tol: float | None, started: float) -> None:
-    policy = args.policy
-    if policy is None:
-        policy = "explicit" if tol is not None else "max(rows,cols)*eps*sigma1"
+    policy = "explicit" if tol is not None else "max(rows,cols)*eps*sigma1"
     report = {
         "command": args.command,
         "input": input_digest,
         "results": results,
-        "tolerances": {"tol": tol, "policy": policy},
+        "tolerances": {"tol": tol, "policy": policy if "tol" in args else "exact"},
         "wall_time": time.perf_counter() - started,
     }
     if args.json:
@@ -157,10 +155,13 @@ def _cmd_fullsyl(M, args, tol):
 
 
 def _cmd_radius(M, args, tol):
-    if args.kind == "fullsyl":
-        report = robust_mod.robustness_radius_fullsyl(M, tol=tol)
+    if args.kind == "minimal":
+        extra = {} if args.scan_extra is None else {"scan_extra": args.scan_extra}
+        report = robust_mod.robustness_radius_minimal(M, tol=tol, **extra)
+    elif args.scan_extra is not None:
+        raise MinBasisError("--scan-extra applies only to --kind minimal")
     else:
-        report = robust_mod.robustness_radius_minimal(M, scan_extra=args.scan_extra, tol=tol)
+        report = robust_mod.robustness_radius_fullsyl(M, tol=tol)
     return _fields(report), None
 
 
@@ -246,16 +247,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog=PROG,
         description="Minimal-basis analysis of polynomial matrices via Sylvester ranks.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
+    # summary: a line printed after the text report, formatted from the results.
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--json", action="store_true", help="emit a JSON report")
+    base.set_defaults(summary=None)
+    common = argparse.ArgumentParser(add_help=False, parents=[base])  # all but oracle-rank
     common.add_argument("--tol", type=float, default=None,
                         help="rank tolerance (overrides MINBASIS_TOL)")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 1 when a certify-style verdict is negative")
-    # policy: tolerance policy reported in place of the --tol one; summary: a
-    # line printed after the text report, formatted from the results.
-    common.set_defaults(policy=None, summary=None)
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--strict", action="store_true", help="exit 1 on a negative verdict")
     # The input of every command that reads one matrix file.
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("file")
@@ -267,15 +267,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("certify", parents=[common, source], help="minimal-basis certificate")
+    p = sub.add_parser("certify", parents=[common, strict, source], help="minimal-basis certificate")
     p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("fullsyl", parents=[common, source], help="full-Sylvester-rank test")
+    p = sub.add_parser("fullsyl", parents=[common, strict, source], help="full-Sylvester-rank test")
     p.set_defaults(func=_cmd_fullsyl)
 
     p = sub.add_parser("radius", parents=[common, source], help="robustness radius")
     p.add_argument("--kind", choices=["minimal", "fullsyl"], default="minimal")
-    p.add_argument("--scan-extra", type=int, default=3)
+    p.add_argument("--scan-extra", type=int, help="k scanned past d' for --kind minimal")
     p.set_defaults(func=_cmd_radius, summary="radius = {radius:.6g} at k = {k_used}")
 
     p = sub.add_parser("dual", parents=[common, source], help="extract a dual minimal basis")
@@ -294,6 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     p.add_argument("--dist", choices=["gaussian", "uniform"], default="gaussian")
     p.add_argument("--field", choices=["real", "complex"], default="real")
     p.add_argument("--zero-leading", action="store_true",
@@ -308,10 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dm", default=None, help="perturbation of M (JSON file)")
     p.set_defaults(func=_cmd_lify)
 
-    p = sub.add_parser("oracle-rank", parents=[common, source],
+    p = sub.add_parser("oracle-rank", parents=[base, source],
                        help="exact rational rank profile")
     p.add_argument("--kmax", type=int, default=None)
-    p.set_defaults(func=_cmd_oracle_rank, policy="exact")
+    p.set_defaults(func=_cmd_oracle_rank)
 
     return parser
 
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
     except (MinBasisError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
-    return 1 if args.strict and verdict is False else 0
+    return 1 if verdict is False and args.strict else 0
 
 
 if __name__ == "__main__":

@@ -50,6 +50,8 @@ class KPrimeT:
 
 
 def kprime_t(m: int, n: int, d: int) -> KPrimeT:
+    """(k', t) of an m x (m+n) matrix of grade d.  Raises ShapeError unless
+    m, n and d are positive integers."""
     m, n, d = (_block_count(v, name) for v, name in ((m, "m"), (n, "n"), (d, "d")))
     k_prime = -(-m * d // n)
     t = n * k_prime - m * d
@@ -58,6 +60,9 @@ def kprime_t(m: int, n: int, d: int) -> KPrimeT:
 
 @dataclass(frozen=True)
 class RankCheck:
+    """One decisive rank test: the measured rank of S_k and the full rank it
+    needs, kq for a ``column`` test or (k+d)m for a ``row`` test."""
+
     k: int
     rank: int
     required: int
@@ -66,6 +71,12 @@ class RankCheck:
 
 @dataclass(frozen=True)
 class FullSylReport:
+    """The verdict of ``has_full_sylvester_rank`` with its decisive tests.
+
+    ``predicted_indices`` are the right minimal indices the property forces;
+    ``margin`` is the smallest clearance sigma_required / tau over the tests.
+    """
+
     has_full_sylvester_rank: bool
     k_prime_t: KPrimeT
     checked_ranks: tuple[RankCheck, ...]

@@ -311,13 +311,9 @@ def _indices_or_none(profile: RankProfile) -> list[int] | None:
     return indices_from_profile(profile)
 
 
-def right_minimal_indices(
-    M: PolyMat, tol: float | None = None, profile: RankProfile | None = None
-) -> list[int]:
+def right_minimal_indices(M: PolyMat, tol: float | None = None) -> list[int]:
     """Right minimal indices of a full-normal-rank wide polynomial matrix."""
-    if profile is None:
-        profile = rank_profile(M, tol=tol)
-    indices = indices_from_profile(profile)
+    indices = indices_from_profile(rank_profile(M, tol=tol))
     n = M.cols - M.rows
     if len(indices) != n:
         raise NumericalInconsistencyError(
@@ -376,7 +372,9 @@ def certify_minimal_basis(M: PolyMat, tol: float | None = None) -> Certificate:
     if not profile.normal_rank_full:
         verdict, reason, observed = False, REASON_NOT_FULL_RANK, None
     elif profile.d_prime is None:
-        verdict, reason, observed = False, REASON_SCAN_EXHAUSTED, None
+        # The default cap reaches d' for every input of full normal rank, so
+        # some rank decision here is wrong, however wide its gap.
+        verdict, reason, observed, marginal = False, REASON_SCAN_EXHAUSTED, None, True
     else:
         observed = minimal_index_sum(profile, M.rows)
         if hr_dec.rank < M.rows:

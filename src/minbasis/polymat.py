@@ -9,6 +9,7 @@ perturbation analysis depends on the ambient grade, not the achieved degree.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -64,10 +65,11 @@ class PolyMat:
             )
         if arr.shape[0] < 1 or arr.shape[1] < 1 or arr.shape[2] < 1:
             raise ShapeError(f"degenerate coefficient stack shape {arr.shape}")
-        if np.iscomplexobj(arr):
-            arr = arr.astype(_COMPLEX_DTYPE)
-        else:
-            arr = arr.astype(_REAL_DTYPE)
+        try:
+            arr = arr.astype(_stack_dtype(arr))
+        except OverflowError:
+            # A Python int or Fraction past the float range, in an object array.
+            raise InputFormatError("coefficient entry too large for a float") from None
         if not np.all(np.isfinite(arr)):
             raise InputFormatError("coefficient entries must be finite (no NaN/Inf)")
         arr = np.ascontiguousarray(arr)
@@ -122,6 +124,22 @@ class PolyMat:
     def zeros(cls, rows: int, cols: int, degree_bound: int, field: str = "real") -> "PolyMat":
         dtype = _COMPLEX_DTYPE if field == "complex" else _REAL_DTYPE
         return cls(np.zeros((degree_bound + 1, rows, cols), dtype=dtype))
+
+
+def _stack_dtype(arr: np.ndarray) -> type:
+    """complex128 when an entry of ``arr`` is complex, else float64.  An entry
+    that is not a number, such as a string or a boolean, raises
+    InputFormatError, as in ``from_dict``."""
+    kind = arr.dtype.kind
+    if kind == "O":  # Python numbers, such as Fractions and ints past int64
+        entries = arr.ravel().tolist()
+        bad = [v for v in entries if isinstance(v, bool) or not isinstance(v, numbers.Number)]
+        if bad:
+            raise InputFormatError(f"coefficient entries must be numbers, got {bad[0]!r}")
+        kind = "c" if any(isinstance(v, (complex, np.complexfloating)) for v in entries) else "f"
+    if kind not in "iufc":
+        raise InputFormatError(f"coefficient entries must be numbers, got dtype {arr.dtype}")
+    return _COMPLEX_DTYPE if kind == "c" else _REAL_DTYPE
 
 
 def _require_same_field(A: PolyMat, B: PolyMat, op: str) -> None:

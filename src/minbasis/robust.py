@@ -90,7 +90,7 @@ class RadiusReport:
     radius: float
     k_used: int
     scanned: tuple[RadiusCandidate, ...]
-    kind: str  # "minimal_basis" | "full_sylvester" | "sharp_flat"
+    kind: str  # "minimal_basis" | "full_sylvester"
 
 
 def robustness_radius_minimal(
@@ -166,6 +166,11 @@ class Thetas:
 
 
 def thetas(M: PolyMat, tol: float | None = None) -> Thetas:
+    """theta1 and theta2 of a full-Sylvester-rank M, from s_k =
+    sigma_min(S_k)/sqrt(k): theta1 is the smaller of the full-Sylvester-rank
+    radius and s_{k'+1}; theta2 is s_{k'+1} when t = 0, theta1 when k' = 1,
+    and min(s_k', s_{k'+1}) otherwise.  Raises PreconditionError without
+    the property."""
     report = _require_full_sylvester(M, tol, "thetas")
     kp, t = report.k_prime_t.k_prime, report.k_prime_t.t
     s_kp = _radius(M, kp)

@@ -360,8 +360,8 @@ def test_non_positive_scan_cap_is_rejected(capsys, ex2_file, entry, k_max):
 
 
 def test_json_reports_are_deterministic(capsys, ex1_file):
-    _, first = run_json(capsys, ["analyze", ex1_file, "--json", "--seed", "5"])
-    _, second = run_json(capsys, ["analyze", ex1_file, "--json", "--seed", "5"])
+    _, first = run_json(capsys, ["analyze", ex1_file, "--json"])
+    _, second = run_json(capsys, ["analyze", ex1_file, "--json"])
     first.pop("wall_time")
     second.pop("wall_time")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
@@ -408,6 +408,67 @@ def test_a_non_numeric_env_tolerance_exits_2(capsys, ex1_file, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "MINBASIS_TOL is not a number" in captured.err
+
+
+def test_oracle_rank_never_reads_the_env_tolerance(capsys, ex2_file, monkeypatch):
+    monkeypatch.setenv("MINBASIS_TOL", "abc")
+    code, report = run_json(capsys, ["oracle-rank", ex2_file, "--json"])
+    assert code == 0
+    assert report["tolerances"] == {"tol": None, "policy": "exact"}
+
+
+# The positional arguments of each command, and the value each flag takes.
+COMMANDS = {
+    "analyze": ["m.json"],
+    "certify": ["m.json"],
+    "fullsyl": ["m.json"],
+    "radius": ["m.json"],
+    "dual": ["m.json"],
+    "perturb": ["m.json", "delta.json"],
+    "generic": ["--m", "3", "--n", "2", "--d", "2", "--trials", "5"],
+    "lify": ["k.json", "m.json"],
+    "oracle-rank": ["m.json"],
+}
+FLAG_VALUES = {"--json": [], "--tol": ["1e-8"], "--seed": ["5"], "--strict": []}
+# Each flag on the commands that read it: oracle-rank's ranks are exact, and
+# only certify and fullsyl have a verdict for --strict.
+TAKES = {
+    "--json": set(COMMANDS),
+    "--tol": set(COMMANDS) - {"oracle-rank"},
+    "--seed": {"generic"},
+    "--strict": {"certify", "fullsyl"},
+}
+NOT_TAKEN = [(c, flag) for flag, takers in TAKES.items() for c in COMMANDS if c not in takers]
+
+
+def test_each_flag_sits_on_the_commands_that_read_it():
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    sits = {flag: {c for c, p in sub.choices.items() if flag in p._option_string_actions}
+            for flag in TAKES}
+    assert sits == TAKES
+    assert sum(map(len, sits.values())) == 20 and len(NOT_TAKEN) == 16
+
+
+@pytest.mark.parametrize("command, flag", NOT_TAKEN)
+def test_a_flag_the_command_does_not_take_is_a_usage_error(capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main([command, *COMMANDS[command], flag, *FLAG_VALUES[flag]])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+def test_scan_extra_is_rejected_for_the_fullsyl_radius(capsys, ex1_file):
+    assert main(["radius", ex1_file, "--kind", "fullsyl", "--scan-extra", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--scan-extra applies only to --kind minimal" in captured.err
+    # Without the flag, the library's default of 3 applies.
+    _, default = run_json(capsys, ["radius", ex1_file, "--json"])
+    _, three = run_json(capsys, ["radius", ex1_file, "--json", "--scan-extra", "3"])
+    assert default["results"] == three["results"]
+    assert len(default["results"]["scanned"]) == 4
 
 
 def test_complex_input_through_the_cli(capsys, tmp_path):

@@ -8,6 +8,7 @@ from minbasis.fullsyl import kprime_t, predicted_minimal_indices
 from minbasis.minimal import (
     REASON_DEGREE_SUM,
     REASON_HR,
+    REASON_SCAN_EXHAUSTED,
     ClassicalCheck,
     _profile,
     certify_full_leading,
@@ -158,6 +159,23 @@ def test_certify_common_factor_not_minimal():
     cert = certify_minimal_basis(M)
     assert not cert.is_minimal_basis
     assert cert.reason == REASON_DEGREE_SUM
+
+
+def test_a_scan_that_exhausts_the_default_cap_at_full_normal_rank_is_marginal():
+    # The default cap m*d + 2 reaches d' for every input of full normal rank.
+    # Here the probes decide full normal rank from a sigma_3 just above tol,
+    # while the S_k ranks, each decided with a wide gap, never reach an
+    # increment of 3: one of them must be wrong, so the verdict is marginal.
+    C = np.random.default_rng(0).standard_normal((3, 3, 4))
+    C[:, 2, :] *= 3e-7
+    M = PolyMat(C)
+    cert = certify_minimal_basis(M, tol=1e-6)
+    assert (cert.is_minimal_basis, cert.reason) == (False, REASON_SCAN_EXHAUSTED)
+    assert cert.profile.ranks == (4, 8, 10, 12, 14, 16, 18, 20)
+    assert cert.profile.normal_rank_full and not cert.profile.marginal
+    assert cert.marginal
+    assert mb.exact_rank_profile(M).d_prime == 6
+    assert certify_minimal_basis(M).is_minimal_basis
 
 
 def test_certify_full_leading_example1():

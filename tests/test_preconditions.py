@@ -159,6 +159,12 @@ def _backward_error(delta_K):
 
 
 ONE_LAMBDA_PAIR = mb.dual_minimal_basis(one_lambda())
+# A leading coefficient of rank 1 with no zero row.
+_LEAD_WITHOUT_ZERO_ROW = PolyMat.from_coeff_list([[[1, 0, 0], [0, 1, 0]],
+                                                  [[1, 0, 0], [1, 0, 0]]])
+# K = 0 recovers P = 0.
+_ZERO_K_LIFICATION = build_lification(PolyMat.zeros(1, 4, 1),
+                                      mb.sample_full_sylvester(2, 2, 1, seed=0))
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -202,6 +208,23 @@ ONE_LAMBDA_PAIR = mb.dual_minimal_basis(one_lambda())
      "K and M must share column count and grade"),
     (_backward_error(PolyMat.zeros(2, 8, 1)), mb.ShapeError,
      r"backward_error_map: delta_K: shape/grade mismatch \(2, 1, 8\) vs \(2, 2, 8\)"),
+    # PolyMat takes numbers only, as from_dict does, and names a number past
+    # the float range.
+    (lambda: PolyMat(np.array([[["1.5", "2"]]])), mb.InputFormatError,
+     "coefficient entries must be numbers, got dtype <U3"),
+    (lambda: PolyMat(np.array([[[True, False]]])), mb.InputFormatError,
+     "coefficient entries must be numbers, got dtype bool"),
+    (lambda: PolyMat.from_coeff_list([[[10**400, 0]], [[0, 1]]]), mb.InputFormatError,
+     "coefficient entry too large for a float"),
+    (lambda: PolyMat.from_coeff_list([[[1 + 0j, 10**400]]]), mb.InputFormatError,
+     "coefficient entry too large for a float"),
+    (lambda: mb.fragile_neighbor(_LEAD_WITHOUT_ZERO_ROW, 1e-3), mb.PreconditionError,
+     "rank-deficient leading coefficient without a zero row"),
+    (lambda: mb.sharp_witness_flat(PolyMat.from_coeff_list([[[1, 0, 0, 0]], [[2, 0, 0, 0]]])),
+     mb.PreconditionError, "first coefficient stack is not of full row rank"),
+    (lambda: mb.backward_error_map(_ZERO_K_LIFICATION, PolyMat.zeros(1, 4, 1),
+                                   PolyMat.zeros(2, 4, 1)),
+     mb.PreconditionError, "recovered polynomial is zero; relative error undefined"),
 ])
 def test_malformed_inputs_are_rejected_with_their_reason(call, error, match):
     with pytest.raises(error, match=match) as info:
