@@ -448,6 +448,7 @@ def classical_check(
     """
     _require_wide(M, "classical_check")
     num_samples = _block_count(num_samples, "num_samples")
+    seed = _block_count(seed, "seed", least=0)
     hr_dec = highest_row_degree_rank(M, tol)
     m = M.rows
     # Two uniforms per sample, in the order of a per-sample loop.

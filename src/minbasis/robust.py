@@ -217,6 +217,7 @@ def classical_lower_bound_check(
     sampled evaluations on circles of the given radii, taken from one SVD
     of the stack of evaluations."""
     num_samples = _block_count(num_samples, "num_samples")
+    seed = _block_count(seed, "seed", least=0)
     _block_count(len(radii), "number of radii")
     dp = _require_robust_minimal(M, tol, "classical_lower_bound_check")
     m = M.rows

@@ -219,6 +219,14 @@ def test_generic_command(capsys):
     assert report["results"]["failures"] == []
 
 
+def test_generic_rejects_a_negative_seed(capsys):
+    argv = ["generic", "--m", "3", "--n", "2", "--d", "2", "--trials", "4", "--seed", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "minbasis: error: seed must be non-negative, got -1\n"
+
+
 def test_lify_command(capsys, tmp_path, ex1_file):
     K = PolyMat.from_coeff_list(
         [np.hstack([np.eye(2), np.zeros((2, 6))]), np.zeros((2, 8))]

@@ -16,6 +16,7 @@ from minbasis.fullsyl import (
     sample_polymat,
 )
 from minbasis.minimal import index_sum_check
+from minbasis.sylvester import sylvester_array
 
 from helpers import example1, example3, flat_1311
 
@@ -200,18 +201,21 @@ def test_unknown_distribution_is_rejected_before_any_draw():
 
 
 def _per_trial_reference(m, n, d, trials, seed, dist, field, zero_leading, tol):
-    """The experiment's counts, one has_full_sylvester_rank call per trial."""
-    successes, failures, min_margin = 0, [], float("inf")
+    """The experiment's counts, one has_full_sylvester_rank call per trial, each
+    trial drawn from its own np.random.default_rng([seed, trial]), and the
+    drawn coefficient stacks."""
+    successes, failures, min_margin, drawn = 0, [], float("inf"), []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         M = sample_polymat(rng, m, m + n, d, dist=dist, field=field, zero_leading=zero_leading)
+        drawn.append(M.coeffs)
         report = has_full_sylvester_rank(M, tol)
         min_margin = min(min_margin, report.margin)
         if report.has_full_sylvester_rank:
             successes += 1
         else:
             failures.append({"trial": trial, "margin": report.margin})
-    return successes, failures, min_margin
+    return successes, failures, min_margin, drawn
 
 
 def _s_kprime_bytes(m, n, d, field):
@@ -219,17 +223,30 @@ def _s_kprime_bytes(m, n, d, field):
     return (k + d) * m * k * (m + n) * (16 if field == "complex" else 8)
 
 
-def _assert_matches_reference(m, n, d, trials, seed, dist, field, zero_leading, tol):
+def _assert_matches_reference(monkeypatch, m, n, d, trials, seed, dist, field, zero_leading,
+                              tol):
+    k_prime = kprime_t(m, n, d).k_prime
+    factored = []
+
+    def recording(coeffs, k):
+        if k == k_prime:
+            factored.append(coeffs.copy())
+        return sylvester_array(coeffs, k)
+
+    monkeypatch.setattr(fullsyl, "sylvester_array", recording)
     got = _fields(genericity_experiment(
         m, n, d, trials=trials, seed=seed, dist=dist, field_tag=field,
         zero_leading=zero_leading, tol=tol,
     ))
-    successes, failures, min_margin = _per_trial_reference(
+    successes, failures, min_margin, drawn = _per_trial_reference(
         m, n, d, trials, seed, dist, field, zero_leading, tol
     )
     assert got["successes"] == successes
     assert got["failures"] == failures
     assert got["min_margin"] == min_margin
+    # Every zero_leading trial fails, and at tol = 0 every trial passes, with
+    # margin 0 whatever its draw: compare the factored stacks too.
+    assert np.array_equal(np.concatenate(factored), np.stack(drawn))
 
 
 # (m, n, d, dist, field, zero_leading); (4, 3, 2) and (2, 3, 2) have t > 0 and
@@ -253,11 +270,46 @@ def test_blocked_experiment_matches_per_trial_reference(case, tol, monkeypatch):
     assert tests == (2 if (m, n, d) in ((4, 3, 2), (2, 3, 2)) else 1)
     # Blocks of three trials: seven trials end one past a block boundary.
     monkeypatch.setattr(fullsyl, "BLOCK_BYTES", 3 * _s_kprime_bytes(m, n, d, field))
-    _assert_matches_reference(m, n, d, 7, 5, dist, field, zero_leading, tol)
+    _assert_matches_reference(monkeypatch, m, n, d, 7, 5, dist, field, zero_leading, tol)
 
 
-def test_blocked_experiment_matches_reference_past_the_default_block():
+def test_blocked_experiment_matches_reference_past_the_default_block(monkeypatch):
     block = fullsyl.BLOCK_BYTES // _s_kprime_bytes(4, 3, 2, "complex")
     assert block > 1
-    _assert_matches_reference(4, 3, 2, block + 1, 3, "gaussian", "complex", True, None)
-    _assert_matches_reference(4, 3, 2, block + 1, 4, "uniform", "complex", False, 1e-12)
+    _assert_matches_reference(monkeypatch, 4, 3, 2, block + 1, 3, "gaussian", "complex", True,
+                              None)
+    _assert_matches_reference(monkeypatch, 4, 3, 2, block + 1, 4, "uniform", "complex", False,
+                              1e-12)
+
+
+# -- per-trial streams built in bulk ---------------------------------------------
+
+# Seeds of one to five 32-bit words.
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**40]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_trial_states_equal_default_rng_states(seed):
+    def want(trial):
+        return np.random.default_rng([seed, trial]).bit_generator.state
+
+    chunk = fullsyl.BLOCK_BYTES // 32
+    states = list(fullsyl._pcg64_states(seed, 0, chunk + 1))
+    assert len(states) == chunk + 1
+    for trial in (0, 1, chunk - 1, chunk):  # both sides of the first chunk boundary
+        assert states[trial] == want(trial)
+    # A trial index of 2**32 or more adds a second entropy word.
+    start = 2**32 - 2
+    states = list(fullsyl._pcg64_states(seed, start, start + 4))
+    assert states == [want(start + i) for i in range(4)]
+
+
+@pytest.mark.parametrize("case", BLOCKED_CASES)
+def test_experiment_draws_the_default_rng_streams(case, monkeypatch):
+    m, n, d, dist, field, zero_leading = case
+    # SVD blocks of two trials, and state chunks of BLOCK_BYTES // 32 trials:
+    # chunk + 2 trials span many blocks and two chunks.
+    monkeypatch.setattr(fullsyl, "BLOCK_BYTES", 2 * _s_kprime_bytes(m, n, d, field))
+    trials = fullsyl.BLOCK_BYTES // 32 + 2
+    _assert_matches_reference(monkeypatch, m, n, d, trials, 2**40 + 7, dist, field, zero_leading,
+                              None)

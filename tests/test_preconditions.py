@@ -104,8 +104,38 @@ def test_count_arguments_are_integers_in_range(call, match):
         call()
 
 
+# Each function that takes a seed, called with it.
+SEEDED = {
+    "genericity_experiment": lambda seed: mb.genericity_experiment(2, 3, 1, trials=3, seed=seed),
+    "sample_full_sylvester": lambda seed: mb.sample_full_sylvester(2, 3, 1, seed=seed),
+    "classical_check": lambda seed: mb.classical_check(example1(), seed=seed),
+    "classical_lower_bound_check": lambda seed: mb.classical_lower_bound_check(example1(),
+                                                                               seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed, match", [
+    (-1, "seed must be non-negative, got -1"),
+    (True, "seed must be an integer, got True"),
+    (2.5, "seed must be an integer, got 2.5"),
+])
+@pytest.mark.parametrize("name", SEEDED)
+def test_a_seed_is_a_non_negative_integer_checked_before_any_draw(name, seed, match,
+                                                                   monkeypatch):
+    from minbasis import fullsyl
+
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a))
+    monkeypatch.setattr(fullsyl, "_draw", lambda *a: draws.append(a))
+    with pytest.raises(mb.ShapeError, match=match):
+        SEEDED[name](seed)
+    assert draws == []
+
+
 def test_a_numpy_integer_count_is_accepted():
     assert mb.genericity_experiment(2, 3, 1, trials=np.int64(3), seed=0).trials == 3
+    assert (mb.genericity_experiment(2, 3, 1, trials=3, seed=np.uint64(2**63))
+            == mb.genericity_experiment(2, 3, 1, trials=3, seed=2**63))
     assert len(mb.robustness_radius_minimal(example1(), scan_extra=np.int64(0)).scanned) == 1
     assert mb.kprime_t(np.int64(6), 3, 3) == mb.KPrimeT(k_prime=6, t=0)
 
