@@ -9,14 +9,13 @@ and as a certified sampler for downstream perturbation studies.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputFormatError, PreconditionError
-from .polymat import PolyMat
+from .polymat import PolyMat, _check_field
 from .sylvester import (
     MARGINAL_GAP, _block_count, _require_wide, clearance, memoized,
     singular_values, stacked_ranks, sylvester_array, sylvester_rank,
@@ -153,26 +152,32 @@ def _property_report(M: PolyMat, tol: float | None) -> FullSylReport:
 def _check_sampling(dist: str, field: str) -> None:
     if dist not in ("gaussian", "uniform"):
         raise InputFormatError(f"unknown distribution {dist!r}")
-    if field not in ("real", "complex"):
-        raise InputFormatError(f"unknown field tag {field!r}")
+    _check_field(field)
 
 
 def _draw(
     rng: np.random.Generator,
-    shape: tuple[int, int, int],
+    shape: tuple[int, ...],
     dist: str,
     field: str,
     zero_leading: bool,
 ) -> np.ndarray:
-    """One coefficient stack C_0 .. C_d, drawn from ``rng``; ``dist`` and
-    ``field`` must already have passed ``_check_sampling``."""
+    """Coefficient stacks C_0 .. C_d drawn from ``rng``: one of ``shape``
+    (d+1, rows, cols), or a batch of them for a leading batch axis.  Each
+    complex stack draws its real part, then its imaginary part, so a batch
+    of b stacks holds the next b single draws.  ``dist`` and ``field`` must
+    already have passed ``_check_sampling``."""
     if dist == "gaussian":
-        draw = lambda: rng.standard_normal(shape)  # noqa: E731
+        draw = rng.standard_normal
     else:
-        draw = lambda: rng.uniform(-1.0, 1.0, shape)  # noqa: E731
-    arr = draw() + 1j * draw() if field == "complex" else draw()
+        draw = lambda size: rng.uniform(-1.0, 1.0, size)  # noqa: E731
+    if field == "complex":
+        parts = draw(shape[:-3] + (2,) + shape[-3:])
+        arr = parts[..., 0, :, :, :] + 1j * parts[..., 1, :, :, :]
+    else:
+        arr = draw(shape)
     if zero_leading:
-        arr[-1] = 0.0
+        arr[..., -1, :, :] = 0.0
     return arr
 
 
@@ -188,152 +193,6 @@ def sample_polymat(
     """Draw i.i.d. coefficient entries; complex samples re/im independently."""
     _check_sampling(dist, field)
     return PolyMat(_draw(rng, (degree_bound + 1, rows, cols), dist, field, zero_leading))
-
-
-# -- per-trial streams -----------------------------------------------------------
-#
-# Trial i of genericity_experiment draws from the stream of
-# np.random.default_rng([seed, i]).  Constructing that SeedSequence and PCG64
-# for every trial is a large share of a small trial's cost, so _pcg64_states
-# builds the same PCG64 states for a range of trials at once: NumPy's
-# SeedSequence hash in uint32 array arithmetic (numpy/random/bit_generator.pyx),
-# then PCG64's 128-bit seeding step with Python ints (numpy/random/_pcg64.pyx,
-# numpy/random/src/pcg64/pcg64.c and pcg64.h).
-
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-# bit_generator.pyx: DEFAULT_POOL_SIZE, the words of SeedSequence.pool.
-_POOL_SIZE = 4
-# bit_generator.pyx: INIT_A and MULT_A, the hash constant of hashmix() in
-# SeedSequence.mix_entropy.
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-# bit_generator.pyx: INIT_B and MULT_B, the hash constant of
-# SeedSequence.generate_state.
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-# bit_generator.pyx: MIX_MULT_L and MIX_MULT_R of mix().
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
-# bit_generator.pyx: XSHIFT = 4 * 8 // 2, half the bits of a uint32.
-_XSHIFT = np.uint32(16)
-# pcg64.h: PCG_DEFAULT_MULTIPLIER_128, the LCG multiplier of
-# pcg_setseq_128_step_r.
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-# Bytes of generated state per trial: PCG64 seeds from generate_state(4, uint64).
-_STATE_BYTES = 32
-
-
-def _hash_values(init: int, mult: int, steps: int) -> list[int]:
-    """The values init * mult**j (mod 2**32), j = 0 .. steps, that a
-    SeedSequence hash constant takes: hash step j xors with value j and
-    multiplies by value j + 1."""
-    return [init * pow(mult, j, 1 << 32) & _MASK32 for j in range(steps + 1)]
-
-
-def _step_columns(values: list[int], steps) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiply) uint32 columns of hash steps ``steps``, one per
-    row; a step of None gives a row of zeros."""
-    xor = [0 if j is None else values[j] for j in steps]
-    mul = [0 if j is None else values[j + 1] for j in steps]
-    return np.array(xor, np.uint32)[:, None], np.array(mul, np.uint32)[:, None]
-
-
-# mix_entropy's first two loops take POOL_SIZE + POOL_SIZE * (POOL_SIZE - 1)
-# hash steps.
-_HASH_A = _hash_values(_INIT_A, _MULT_A, _POOL_SIZE**2)
-# mix_entropy's first loop hashes entropy word j into pool word j at step j.
-_POOL_STEPS = _step_columns(_HASH_A, range(_POOL_SIZE))
-# Its second loop mixes pool word src into every other word dst, one step per
-# (src, dst) in order; row src keeps its word and takes no step.
-_CROSS_STEPS = [
-    _step_columns(_HASH_A, [
-        None if dst == src else _POOL_SIZE + (_POOL_SIZE - 1) * src + dst - (dst > src)
-        for dst in range(_POOL_SIZE)
-    ])
-    for src in range(_POOL_SIZE)
-]
-# generate_state(4, uint64) cycles through the pool for 8 uint32 words.
-_OUTPUT_STEPS = _step_columns(
-    _hash_values(_INIT_B, _MULT_B, 2 * _POOL_SIZE), range(2 * _POOL_SIZE)
-)
-
-
-def _hash(values: np.ndarray, columns: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """hashmix() of bit_generator.pyx, one hash step per row of the
-    ``_step_columns`` pair ``columns``."""
-    xor, mul = columns
-    out = (values ^ xor) * mul
-    return out ^ (out >> _XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """mix() of bit_generator.pyx."""
-    out = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return out ^ (out >> _XSHIFT)
-
-
-def _seed_words(entropy: list[np.ndarray]) -> np.ndarray:
-    """generate_state(4, uint64) of SeedSequence(entropy) for a column of
-    trials at once: ``entropy`` holds one uint32 array per entropy word,
-    each of length 1 (a word shared by all trials) or of the column's
-    length.  Returns the four uint64 words as rows."""
-    n = max(len(word) for word in entropy)
-    entropy = entropy + [np.zeros(1, np.uint32)] * (_POOL_SIZE - len(entropy))
-    pool = _hash(np.stack([np.broadcast_to(w, n) for w in entropy[:_POOL_SIZE]]), _POOL_STEPS)
-    for src, columns in enumerate(_CROSS_STEPS):
-        mixed = _mix(pool, _hash(pool[src], columns))
-        mixed[src] = pool[src]  # mixed into the others only
-        pool = mixed
-    # The third loop mixes each remaining entropy word into the whole pool.
-    extra = len(entropy) - _POOL_SIZE
-    if extra:
-        values = _hash_values(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
-        for i, word in enumerate(entropy[_POOL_SIZE:]):
-            first = _POOL_SIZE * (_POOL_SIZE + i)
-            pool = _mix(pool, _hash(word, _step_columns(values, range(first, first + _POOL_SIZE))))
-    # The 8 output words, read as little-endian pairs of uint64 words.
-    words = _hash(np.concatenate((pool, pool)), _OUTPUT_STEPS).astype(np.uint64)
-    return words[0::2] | (words[1::2] << np.uint64(32))
-
-
-def _uint32_words(n: int) -> list[int]:
-    """bit_generator.pyx _int_to_uint32_array: n's 32-bit words, least
-    significant first, and [0] for zero."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _pcg64_states(seed: int, start: int, stop: int):
-    """Yield, for trials start .. stop-1, the state dict of
-    ``np.random.default_rng([seed, trial]).bit_generator``.
-
-    ``seed`` and the trials must be non-negative ints.  The hash runs over
-    chunks of at most ``BLOCK_BYTES`` of state words, split where a trial
-    index gains a 32-bit word, so memory stays bounded for any range.
-    """
-    seed_words = [np.array([w], np.uint32) for w in _uint32_words(seed)]
-    chunk = max(1, BLOCK_BYTES // _STATE_BYTES)
-    lo = start
-    while lo < stop:
-        # Within [lo, hi) only the lowest word of the trial index varies.
-        hi = min(stop, lo + chunk, (lo | _MASK32) + 1)
-        low = np.arange(lo & _MASK32, (lo & _MASK32) + (hi - lo), dtype=np.uint32)
-        high = [np.array([w], np.uint32) for w in _uint32_words(lo >> 32)] if lo >> 32 else []
-        # pcg64_set_seed reads the four words as (high, low) pairs of the
-        # 128-bit initstate and initseq.
-        words = _seed_words(seed_words + [low] + high).tolist()
-        for state_hi, state_lo, seq_hi, seq_lo in zip(*words):
-            # pcg_setseq_128_srandom_r(initstate, initseq): state = 0,
-            # inc = 2*initseq + 1, step, add initstate, step.
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-            state = (((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                   "has_uint32": 0, "uinteger": 0}
-        lo = hi
 
 
 @dataclass(frozen=True)
@@ -365,16 +224,16 @@ def genericity_experiment(
 ) -> GenericityResult:
     """Monte Carlo frequency of the full-Sylvester-rank property.
 
-    Trial i draws from its own stream, exactly that of
-    ``np.random.default_rng([seed, i])``, so results do not depend on
-    execution order or on the trial count.  The streams' PCG64 states are
-    built in bulk and loaded in turn into one generator, which draws the
-    same numbers without a SeedSequence and a PCG64 per trial.  Trials are
-    decided in blocks of at most ``BLOCK_BYTES`` of Sylvester matrices, with
-    one batched SVD per decisive rank test, by the same rank decisions and
-    margins as ``has_full_sylvester_rank`` on each trial's matrix.
-    ``zero_leading`` constrains sampling to the degenerate stratum with
-    vanishing leading coefficient, where the property is impossible.
+    All trials draw from one ``np.random.default_rng(seed)``: trial i is the
+    (i+1)-th coefficient stack, exactly the (i+1)-th ``sample_polymat`` call
+    on that generator, so a seed gives the same results whatever the block
+    size, and the first trials of a longer run equal a shorter run.  Trials
+    are decided in blocks of at most ``BLOCK_BYTES`` of Sylvester matrices:
+    one draw with a leading batch axis per block, then one batched SVD per
+    decisive rank test, by the same rank decisions and margins as
+    ``has_full_sylvester_rank`` on each trial's matrix.  ``zero_leading``
+    constrains sampling to the degenerate stratum with vanishing leading
+    coefficient, where the property is impossible.
     """
     trials = _block_count(trials, "trials")
     seed = _block_count(seed, "seed", least=0)
@@ -384,21 +243,13 @@ def genericity_experiment(
     k_prime = plan[-1][0]
     itemsize = 16 if field_tag == "complex" else 8
     block = max(1, BLOCK_BYTES // ((k_prime + d) * m * k_prime * q * itemsize))
-    # One generator, reset to each trial's state before its draw; PCG64(0)
-    # only gives it a state to overwrite.
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    states = _pcg64_states(seed, 0, trials)
+    rng = np.random.default_rng(seed)
     successes = 0
     failures: list[dict] = []
     min_margin = float("inf")
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        draws = []
-        for state in itertools.islice(states, stop - start):
-            bit_generator.state = state
-            draws.append(_draw(rng, (d + 1, m, q), dist, field_tag, zero_leading))
-        coeffs = np.stack(draws)
+        coeffs = _draw(rng, (stop - start, d + 1, m, q), dist, field_tag, zero_leading)
         # The same decisive tests and margins as has_full_sylvester_rank, for
         # the whole block at once.
         ok = np.ones(stop - start, dtype=bool)

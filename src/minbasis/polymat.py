@@ -122,8 +122,15 @@ class PolyMat:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, degree_bound: int, field: str = "real") -> "PolyMat":
+        _check_field(field)
         dtype = _COMPLEX_DTYPE if field == "complex" else _REAL_DTYPE
         return cls(np.zeros((degree_bound + 1, rows, cols), dtype=dtype))
+
+
+def _check_field(field: str) -> None:
+    """InputFormatError unless ``field`` is a field tag, "real" or "complex"."""
+    if field not in ("real", "complex"):
+        raise InputFormatError(f"unknown field tag {field!r}")
 
 
 def _stack_dtype(arr: np.ndarray) -> type:

@@ -234,6 +234,8 @@ _ZERO_K_LIFICATION = build_lification(PolyMat.zeros(1, 4, 1),
      r"propagate_perturbation: shape/grade mismatch \(2, 1, 2\) vs \(3, 1, 2\)"),
     (_perturb(ONE_LAMBDA_PAIR, PolyMat.zeros(1, 2, 1, field="complex")),
      mb.FieldMismatchError, r"propagate_perturbation: mixed fields \(real vs complex\)"),
+    (lambda: PolyMat.zeros(2, 3, 1, field="quaternion"), mb.InputFormatError,
+     "unknown field tag 'quaternion'"),
     (lambda: build_lification(PolyMat.zeros(1, 2, 1), example1()), mb.ShapeError,
      "K and M must share column count and grade"),
     (_backward_error(PolyMat.zeros(2, 8, 1)), mb.ShapeError,
