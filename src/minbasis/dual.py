@@ -36,7 +36,6 @@ from .polymat import (
     _require_congruent,
     add,
     poly_multiply_transpose,
-    reversal,
     row_degrees,
     s1_stack,
 )
@@ -52,17 +51,6 @@ from .sylvester import (
     sylvester_nullspace,
     weyl_full_rank,
 )
-
-__all__ = [
-    "DualPair",
-    "PerturbReport",
-    "dual_minimal_basis",
-    "verify_duality",
-    "propagate_perturbation",
-    "check_dual_fullsyl",
-    "reversal_dual",
-    "product_residual",
-]
 
 RESIDUAL_FACTOR = 1e-10
 
@@ -300,35 +288,3 @@ def propagate_perturbation(
         row_degree_split=(t, n - t),
         perturbed_pair=new_pair,
     )
-
-
-def check_dual_fullsyl(pair: DualPair, tol: float | None = None) -> bool:
-    """The dual basis has full-Sylvester-rank exactly when t = 0."""
-    if not pair.is_valid:
-        raise PreconditionError("check requires a valid dual pair")
-    n_has = has_full_sylvester_rank(pair.N, tol).has_full_sylvester_rank
-    if n_has != (pair.k_prime_t.t == 0):
-        raise NumericalInconsistencyError(
-            f"dual basis full-Sylvester-rank={n_has} contradicts t={pair.k_prime_t.t}"
-        )
-    return n_has
-
-
-def reversal_dual(pair: DualPair, tol: float | None = None) -> DualPair:
-    """Reversed pair (rev_d M, rev_k' N); requires t = 0.
-
-    Both components of the result are verified to keep full-Sylvester-rank.
-    """
-    if not pair.is_valid:
-        raise PreconditionError("reversal requires a valid dual pair")
-    if pair.k_prime_t.t != 0:
-        raise PreconditionError("reversal duality requires t=0")
-    M_rev = reversal(pair.M, pair.M.degree_bound)
-    N_rev = reversal(pair.N, pair.N.degree_bound)
-    new_pair = _verified(M_rev, N_rev, tol, "reversed pair")
-    for comp in (M_rev, N_rev):
-        if not has_full_sylvester_rank(comp, tol).has_full_sylvester_rank:
-            raise NumericalInconsistencyError(
-                "reversed component lost full-Sylvester-rank"
-            )
-    return new_pair

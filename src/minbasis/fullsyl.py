@@ -21,20 +21,6 @@ from .sylvester import (
     singular_values, stacked_ranks, sylvester_array, sylvester_rank,
 )
 
-__all__ = [
-    "KPrimeT",
-    "RankCheck",
-    "FullSylReport",
-    "GenericityResult",
-    "kprime_t",
-    "has_full_sylvester_rank",
-    "decisive_rank_tests",
-    "predicted_minimal_indices",
-    "genericity_experiment",
-    "sample_full_sylvester",
-    "sample_polymat",
-]
-
 # Bytes of Sylvester matrices that genericity_experiment holds at once.  A
 # block of trials, decided by one batched SVD per rank test, holds this budget
 # over the size of one S_k', so memory stays bounded for any trial count.

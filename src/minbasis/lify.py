@@ -28,14 +28,6 @@ from .polymat import (
 )
 from .sylvester import _require_wide, sylvester_singular_values
 
-__all__ = [
-    "Lification",
-    "BackwardErrorReport",
-    "build_lification",
-    "backward_error_map",
-    "minimal_index_shift_check",
-]
-
 
 @dataclass(frozen=True)
 class Lification:

@@ -17,11 +17,9 @@ import numpy as np
 from .errors import (
     NotFullNormalRankError,
     NumericalInconsistencyError,
-    PreconditionError,
-    PropertyViolationError,
     LeadingCoefficientError,
 )
-from .fullsyl import _require_full_sylvester, has_full_sylvester_rank
+from .fullsyl import has_full_sylvester_rank
 from .polymat import PolyMat, evaluate, row_degrees
 from .sylvester import (
     RankDecision,
@@ -34,20 +32,6 @@ from .sylvester import (
     stacked_ranks,
     sylvester_rank,
 )
-
-__all__ = [
-    "RankProfile",
-    "Certificate",
-    "ClassicalCheck",
-    "rank_profile",
-    "right_minimal_indices",
-    "index_sum_check",
-    "indices_from_profile",
-    "minimal_index_sum",
-    "certify_minimal_basis",
-    "certify_full_leading",
-    "classical_check",
-]
 
 REASON_OK = "ok"
 REASON_HR = "hr_rank_deficient"
@@ -322,22 +306,9 @@ def right_minimal_indices(M: PolyMat, tol: float | None = None) -> list[int]:
     return indices
 
 
-def index_sum_check(M: PolyMat, tol: float | None = None) -> bool:
-    """Assert that the right minimal indices sum to m*d (Index Sum consequence)."""
-    _require_full_sylvester(M, tol, "index_sum_check")
-    total = sum(right_minimal_indices(M, tol=tol))
-    expected = M.rows * M.degree_bound
-    if total != expected:
-        raise PropertyViolationError(
-            f"minimal indices sum to {total}, expected {expected}"
-        )
-    return True
-
-
-def minimal_index_sum(profile: RankProfile, m: int) -> int:
-    """Sum of the right minimal indices, computed as r_{d'} - m*d'."""
-    if profile.d_prime is None:
-        raise PreconditionError("profile has no stopping index d'")
+def _minimal_index_sum(profile: RankProfile, m: int) -> int:
+    """Sum of the right minimal indices, computed as r_{d'} - m*d', of a
+    profile that reached d'."""
     dp = profile.d_prime
     return (profile.ranks[dp - 1] if dp >= 1 else 0) - m * dp
 
@@ -376,7 +347,7 @@ def certify_minimal_basis(M: PolyMat, tol: float | None = None) -> Certificate:
         # some rank decision here is wrong, however wide its gap.
         verdict, reason, observed, marginal = False, REASON_SCAN_EXHAUSTED, None, True
     else:
-        observed = minimal_index_sum(profile, M.rows)
+        observed = _minimal_index_sum(profile, M.rows)
         if hr_dec.rank < M.rows:
             verdict, reason = False, REASON_HR
         elif observed != expected:
@@ -413,58 +384,3 @@ def certify_full_leading(M: PolyMat, tol: float | None = None) -> Certificate:
             "leading coefficient rank deficient -- use certify_minimal_basis"
         )
     return certify_minimal_basis(M, tol)
-
-
-@dataclass(frozen=True)
-class ClassicalCheck:
-    """Outcome of the sampled full-rank-everywhere test.
-
-    A pass here is evidence, not a certificate: the sampled test cannot see
-    rank drops at unsampled points, so the Sylvester certificate remains the
-    authoritative path.
-    """
-
-    passed: bool
-    row_reduced: bool
-    rank_drops: int
-    min_sigma: float
-    min_sigma_at: complex
-    samples: int
-    hr_rank: int
-
-
-# Sample radii of classical_check and of robust.classical_lower_bound_check.
-_CLASSICAL_RADII = (0.5, 1.0, 2.0, 10.0)
-
-
-def classical_check(
-    M: PolyMat, num_samples: int = 200, seed: int = 0, tol: float | None = None
-) -> ClassicalCheck:
-    """Probabilistic minimality check: row reducedness plus sampled evaluations.
-
-    Draws pseudo-random points from the complex unit disk scaled by the radii
-    0.5, 1, 2, and 10 and tests rank(M(lambda_0)) == rows at each, all from
-    one SVD of the stack of evaluations.
-    """
-    _require_wide(M, "classical_check")
-    num_samples = _block_count(num_samples, "num_samples")
-    seed = _block_count(seed, "seed", least=0)
-    hr_dec = highest_row_degree_rank(M, tol)
-    m = M.rows
-    # Two uniforms per sample, in the order of a per-sample loop.
-    u = np.random.default_rng(seed).uniform(size=(num_samples, 2))
-    radius = np.resize(_CLASSICAL_RADII, num_samples)
-    lam = radius * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-    sv = singular_values(evaluate(M, lam))
-    ranks, _, _ = stacked_ranks(sv, (m, M.cols), tol)
-    drops = int(np.count_nonzero(ranks < m))
-    at = int(np.argmin(sv[:, m - 1]))  # the first minimum
-    return ClassicalCheck(
-        passed=(hr_dec.rank == m and drops == 0),
-        row_reduced=(hr_dec.rank == m),
-        rank_drops=drops,
-        min_sigma=float(sv[at, m - 1]),
-        min_sigma_at=complex(lam[at]),
-        samples=num_samples,
-        hr_rank=hr_dec.rank,
-    )

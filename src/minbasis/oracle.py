@@ -20,15 +20,7 @@ import numpy as np
 from .errors import InputFormatError, NumericalInconsistencyError
 from .minimal import RankProfile, _profile, _scan
 from .polymat import PolyMat, evaluate_array
-from .sylvester import _block_count, _require_wide, sylvester_array
-
-__all__ = [
-    "exact_rank",
-    "exact_nullspace",
-    "exact_sylvester",
-    "exact_rank_profile",
-    "exact_evaluate",
-]
+from .sylvester import _require_wide, sylvester_array
 
 
 def _to_fraction(value, where: str) -> Fraction:
@@ -253,29 +245,11 @@ def exact_rank(A) -> int:
     return _rank(_integer_rows(_fraction_matrix(A)))
 
 
-def exact_nullspace(A) -> list[list[Fraction]]:
-    """Exact basis of the right nullspace (A @ v == 0 for each basis vector):
-    one vector per non-pivot column of the reduced row echelon form."""
-    _, V, D = _rank_nullspace(_integer_rows(_fraction_matrix(A)))
-    return [[Fraction(int(v), D) for v in row] for row in V]
-
-
 def _fraction_coeffs(M: PolyMat) -> np.ndarray:
     if M.field != "real":
         raise InputFormatError("exact oracle requires real (rational-valued) entries")
     # The coefficients are finite floats, so each is an exact Fraction.
     return np.frompyfunc(Fraction, 1, 1)(M.coeffs)
-
-
-def exact_evaluate(M: PolyMat, lam) -> np.ndarray:
-    """Exact Horner evaluation at a rational point, as an object array."""
-    lam = _to_fraction(lam, "evaluation point")
-    return evaluate_array(_fraction_coeffs(M), np.asarray(lam))
-
-
-def exact_sylvester(M: PolyMat, k: int) -> np.ndarray:
-    """Exact Sylvester matrix with k block columns, as an object array."""
-    return sylvester_array(_fraction_coeffs(M), _block_count(k))
 
 
 def _exact_normal_rank(Z: np.ndarray) -> int:

@@ -17,27 +17,6 @@ import numpy as np
 
 from .errors import FieldMismatchError, InputFormatError, ShapeError
 
-__all__ = [
-    "PolyMat",
-    "degree",
-    "row_degrees",
-    "highest_row_degree_matrix",
-    "evaluate",
-    "evaluate_array",
-    "reversal",
-    "poly_multiply_transpose",
-    "s1_stack",
-    "add",
-    "scale",
-    "embed",
-    "vstack_polymats",
-    "poly_equal",
-    "from_dict",
-    "to_dict",
-    "load",
-    "save",
-]
-
 _REAL_DTYPE = np.float64
 _COMPLEX_DTYPE = np.complex128
 
@@ -210,23 +189,6 @@ def evaluate(P: PolyMat, lam) -> np.ndarray:
     return evaluate_array(P.coeffs, lam)
 
 
-def reversal(P: PolyMat, grade: int) -> PolyMat:
-    """Reverse the coefficient order within the given grade.
-
-    The output coefficient i equals C_{grade - i}.  Requires
-    ``grade >= degree(P)`` so no nonzero coefficient is dropped.
-    """
-    deg = degree(P)
-    if grade < deg:
-        raise ShapeError(f"grade below degree ({grade} < {deg})")
-    rev = np.zeros((grade + 1, P.rows, P.cols), dtype=P.coeffs.dtype)
-    for i in range(grade + 1):
-        src = grade - i
-        if src <= P.degree_bound:
-            rev[i] = P.coeffs[src]
-    return PolyMat(rev)
-
-
 def poly_multiply_transpose(A: PolyMat, B: PolyMat) -> PolyMat:
     """Coefficient-convolution product A(lambda) * B(lambda)^T.
 
@@ -295,15 +257,6 @@ def vstack_polymats(blocks: Iterable[PolyMat]) -> PolyMat:
     return PolyMat(np.concatenate([b.coeffs for b in blocks], axis=1))
 
 
-def poly_equal(A: PolyMat, B: PolyMat) -> bool:
-    """Exact coefficient equality (same shape, grade, field, entries)."""
-    return (
-        A.field == B.field
-        and A.coeffs.shape == B.coeffs.shape
-        and bool(np.array_equal(A.coeffs, B.coeffs))
-    )
-
-
 # -- JSON interchange -----------------------------------------------------------
 #
 # { "field": "real"|"complex", "rows": m, "cols": q, "degree_bound": d,
@@ -341,8 +294,7 @@ def from_dict(obj: dict) -> PolyMat:
         if key not in obj:
             raise InputFormatError(f"missing required key {key!r}")
     field = obj["field"]
-    if field not in ("real", "complex"):
-        raise InputFormatError(f"field: expected 'real' or 'complex', got {field!r}")
+    _check_field(field)
     rows, cols, db = obj["rows"], obj["cols"], obj["degree_bound"]
     for name, val, low in (("rows", rows, 1), ("cols", cols, 1), ("degree_bound", db, 0)):
         if isinstance(val, bool) or not isinstance(val, int) or val < low:

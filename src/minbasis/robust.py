@@ -22,7 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .fullsyl import _require_full_sylvester, has_full_sylvester_rank
-from .minimal import _CLASSICAL_RADII, certify_minimal_basis
+from .minimal import certify_minimal_basis
 from .polymat import PolyMat, _require_congruent, evaluate, s1_stack
 from .sylvester import (
     _block_count,
@@ -33,19 +33,6 @@ from .sylvester import (
     singular_values,
     sylvester_singular_values,
 )
-
-__all__ = [
-    "RadiusReport",
-    "Thetas",
-    "LowerBoundReport",
-    "robustness_radius_minimal",
-    "robustness_radius_fullsyl",
-    "sharp_witness_flat",
-    "thetas",
-    "classical_lower_bound_check",
-    "fragile_neighbor",
-    "distance",
-]
 
 
 def distance(A: PolyMat, B: PolyMat) -> float:
@@ -204,6 +191,8 @@ class LowerBoundReport:
 
 
 _SLACK = 1e-12
+# Radii of the circles that classical_lower_bound_check samples.
+_CLASSICAL_RADII = (0.5, 1.0, 2.0, 10.0)
 
 
 def classical_lower_bound_check(

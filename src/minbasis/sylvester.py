@@ -27,24 +27,6 @@ import numpy as np
 from .errors import InputFormatError, NumericalInconsistencyError, ShapeError
 from .polymat import PolyMat, highest_row_degree_matrix, row_degrees
 
-__all__ = [
-    "RankDecision",
-    "sylvester",
-    "sylvester_array",
-    "stacked_ranks",
-    "rank_decision",
-    "clearance",
-    "rank_nullity",
-    "default_tolerance",
-    "singular_values",
-    "sylvester_rank",
-    "highest_row_degree_rank",
-    "full_leading_rank",
-    "sylvester_singular_values",
-    "sylvester_nullspace",
-    "weyl_full_rank",
-]
-
 
 def sylvester_array(coeffs: np.ndarray, k: int) -> np.ndarray:
     """The k-th Sylvester matrix of a coefficient array of shape

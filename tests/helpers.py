@@ -1,6 +1,6 @@
 """Shared builders for the block-bidiagonal worked examples and random
-inputs, a reference exact nullspace, and a spy on the package's
-factorizations."""
+inputs, the reversal of a matrix, the exact oracle's kernel on one matrix
+with a reference nullspace, and a spy on the package's factorizations."""
 
 import sys
 from fractions import Fraction
@@ -8,8 +8,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from minbasis import PolyMat
-from minbasis.polymat import s1_stack, scale
+from minbasis import PolyMat, oracle
+from minbasis.errors import ShapeError
+from minbasis.polymat import degree, s1_stack, scale
+from minbasis.sylvester import sylvester_array
 
 
 def example1() -> PolyMat:
@@ -145,6 +147,37 @@ def planted_indices(epsilons, rng: np.random.Generator) -> PolyMat:
 
     U, V = unimodular(m), unimodular(q)
     return PolyMat(np.stack([U @ C @ V for C in L]))
+
+
+def reversal(P: PolyMat, grade: int) -> PolyMat:
+    """Reverse the coefficient order within the given grade.
+
+    The output coefficient i equals C_{grade - i}.  Requires
+    ``grade >= degree(P)`` so no nonzero coefficient is dropped.
+    """
+    deg = degree(P)
+    if grade < deg:
+        raise ShapeError(f"grade below degree ({grade} < {deg})")
+    rev = np.zeros((grade + 1, P.rows, P.cols), dtype=P.coeffs.dtype)
+    for i in range(grade + 1):
+        src = grade - i
+        if src <= P.degree_bound:
+            rev[i] = P.coeffs[src]
+    return PolyMat(rev)
+
+
+def exact_nullspace(A) -> list[list[Fraction]]:
+    """The exact oracle's right nullspace basis of a 2-D array-like of ints,
+    floats or Fractions (A @ v == 0 for each basis vector): one vector per
+    non-pivot column of the reduced row echelon form."""
+    _, V, D = oracle._rank_nullspace(oracle._integer_rows(oracle._fraction_matrix(A)))
+    return [[Fraction(int(v), D) for v in row] for row in V]
+
+
+def exact_sylvester(M: PolyMat, k: int) -> np.ndarray:
+    """S_k of M over Fractions, as an object array, from the float path's
+    builder and the exact oracle's coefficients."""
+    return sylvester_array(oracle._fraction_coeffs(M), k)
 
 
 def fraction_nullspace(A) -> list[list[Fraction]]:

@@ -9,7 +9,7 @@ import pytest
 
 import minbasis as mb
 from minbasis.cli import _build_parser, main
-from minbasis.polymat import save, PolyMat
+from minbasis.polymat import from_dict, save, PolyMat
 
 from helpers import (
     LinalgSpy,
@@ -145,7 +145,7 @@ def test_dual_command(capsys, ex1_file):
     assert code == 0
     assert report["results"]["row_degrees"] == [3, 3]
     assert report["results"]["residual"] < 1e-10
-    N = mb.from_dict(report["results"]["dual_basis"])
+    N = from_dict(report["results"]["dual_basis"])
     assert N.rows == 2 and N.cols == 8
 
 
@@ -490,7 +490,7 @@ def test_complex_input_through_the_cli(capsys, tmp_path):
     assert report["results"]["certificate"]["is_minimal_basis"] is True
     code, report = run_json(capsys, ["dual", str(path), "--json"])
     assert code == 0
-    N = mb.from_dict(report["results"]["dual_basis"])
+    N = from_dict(report["results"]["dual_basis"])
     assert N.field == "complex"
     assert np.array_equal(N.coeffs, mb.dual_minimal_basis(M).N.coeffs)
     from minbasis.dual import admissible_radius

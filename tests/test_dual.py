@@ -4,13 +4,11 @@ import pytest
 import minbasis as mb
 from minbasis.dual import (
     admissible_radius,
-    check_dual_fullsyl,
     dual_minimal_basis,
     propagate_perturbation,
-    reversal_dual,
     verify_duality,
 )
-from minbasis.polymat import PolyMat, evaluate, row_degrees, s1_stack
+from minbasis.polymat import PolyMat, evaluate, highest_row_degree_matrix, row_degrees
 from minbasis.sylvester import rank_nullity, sylvester
 
 from helpers import (
@@ -21,6 +19,7 @@ from helpers import (
     one_lambda,
     one_lambda_dual,
     random_perturbation,
+    reversal,
 )
 
 
@@ -143,7 +142,7 @@ def test_propagate_case_a_row_split_and_residual():
     rep = propagate_perturbation(pair, delta)
     assert rep.row_degree_split == (2, 1)
     assert rep.perturbed_pair.residual < 1e-9
-    hr = mb.highest_row_degree_matrix(rep.perturbed_pair.N)
+    hr = highest_row_degree_matrix(rep.perturbed_pair.N)
     assert np.linalg.matrix_rank(hr) == 3
     assert rep.relative_change <= rep.guaranteed_bound
 
@@ -185,13 +184,16 @@ def test_propagate_shuffled_rows_keeps_caller_order():
     assert row_degrees(rep.perturbed_pair.N) == row_degrees(N_shuffled)
 
 
-def test_check_dual_fullsyl_cases():
-    pair1 = dual_minimal_basis(example1())
-    assert check_dual_fullsyl(pair1) is True
-    pair2 = dual_minimal_basis(mb.sample_full_sylvester(1, 3, 1, seed=1))
-    assert check_dual_fullsyl(pair2) is False
-    pair3 = dual_minimal_basis(mb.sample_full_sylvester(3, 2, 2, seed=1))
-    assert check_dual_fullsyl(pair3) is True
+def test_dual_has_full_sylvester_rank_exactly_when_t_is_zero():
+    cases = [
+        (example1(), True),
+        (mb.sample_full_sylvester(1, 3, 1, seed=1), False),
+        (mb.sample_full_sylvester(3, 2, 2, seed=1), True),
+    ]
+    for M, expected in cases:
+        pair = dual_minimal_basis(M)
+        assert (pair.k_prime_t.t == 0) is expected
+        assert mb.has_full_sylvester_rank(pair.N).has_full_sylvester_rank is expected
 
 
 def test_dual_of_dual_kprime():
@@ -202,18 +204,25 @@ def test_dual_of_dual_kprime():
     assert rep.k_prime_t.t == 0
 
 
-def test_reversal_dual_example1():
-    pair = dual_minimal_basis(example1())
-    rev = reversal_dual(pair)
+def _reversed_pair(pair):
+    """(rev_d M, rev_k' N) of a t = 0 pair, verified, with both components
+    checked for full-Sylvester-rank."""
+    rev = verify_duality(reversal(pair.M, pair.M.degree_bound),
+                         reversal(pair.N, pair.N.degree_bound))
     assert rev.is_valid
     assert mb.has_full_sylvester_rank(rev.M).has_full_sylvester_rank
     assert mb.has_full_sylvester_rank(rev.N).has_full_sylvester_rank
+    return rev
 
 
-def test_reversal_dual_one_lambda():
+def test_reversed_pair_example1_is_dual_with_full_sylvester_rank():
+    _reversed_pair(dual_minimal_basis(example1()))
+
+
+def test_reversed_pair_one_lambda_is_dual_with_full_sylvester_rank():
     pair = verify_duality(one_lambda(), one_lambda_dual())
     assert pair.is_valid
-    rev = reversal_dual(pair)
+    rev = _reversed_pair(pair)
     # rev_1 [1, lam] = [lam, 1] and rev_1 [-lam, 1] = [-1, lam].
     assert np.array_equal(rev.M.coeffs[0], [[0.0, 1.0]])
     assert np.array_equal(rev.M.coeffs[1], [[1.0, 0.0]])
@@ -221,10 +230,16 @@ def test_reversal_dual_one_lambda():
     assert np.array_equal(rev.N.coeffs[1], [[0.0, 1.0]])
 
 
-def test_reversal_dual_rejects_positive_t():
+def test_reversed_pair_with_positive_t_is_not_a_dual_pair():
+    # N has rows of degree below k' when t > 0, so rev_k' N drops rank at 0:
+    # reversal gives a dual pair only when t = 0.
     pair = dual_minimal_basis(mb.sample_full_sylvester(1, 3, 1, seed=5))
-    with pytest.raises(mb.PreconditionError, match="t=0"):
-        reversal_dual(pair)
+    assert pair.k_prime_t.t == 2
+    rev = verify_duality(reversal(pair.M, pair.M.degree_bound),
+                         reversal(pair.N, pair.N.degree_bound))
+    assert not rev.is_valid
+    assert rev.failures == ("N is not a minimal basis (degree_sum_mismatch)",)
+    assert not mb.has_full_sylvester_rank(rev.N).has_full_sylvester_rank
 
 
 def test_swapped_roles_bound_when_t_zero():
@@ -232,7 +247,7 @@ def test_swapped_roles_bound_when_t_zero():
     # propagating to M works through the same machinery.
     M = mb.sample_full_sylvester(2, 2, 2, seed=17)
     pair = dual_minimal_basis(M)
-    assert check_dual_fullsyl(pair) is True
+    assert mb.has_full_sylvester_rank(pair.N).has_full_sylvester_rank
     swapped = verify_duality(pair.N, pair.M)
     assert swapped.is_valid
     rng = np.random.default_rng(15)

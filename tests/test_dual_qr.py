@@ -12,6 +12,7 @@ from minbasis.dual import (
     propagate_perturbation,
     verify_duality,
 )
+from minbasis.fullsyl import kprime_t
 from minbasis.polymat import PolyMat
 from minbasis.sylvester import _min_norm_solve, sylvester, sylvester_nullspace, sylvester_rank
 
@@ -32,7 +33,7 @@ def _projector(basis: np.ndarray) -> np.ndarray:
 
 
 def test_qr_nullspace_matches_svd_nullspace(sample):
-    kp = mb.kprime_t(sample.rows, sample.cols - sample.rows, sample.degree_bound).k_prime
+    kp = kprime_t(sample.rows, sample.cols - sample.rows, sample.degree_bound).k_prime
     for k in (kp, kp + 1):
         S = sylvester(sample, k)
         Z = sylvester_nullspace(sample, k)

@@ -12,8 +12,9 @@ import pytest
 
 import minbasis as mb
 from minbasis.dual import admissible_radius
-from minbasis.fullsyl import BLOCK_BYTES, decisive_rank_tests
+from minbasis.fullsyl import BLOCK_BYTES, decisive_rank_tests, kprime_t
 from minbasis.polymat import PolyMat
+from minbasis.sylvester import RankDecision
 
 from helpers import Call, LinalgSpy, planted_indices, random_perturbation, svds_of
 
@@ -101,12 +102,10 @@ def test_cold_scan_certificate_takes_one_svd_for_both_normal_rank_probes(monkeyp
     assert unkeyed == [(8, 11), (2, 8, 11)]
 
 
-def test_classical_checks_decide_every_sample_from_one_svd(monkeypatch):
+def test_classical_lower_bound_check_decides_every_sample_from_one_svd(monkeypatch):
     M = mb.sample_full_sylvester(4, 3, 2, seed=3)
     mb.certify_minimal_basis(M)
     spy = LinalgSpy(monkeypatch)
-    assert mb.classical_check(M, num_samples=200).samples == 200
-    assert spy.take() == [Call("svd", None, False)]
     assert mb.classical_lower_bound_check(M, num_samples=500).samples == 500
     assert spy.take() == [Call("svd", None, False)]
 
@@ -119,7 +118,7 @@ def _qr_of(calls, P):
 
 def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch):
     M, delta, K, delta_K = generic_633
-    kp = mb.kprime_t(6, 3, 3).k_prime
+    kp = kprime_t(6, 3, 3).k_prime
     spy = LinalgSpy(monkeypatch)
     mb.certify_minimal_basis(M)
     mb.right_minimal_indices(M)
@@ -185,7 +184,7 @@ def test_dual_and_perturbation_with_t_positive_factor_by_qr(monkeypatch):
 
 def test_genericity_experiment_runs_one_svd_per_decisive_test_and_block(monkeypatch):
     m, n, d, trials = 3, 2, 2, 50
-    plan = decisive_rank_tests(mb.kprime_t(m, n, d), m, m + n, d)
+    plan = decisive_rank_tests(kprime_t(m, n, d), m, m + n, d)
     k = plan[-1][0]
     block = BLOCK_BYTES // ((k + d) * m * k * (m + n) * 8)
     spy = LinalgSpy(monkeypatch)
@@ -333,5 +332,5 @@ def test_the_memo_keeps_singular_values_but_no_nullspace(shape):
                for sv in spectra.values())
     assert not any(isinstance(v, np.ndarray) for key, v in memo.items() if isinstance(key, tuple))
     dec = memo[kp + 1, None]
-    assert isinstance(dec, mb.RankDecision)
+    assert isinstance(dec, RankDecision)
     assert dec.singular_values == tuple(spectra[kp + 1].tolist())

@@ -6,6 +6,7 @@ import pytest
 
 import minbasis as mb
 from minbasis import minimal
+from minbasis.fullsyl import kprime_t
 from minbasis.polymat import PolyMat
 
 from helpers import common_factor_2x4, planted_indices
@@ -86,7 +87,7 @@ def _check_against_scan(M, monkeypatch):
 def test_fast_path_matches_scan_on_full_sylvester_samples(m, n, d, field, monkeypatch):
     M = mb.sample_full_sylvester(m, n, d, seed=100 + m * 10 + n, field_tag=field)
     fast = _check_against_scan(M, monkeypatch)
-    kt = mb.kprime_t(m, n, d)
+    kt = kprime_t(m, n, d)
     # The shortcut fired: only the decisive tests are attached.
     assert len(fast.decisions) == (2 if kt.k_prime > 1 and kt.t > 0 else 1)
     assert fast.d_prime == kt.k_prime
@@ -118,6 +119,6 @@ def test_near_miss_takes_the_shortcut_and_common_factor_does_not():
 
 def test_kmax_forces_the_scan():
     M = mb.sample_full_sylvester(3, 2, 2, seed=5)
-    k_prime = mb.kprime_t(3, 2, 2).k_prime
+    k_prime = kprime_t(3, 2, 2).k_prime
     prof = mb.rank_profile(M, k_max=10)
     assert len(prof.decisions) == len(prof.ranks) == k_prime + 1

@@ -16,7 +16,6 @@ from minbasis.fullsyl import (
     sample_full_sylvester,
     sample_polymat,
 )
-from minbasis.minimal import index_sum_check
 from minbasis.sylvester import sylvester_array
 
 from helpers import example1, example3, flat_1311
@@ -101,13 +100,18 @@ def test_full_sylvester_samples_certify_minimal_with_full_leading():
         assert np.linalg.matrix_rank(lead) == M.rows
 
 
-def test_index_sum_check():
-    assert index_sum_check(example1())
-    assert index_sum_check(flat_1311())
-    M = sample_full_sylvester(3, 2, 2, seed=5)
-    assert index_sum_check(M)
-    with pytest.raises(mb.PreconditionError):
-        index_sum_check(example3())
+def test_full_sylvester_rank_makes_the_minimal_indices_sum_to_m_d():
+    # The Index Sum consequence: with full-Sylvester-rank, the right minimal
+    # indices sum to m*d.  example3 is a minimal basis without the property,
+    # and its indices sum to 8, not 2*6.
+    for M in (example1(), flat_1311(), sample_full_sylvester(3, 2, 2, seed=5)):
+        assert has_full_sylvester_rank(M).has_full_sylvester_rank
+        assert sum(mb.right_minimal_indices(M)) == M.rows * M.degree_bound
+        assert mb.certify_minimal_basis(M).degree_sum_observed == M.rows * M.degree_bound
+    M = example3()
+    assert mb.certify_minimal_basis(M).is_minimal_basis
+    assert not has_full_sylvester_rank(M).has_full_sylvester_rank
+    assert sum(mb.right_minimal_indices(M)) == 8 != M.rows * M.degree_bound
 
 
 def test_monotone_persistence_beyond_checked_ranks():

@@ -119,7 +119,7 @@ def test_finite_eigenvalues_keep_the_verdict_of_the_forced_scan(indices, delta, 
     forced = _forced(M)
     assert (cert.is_minimal_basis, cert.reason) == (False, "degree_sum_mismatch")
     assert cert.d_prime == forced.d_prime == max(indices)
-    assert cert.degree_sum_observed == mb.minimal_index_sum(forced, M.rows) == sum(indices)
+    assert cert.degree_sum_observed == minimal._minimal_index_sum(forced, M.rows) == sum(indices)
     assert _fields(cert.profile) == _fields(forced)
     assert max(indices) + delta + 1 in ks
 

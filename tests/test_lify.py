@@ -4,7 +4,7 @@ import pytest
 import minbasis as mb
 from minbasis.dual import admissible_radius, propagate_perturbation
 from minbasis.lify import backward_error_map, build_lification, minimal_index_shift_check
-from minbasis.polymat import PolyMat, evaluate, poly_multiply_transpose, s1_stack
+from minbasis.polymat import PolyMat, evaluate, poly_multiply_transpose, vstack_polymats
 
 from helpers import example1, example1_N, random_perturbation
 
@@ -157,7 +157,7 @@ def test_index_shift_literal_lambda_cubed_instance():
     expected[3, 0, 0] = 1.0
     assert np.allclose(P_ref.coeffs, expected)
     assert mb.right_minimal_indices(P_ref) == [0]
-    L = mb.vstack_polymats([K, example1()])
+    L = vstack_polymats([K, example1()])
     assert mb.right_minimal_indices(L) == [0 + 3]
 
 

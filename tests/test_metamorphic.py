@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import minbasis as mb
-from minbasis.polymat import PolyMat, reversal, row_degrees, scale
+from minbasis.polymat import PolyMat, row_degrees, scale
 from minbasis.sylvester import highest_row_degree_rank, sylvester_singular_values
 
-from helpers import common_factor_2x4, example1, planted_indices
+from helpers import common_factor_2x4, example1, planted_indices, reversal
 
 
 def _inputs():

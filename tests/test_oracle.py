@@ -7,14 +7,8 @@ import pytest
 
 import minbasis as mb
 from minbasis import oracle
-from minbasis.oracle import (
-    exact_evaluate,
-    exact_nullspace,
-    exact_rank,
-    exact_rank_profile,
-    exact_sylvester,
-)
-from minbasis.polymat import PolyMat
+from minbasis.oracle import exact_rank, exact_rank_profile
+from minbasis.polymat import PolyMat, evaluate, evaluate_array
 from minbasis.sylvester import rank_nullity, sylvester
 
 from helpers import (
@@ -23,6 +17,8 @@ from helpers import (
     example1_N,
     example2,
     example3,
+    exact_nullspace,
+    exact_sylvester,
     fraction_nullspace,
     planted_indices,
 )
@@ -184,10 +180,11 @@ def test_exact_profile_rejects_complex():
 
 
 def test_exact_evaluate_horner():
+    # The float path's Horner evaluates the oracle's Fraction stack exactly.
     M = example2()
-    val = exact_evaluate(M, Fraction(3, 2))
-    ref = mb.evaluate(M, 1.5)
-    assert np.allclose([[float(x) for x in row] for row in val], ref)
+    val = evaluate_array(oracle._fraction_coeffs(M), np.asarray(Fraction(3, 2)))
+    assert all(isinstance(x, Fraction) for x in val.flat)
+    assert np.allclose(val.astype(float), evaluate(M, 1.5))
 
 
 def test_rational_matrix_rejects_ragged():

@@ -7,17 +7,20 @@ import pytest
 import minbasis as mb
 from minbasis.polymat import (
     PolyMat,
+    degree,
+    evaluate,
     evaluate_array,
     from_dict,
+    highest_row_degree_matrix,
     load,
-    poly_equal,
+    poly_multiply_transpose,
     s1_stack,
     save,
     to_dict,
 )
 from minbasis.sylvester import singular_values
 
-from helpers import example1, example3, one_lambda, one_lambda_dual
+from helpers import example1, example3, one_lambda, one_lambda_dual, reversal
 
 
 def naive_evaluate(P, lam):
@@ -28,16 +31,16 @@ def naive_evaluate(P, lam):
 
 
 def test_degree_reads_off_nonzero_coefficient():
-    assert mb.degree(one_lambda()) == 1
+    assert degree(one_lambda()) == 1
 
 
 def test_degree_example1_is_one():
-    assert mb.degree(example1()) == 1
+    assert degree(example1()) == 1
 
 
 def test_degree_of_zero_matrix_is_zero_by_convention():
     Z = PolyMat.zeros(2, 3, 3)
-    assert mb.degree(Z) == 0
+    assert degree(Z) == 0
     assert mb.row_degrees(Z) == [0, 0]
 
 
@@ -58,17 +61,17 @@ def test_row_degrees_and_highest_row_degree_matrix_match_loop_reference():
             nonzero = [i for i in range(d + 1) if np.any(coeffs[i, j])]
             degs.append(max(nonzero, default=0))
         assert mb.row_degrees(P) == degs
-        hr = mb.highest_row_degree_matrix(P)
+        hr = highest_row_degree_matrix(P)
         assert np.array_equal(hr, np.array([coeffs[degs[j], j] for j in range(m)]))
 
 
 def test_highest_row_degree_matrix_single_row():
-    hr = mb.highest_row_degree_matrix(one_lambda())
+    hr = highest_row_degree_matrix(one_lambda())
     assert np.array_equal(hr, [[0.0, 1.0]])
 
 
 def test_highest_row_degree_matrix_example1():
-    hr = mb.highest_row_degree_matrix(example1())
+    hr = highest_row_degree_matrix(example1())
     expected = np.zeros((6, 8))
     for b in range(3):
         expected[2 * b : 2 * b + 2, 2 * b + 2 : 2 * b + 4] = np.eye(2)
@@ -77,7 +80,7 @@ def test_highest_row_degree_matrix_example1():
 
 
 def test_highest_row_degree_matrix_example3_mixed_degrees():
-    hr = mb.highest_row_degree_matrix(example3())
+    hr = highest_row_degree_matrix(example3())
     M = example3()
     assert np.array_equal(hr[:4], M.coeffs[1][:4])
     assert np.array_equal(hr[4:], M.coeffs[2][4:])
@@ -85,11 +88,11 @@ def test_highest_row_degree_matrix_example3_mixed_degrees():
 
 
 def test_evaluate_simple():
-    assert np.array_equal(mb.evaluate(one_lambda(), 2.0), [[1.0, 2.0]])
+    assert np.array_equal(evaluate(one_lambda(), 2.0), [[1.0, 2.0]])
 
 
 def test_evaluate_example1_at_zero():
-    M0 = mb.evaluate(example1(), 0.0)
+    M0 = evaluate(example1(), 0.0)
     assert np.array_equal(M0, example1().coeffs[0])
     assert np.linalg.matrix_rank(M0) == 6
 
@@ -98,7 +101,7 @@ def test_evaluate_matches_naive_power_sum():
     rng = np.random.default_rng(11)
     P = PolyMat(rng.standard_normal((4, 3, 5)))
     for lam in [0.3, -1.7, 2.5 + 0.5j, rng.standard_normal()]:
-        got = mb.evaluate(P, lam)
+        got = evaluate(P, lam)
         assert np.allclose(got, naive_evaluate(P, lam), rtol=1e-12, atol=1e-12)
 
 
@@ -116,10 +119,10 @@ _RNG = np.random.default_rng(23)
     _RNG.standard_normal((2, 3)),
 ], ids=["scalar", "vector", "grid"])
 def test_evaluate_on_a_point_array_equals_per_point_calls(P, points):
-    got = mb.evaluate(P, points)
+    got = evaluate(P, points)
     assert got.shape == points.shape + (P.rows, P.cols)
     for idx in np.ndindex(points.shape):
-        one = mb.evaluate(P, points[idx].item())
+        one = evaluate(P, points[idx].item())
         assert got[idx].dtype == one.dtype
         assert np.array_equal(got[idx], one)
 
@@ -127,7 +130,7 @@ def test_evaluate_on_a_point_array_equals_per_point_calls(P, points):
 @pytest.mark.parametrize("bad", [np.inf, complex(0.0, np.nan), -np.inf + 1j])
 def test_evaluate_rejects_a_non_finite_point_anywhere_in_an_array(bad):
     with pytest.raises(mb.InputFormatError, match="finite"):
-        mb.evaluate(example1(), np.array([[0.5, 1.0], [bad, 2.0]]))
+        evaluate(example1(), np.array([[0.5, 1.0], [bad, 2.0]]))
 
 
 def _python_horner(coeffs, lam):
@@ -155,14 +158,14 @@ def test_evaluate_array_is_exact_on_object_stacks(lam):
 
 
 def test_reversal_swaps_coefficients():
-    rev = mb.reversal(one_lambda(), 1)
+    rev = reversal(one_lambda(), 1)
     assert np.array_equal(rev.coeffs[0], [[0.0, 1.0]])
     assert np.array_equal(rev.coeffs[1], [[1.0, 0.0]])
 
 
 def test_reversal_example1_swaps_blocks():
     M = example1()
-    rev = mb.reversal(M, 1)
+    rev = reversal(M, 1)
     assert np.array_equal(rev.coeffs[0], M.coeffs[1])
     assert np.array_equal(rev.coeffs[1], M.coeffs[0])
 
@@ -171,19 +174,19 @@ def test_reversal_is_involution_exactly():
     rng = np.random.default_rng(5)
     for _ in range(10):
         P = PolyMat(rng.standard_normal((3, 2, 4)))
-        assert poly_equal(mb.reversal(mb.reversal(P, P.degree_bound), P.degree_bound), P)
+        assert np.array_equal(reversal(reversal(P, P.degree_bound), P.degree_bound).coeffs, P.coeffs)
         # At a larger grade the round trip reproduces P inside that grade.
         g = P.degree_bound + 2
-        assert poly_equal(mb.reversal(mb.reversal(P, g), g), mb.embed(P, g))
+        assert np.array_equal(reversal(reversal(P, g), g).coeffs, mb.embed(P, g).coeffs)
 
 
 def test_reversal_rejects_grade_below_degree():
     with pytest.raises(mb.ShapeError, match="grade below degree"):
-        mb.reversal(one_lambda(), 0)
+        reversal(one_lambda(), 0)
 
 
 def test_multiply_transpose_dual_pair_is_zero():
-    prod = mb.poly_multiply_transpose(one_lambda(), one_lambda_dual())
+    prod = poly_multiply_transpose(one_lambda(), one_lambda_dual())
     assert not np.any(prod.coeffs)
     assert prod.degree_bound == 2
 
@@ -191,7 +194,7 @@ def test_multiply_transpose_dual_pair_is_zero():
 def test_multiply_transpose_example1_pair_is_zero():
     from helpers import example1_N
 
-    prod = mb.poly_multiply_transpose(example1(), example1_N())
+    prod = poly_multiply_transpose(example1(), example1_N())
     assert prod.rows == 6 and prod.cols == 2
     assert not np.any(prod.coeffs)
 
@@ -200,12 +203,12 @@ def test_multiply_transpose_matches_pointwise_evaluation():
     rng = np.random.default_rng(23)
     A = PolyMat(rng.standard_normal((3, 2, 5)))
     B = PolyMat(rng.standard_normal((2, 3, 5)))
-    prod = mb.poly_multiply_transpose(A, B)
+    prod = poly_multiply_transpose(A, B)
     scale = 1.0 + np.linalg.norm(s1_stack(A)) * np.linalg.norm(s1_stack(B))
     for _ in range(10):
         lam = complex(rng.standard_normal(), rng.standard_normal())
-        lhs = mb.evaluate(prod, lam)
-        rhs = mb.evaluate(A, lam) @ mb.evaluate(B, lam).T
+        lhs = evaluate(prod, lam)
+        rhs = evaluate(A, lam) @ evaluate(B, lam).T
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
@@ -213,14 +216,14 @@ def test_multiply_transpose_rejects_dimension_mismatch():
     A = PolyMat.zeros(2, 4, 1)
     B = PolyMat.zeros(2, 5, 1)
     with pytest.raises(mb.ShapeError):
-        mb.poly_multiply_transpose(A, B)
+        poly_multiply_transpose(A, B)
 
 
 def test_mixed_field_operations_rejected():
     A = PolyMat.zeros(2, 4, 1, field="real")
     B = PolyMat.zeros(2, 4, 1, field="complex")
     with pytest.raises(mb.FieldMismatchError):
-        mb.poly_multiply_transpose(A, B)
+        poly_multiply_transpose(A, B)
     with pytest.raises(mb.FieldMismatchError):
         mb.add(A, B)
 
@@ -267,10 +270,10 @@ def test_embed_preserves_value_and_raises_grade():
     M = example1()
     E = mb.embed(M, 3)
     assert E.degree_bound == 3
-    assert mb.degree(E) == 1
+    assert degree(E) == 1
     rng = np.random.default_rng(2)
     lam = rng.standard_normal()
-    assert np.allclose(mb.evaluate(E, lam), mb.evaluate(M, lam))
+    assert np.allclose(evaluate(E, lam), evaluate(M, lam))
 
 
 # -- JSON interchange ----------------------------------------------------------
@@ -280,7 +283,9 @@ def test_json_round_trip_real(tmp_path):
     M = example1()
     path = tmp_path / "m.json"
     save(M, path)
-    assert poly_equal(load(path), M)
+    Q = load(path)
+    assert Q.field == "real"
+    assert np.array_equal(Q.coeffs, M.coeffs)
 
 
 def test_json_round_trip_complex(tmp_path):
@@ -290,7 +295,7 @@ def test_json_round_trip_complex(tmp_path):
     save(P, path)
     Q = load(path)
     assert Q.field == "complex"
-    assert poly_equal(Q, P)
+    assert np.array_equal(Q.coeffs, P.coeffs)
 
 
 def test_json_rejects_wrong_coefficient_count():

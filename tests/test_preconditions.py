@@ -2,12 +2,16 @@
 and the certificate implies the full row rank of S_{d'} that the robustness
 radius needs."""
 
+import json
+
 import numpy as np
 import pytest
 
 import minbasis as mb
+from minbasis.cli import main
+from minbasis.fullsyl import KPrimeT, kprime_t
 from minbasis.lify import build_lification
-from minbasis.polymat import PolyMat
+from minbasis.polymat import PolyMat, from_dict, vstack_polymats
 from minbasis.sylvester import full_leading_rank, sylvester_rank
 
 from helpers import (
@@ -32,7 +36,10 @@ GATES = [
     ("dual_minimal_basis", mb.dual_minimal_basis, example3, mb.PreconditionError),
     ("robustness_radius_fullsyl", mb.robustness_radius_fullsyl, example3, mb.PreconditionError),
     ("thetas", mb.thetas, example3, mb.PreconditionError),
-    ("index_sum_check", mb.index_sum_check, example3, mb.PreconditionError),
+    ("dual_minimal_basis", mb.dual_minimal_basis, common_factor_2x4, mb.PreconditionError),
+    ("robustness_radius_fullsyl", mb.robustness_radius_fullsyl, common_factor_2x4,
+     mb.PreconditionError),
+    ("thetas", mb.thetas, common_factor_2x4, mb.PreconditionError),
     ("build_lification", _lify, example3, mb.PreconditionError),
     ("robustness_radius_minimal", mb.robustness_radius_minimal, example3,
      mb.LeadingCoefficientError),
@@ -82,7 +89,6 @@ def test_a_minimal_certificate_with_full_leading_rank_gives_full_row_rank_at_d_p
     (lambda: mb.genericity_experiment(2, 3, 1, trials=True, seed=0), "trials must be an integer"),
     (lambda: mb.genericity_experiment(2, 3, 1, trials=3.0, seed=0), "trials must be an integer"),
     (lambda: mb.genericity_experiment(2, 3, 1, trials=0, seed=0), "trials must be positive"),
-    (lambda: mb.classical_check(example1(), num_samples=2.5), "num_samples must be an integer"),
     (lambda: mb.classical_lower_bound_check(example1(), num_samples=2.5),
      "num_samples must be an integer"),
     (lambda: mb.classical_lower_bound_check(example1(), radii=()),
@@ -95,9 +101,17 @@ def test_a_minimal_certificate_with_full_leading_rank_gives_full_row_rank_at_d_p
      "max_rejects must be positive"),
     (lambda: mb.genericity_experiment(2.0, 3, 1, trials=5, seed=0), "m must be an integer, got 2.0"),
     (lambda: mb.sample_full_sylvester(2, 3.0, 1, seed=0), "n must be an integer, got 3.0"),
-    (lambda: mb.kprime_t(2, 3, 1.5), "d must be an integer, got 1.5"),
-    (lambda: mb.kprime_t(2, 3, True), "d must be an integer, got True"),
-    (lambda: mb.kprime_t(0, 3, 1), "m must be positive, got 0"),
+    (lambda: mb.classical_lower_bound_check(example1(), num_samples=0),
+     "num_samples must be positive, got 0"),
+    (lambda: mb.sample_full_sylvester(2, 3, 1, seed=0, max_rejects=True),
+     "max_rejects must be an integer, got True"),
+    (lambda: mb.sample_full_sylvester(2, 0, 1, seed=0), "n must be positive, got 0"),
+    (lambda: mb.genericity_experiment(2, 3, 0, trials=5, seed=0), "d must be positive, got 0"),
+    (lambda: mb.predicted_minimal_indices(2, 3.0, 1), "n must be an integer, got 3.0"),
+    (lambda: mb.predicted_minimal_indices(2, 3, 0), "d must be positive, got 0"),
+    (lambda: kprime_t(2, 3, 1.5), "d must be an integer, got 1.5"),
+    (lambda: kprime_t(2, 3, True), "d must be an integer, got True"),
+    (lambda: kprime_t(0, 3, 1), "m must be positive, got 0"),
 ])
 def test_count_arguments_are_integers_in_range(call, match):
     with pytest.raises(mb.ShapeError, match=match):
@@ -108,7 +122,6 @@ def test_count_arguments_are_integers_in_range(call, match):
 SEEDED = {
     "genericity_experiment": lambda seed: mb.genericity_experiment(2, 3, 1, trials=3, seed=seed),
     "sample_full_sylvester": lambda seed: mb.sample_full_sylvester(2, 3, 1, seed=seed),
-    "classical_check": lambda seed: mb.classical_check(example1(), seed=seed),
     "classical_lower_bound_check": lambda seed: mb.classical_lower_bound_check(example1(),
                                                                                seed=seed),
 }
@@ -137,7 +150,7 @@ def test_a_numpy_integer_count_is_accepted():
     assert (mb.genericity_experiment(2, 3, 1, trials=3, seed=np.uint64(2**63))
             == mb.genericity_experiment(2, 3, 1, trials=3, seed=2**63))
     assert len(mb.robustness_radius_minimal(example1(), scan_extra=np.int64(0)).scanned) == 1
-    assert mb.kprime_t(np.int64(6), 3, 3) == mb.KPrimeT(k_prime=6, t=0)
+    assert kprime_t(np.int64(6), 3, 3) == KPrimeT(k_prime=6, t=0)
 
 
 @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
@@ -163,8 +176,13 @@ CONSTANT = PolyMat(np.ones((1, 2, 3)))
     (mb.exact_rank_profile, TALL, "rank profile requires a wide matrix, got 3x2"),
     (mb.exact_rank_profile, CONSTANT, "rank profile requires degree_bound >= 1"),
     (mb.certify_minimal_basis, TALL, "certification requires a wide matrix, got 3x2"),
+    (mb.right_minimal_indices, TALL, "rank_profile requires a wide matrix, got 3x2"),
+    (mb.dual_minimal_basis, TALL, "property requires a wide matrix, got 3x2"),
+    (mb.dual_minimal_basis, CONSTANT, "property requires degree_bound >= 1"),
+    (mb.robustness_radius_fullsyl, TALL, "property requires a wide matrix, got 3x2"),
+    (mb.thetas, TALL, "property requires a wide matrix, got 3x2"),
+    (mb.sharp_witness_flat, TALL, "sharp_witness_flat requires a wide matrix, got 3x2"),
     (mb.certify_full_leading, TALL, "certification requires a wide matrix, got 3x2"),
-    (mb.classical_check, TALL, "classical_check requires a wide matrix, got 3x2"),
     # Checked before m*ell % n, which divides by n = 0 for a square M.
     (_lify, PolyMat(np.ones((2, 3, 3))), "build_lification requires a wide matrix, got 3x3"),
 ])
@@ -198,18 +216,18 @@ _ZERO_K_LIFICATION = build_lification(PolyMat.zeros(1, 4, 1),
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda: mb.from_dict([]), mb.InputFormatError, "top-level value must be an object"),
-    (lambda: mb.from_dict(_one_lambda_dict(rows=0)), mb.InputFormatError,
+    (lambda: from_dict([]), mb.InputFormatError, "top-level value must be an object"),
+    (lambda: from_dict(_one_lambda_dict(rows=0)), mb.InputFormatError,
      "rows: expected an integer >= 1, got 0"),
-    (lambda: mb.from_dict(_one_lambda_dict(cols=True)), mb.InputFormatError,
+    (lambda: from_dict(_one_lambda_dict(cols=True)), mb.InputFormatError,
      "cols: expected an integer >= 1, got True"),
-    (lambda: mb.from_dict(_one_lambda_dict(degree_bound=1.0)), mb.InputFormatError,
+    (lambda: from_dict(_one_lambda_dict(degree_bound=1.0)), mb.InputFormatError,
      "degree_bound: expected an integer >= 0, got 1.0"),
-    (lambda: mb.from_dict(_one_lambda_dict(coefficients=[[[1, 0], [0, 1]], [[0, 1]]])),
+    (lambda: from_dict(_one_lambda_dict(coefficients=[[[1, 0], [0, 1]], [[0, 1]]])),
      mb.InputFormatError, r"coefficients\[0\]: expected 1 rows, got 2"),
-    (lambda: mb.from_dict(_one_lambda_dict(coefficients=[[[1, "0"]], [[0, 1]]])),
+    (lambda: from_dict(_one_lambda_dict(coefficients=[[[1, "0"]], [[0, 1]]])),
      mb.InputFormatError, r"coefficients\[0\]\[0\]\[1\]: expected a real number, got '0'"),
-    (lambda: mb.from_dict(_one_lambda_dict(field="complex")), mb.InputFormatError,
+    (lambda: from_dict(_one_lambda_dict(field="complex")), mb.InputFormatError,
      r"coefficients\[0\]\[0\]\[0\]: expected an \[re, im\] pair, got 1.0"),
     (lambda: PolyMat(np.ones((2, 3))), mb.ShapeError,
      r"coefficient stack must be 3-dimensional, got shape \(2, 3\)"),
@@ -219,10 +237,10 @@ _ZERO_K_LIFICATION = build_lification(PolyMat.zeros(1, 4, 1),
      "at least one coefficient matrix is required"),
     (lambda: PolyMat.from_coeff_list([np.ones((1, 2)), np.ones((2, 1))]), mb.ShapeError,
      r"coefficient 1 has shape \(2, 1\), expected \(1, 2\)"),
-    (lambda: mb.vstack_polymats([]), mb.ShapeError, "nothing to stack"),
-    (lambda: mb.vstack_polymats([one_lambda(), example1()]), mb.ShapeError,
+    (lambda: vstack_polymats([]), mb.ShapeError, "nothing to stack"),
+    (lambda: vstack_polymats([one_lambda(), example1()]), mb.ShapeError,
      "vstack requires equal column counts and grades"),
-    (lambda: mb.vstack_polymats([one_lambda(), mb.embed(one_lambda(), 2)]), mb.ShapeError,
+    (lambda: vstack_polymats([one_lambda(), mb.embed(one_lambda(), 2)]), mb.ShapeError,
      "vstack requires equal column counts and grades"),
     (lambda: mb.embed(one_lambda(), 0), mb.ShapeError,
      "cannot embed grade 1 matrix into smaller grade 0"),
@@ -250,6 +268,10 @@ _ZERO_K_LIFICATION = build_lification(PolyMat.zeros(1, 4, 1),
      "coefficient entry too large for a float"),
     (lambda: PolyMat.from_coeff_list([[[1 + 0j, 10**400]]]), mb.InputFormatError,
      "coefficient entry too large for a float"),
+    (lambda: mb.fragile_neighbor(example1(), 0.0), mb.ShapeError,
+     "eps must be a finite positive number, got 0.0"),
+    (lambda: mb.fragile_neighbor(example1(), float("nan")), mb.ShapeError,
+     "eps must be a finite positive number, got nan"),
     (lambda: mb.fragile_neighbor(_LEAD_WITHOUT_ZERO_ROW, 1e-3), mb.PreconditionError,
      "rank-deficient leading coefficient without a zero row"),
     (lambda: mb.sharp_witness_flat(PolyMat.from_coeff_list([[[1, 0, 0, 0]], [[2, 0, 0, 0]]])),
@@ -262,3 +284,19 @@ def test_malformed_inputs_are_rejected_with_their_reason(call, error, match):
     with pytest.raises(error, match=match) as info:
         call()
     assert type(info.value) is error
+
+
+@pytest.mark.parametrize("tag", ["quaternion", "Real", None, 1])
+def test_a_bad_field_tag_has_one_message_in_memory_in_a_file_and_from_the_cli(
+        tag, tmp_path, capsys):
+    with pytest.raises(mb.InputFormatError) as zeros:
+        PolyMat.zeros(1, 2, 1, field=tag)
+    with pytest.raises(mb.InputFormatError) as parsed:
+        from_dict(_one_lambda_dict(field=tag))
+    assert str(parsed.value) == str(zeros.value) == f"unknown field tag {tag!r}"
+    path = tmp_path / "bad_field.json"
+    path.write_text(json.dumps(_one_lambda_dict(field=tag)))
+    assert main(["certify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"minbasis: error: {path}: unknown field tag {tag!r}\n"

@@ -5,7 +5,7 @@ import pytest
 
 import minbasis as mb
 from minbasis.dual import admissible_radius
-from minbasis.polymat import PolyMat, s1_stack
+from minbasis.polymat import PolyMat, evaluate, s1_stack
 from minbasis.robust import (
     LowerBoundReport,
     classical_lower_bound_check,
@@ -260,7 +260,7 @@ def _lower_bound_loop(M, num_samples, seed, radii, tol):
     min_sigma, min_at = float("inf"), 0j
     for i in range(num_samples):
         lam = radii[i % len(radii)] * np.exp(2j * np.pi * rng.uniform())
-        sigma_m = float(singular_values(mb.evaluate(M, lam))[m - 1])
+        sigma_m = float(singular_values(evaluate(M, lam))[m - 1])
         if sigma_m < min_sigma:
             min_sigma, min_at = sigma_m, complex(lam)
         violations += int(lower > sigma_m + 1e-12)
