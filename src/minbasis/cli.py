@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 import time
 
@@ -25,20 +24,6 @@ from .errors import MinBasisError
 from .polymat import PolyMat, load, row_degrees, to_dict
 
 PROG = "minbasis"
-
-
-def _resolve_tol(args) -> float | None:
-    if "tol" not in args:  # oracle-rank: exact ranks take no tolerance
-        return None
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("MINBASIS_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            raise MinBasisError(f"MINBASIS_TOL is not a number: {env!r}")
-    return None
 
 
 def _digest(P: PolyMat) -> dict:
@@ -253,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     base.set_defaults(summary=None)
     common = argparse.ArgumentParser(add_help=False, parents=[base])  # all but oracle-rank
     common.add_argument("--tol", type=float, default=None,
-                        help="rank tolerance (overrides MINBASIS_TOL)")
+                        help="rank tolerance")
     strict = argparse.ArgumentParser(add_help=False)
     strict.add_argument("--strict", action="store_true", help="exit 1 on a negative verdict")
     # The input of every command that reads one matrix file.
@@ -321,8 +306,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    tol = getattr(args, "tol", None)  # oracle-rank: exact ranks take no tolerance
     try:
-        tol = _resolve_tol(args)
         if "file" in args:
             M = load(args.file)
             input_digest = _digest(M)

@@ -9,7 +9,6 @@ and as a certified sampler for downstream perturbation studies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -270,32 +269,26 @@ def sample_full_sylvester(
     n: int,
     d: int,
     seed: int,
-    dist: str = "gaussian",
     field_tag: str = "real",
-    min_margin: float = MARGINAL_GAP,
-    max_rejects: int = 50,
     tol: float | None = None,
 ) -> PolyMat:
-    """Rejection-sample a certified full-Sylvester-rank matrix.
+    """Rejection-sample a certified full-Sylvester-rank Gaussian matrix.
 
-    Accepts only samples whose decision margin is at least ``min_margin``;
-    repeated rejection signals suspicious dimensions or tolerance.  A passing
-    decisive test's margin is its gap ratio, so the default ``MARGINAL_GAP``
-    accepts exactly the samples whose decisions are not marginal by gap,
-    which keeps perturbation radii usable.
+    Attempt i draws from ``default_rng([seed, i])`` and is accepted when its
+    decision margin is at least ``MARGINAL_GAP``: a passing decisive test's
+    margin is its gap ratio, so the accepted sample has no decision that is
+    marginal by gap, which keeps perturbation radii usable.  Fifty
+    rejections signal suspicious dimensions or tolerance: RuntimeError.
     """
-    max_rejects = _block_count(max_rejects, "max_rejects")
     seed = _block_count(seed, "seed", least=0)
     kprime_t(m, n, d)  # checks the counts before any draw
-    if not math.isfinite(min_margin):
-        raise InputFormatError(f"min_margin must be a finite number, got {min_margin!r}")
-    for attempt in range(max_rejects):
+    for attempt in range(50):
         rng = np.random.default_rng([seed, attempt])
-        M = sample_polymat(rng, m, m + n, d, dist=dist, field=field_tag)
+        M = sample_polymat(rng, m, m + n, d, field=field_tag)
         report = has_full_sylvester_rank(M, tol)
-        if report.has_full_sylvester_rank and report.margin >= min_margin:
+        if report.has_full_sylvester_rank and report.margin >= MARGINAL_GAP:
             return M
     raise RuntimeError(
-        f"no full-Sylvester-rank sample with margin >= {min_margin:g} in "
-        f"{max_rejects} draws for (m, n, d) = ({m}, {n}, {d})"
+        f"no full-Sylvester-rank sample with margin >= {MARGINAL_GAP:g} in "
+        f"50 draws for (m, n, d) = ({m}, {n}, {d})"
     )

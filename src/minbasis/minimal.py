@@ -271,13 +271,11 @@ def _float_scan(M: PolyMat, k_max: int | None, tol: float | None) -> RankProfile
     return _profile(M, ranks, _evaluation_rank(M, tol), stopped, decisions, tol)
 
 
-def indices_from_profile(profile: RankProfile) -> list[int]:
-    """Sorted multiset of right minimal indices encoded by ``profile``."""
+def _indices_or_none(profile: RankProfile) -> list[int] | None:
+    """Sorted multiset of the right minimal indices ``profile`` encodes, or
+    None without full row normal rank (no d')."""
     if not profile.normal_rank_full or profile.d_prime is None:
-        raise NotFullNormalRankError(
-            "profile does not certify full row normal rank",
-            stabilized_rank=profile.stabilized_increment,
-        )
+        return None
     out: list[int] = []
     for j, count in enumerate(profile.alphas):
         if count < 0:
@@ -288,16 +286,15 @@ def indices_from_profile(profile: RankProfile) -> list[int]:
     return out
 
 
-def _indices_or_none(profile: RankProfile) -> list[int] | None:
-    """The indices ``profile`` encodes, or None without full normal rank."""
-    if not profile.normal_rank_full or profile.d_prime is None:
-        return None
-    return indices_from_profile(profile)
-
-
 def right_minimal_indices(M: PolyMat, tol: float | None = None) -> list[int]:
     """Right minimal indices of a full-normal-rank wide polynomial matrix."""
-    indices = indices_from_profile(rank_profile(M, tol=tol))
+    profile = rank_profile(M, tol=tol)
+    indices = _indices_or_none(profile)
+    if indices is None:
+        raise NotFullNormalRankError(
+            "profile does not certify full row normal rank",
+            stabilized_rank=profile.stabilized_increment,
+        )
     n = M.cols - M.rows
     if len(indices) != n:
         raise NumericalInconsistencyError(
@@ -334,7 +331,7 @@ def certify_minimal_basis(M: PolyMat, tol: float | None = None) -> Certificate:
     Failures are verdicts, not errors: the certificate records which of the
     two conditions (row reducedness, degree-sum equality) broke.
     """
-    _require_wide(M, "certification")
+    _require_wide(M, "certification", graded=True)
     hr_dec = highest_row_degree_rank(M, tol)
     profile = rank_profile(M, tol=tol)
     expected = int(sum(row_degrees(M)))
@@ -367,6 +364,20 @@ def certify_minimal_basis(M: PolyMat, tol: float | None = None) -> Certificate:
     )
 
 
+def _full_leading_certificate(M: PolyMat, tol: float | None, what: str) -> Certificate:
+    """M's certificate when M is wide of grade >= 1 with a leading
+    coefficient of full row rank, the one check of that hypothesis:
+    ShapeError naming ``what`` for the shape first, then
+    LeadingCoefficientError naming ``what``."""
+    _require_wide(M, what, graded=True)
+    if full_leading_rank(M, tol) is None:
+        raise LeadingCoefficientError(
+            f"{what} requires a full-rank leading coefficient -- "
+            "certify_minimal_basis does not"
+        )
+    return certify_minimal_basis(M, tol)
+
+
 def certify_full_leading(M: PolyMat, tol: float | None = None) -> Certificate:
     """The general certificate, for matrices whose leading coefficient has
     full row rank.
@@ -378,9 +389,4 @@ def certify_full_leading(M: PolyMat, tol: float | None = None) -> Certificate:
     LeadingCoefficientError when the leading coefficient is rank deficient,
     in which case ``certify_minimal_basis`` must be used instead.
     """
-    _require_wide(M, "certification")
-    if full_leading_rank(M, tol) is None:
-        raise LeadingCoefficientError(
-            "leading coefficient rank deficient -- use certify_minimal_basis"
-        )
-    return certify_minimal_basis(M, tol)
+    return _full_leading_certificate(M, tol, "certification")

@@ -139,14 +139,6 @@ def _require_same_field(A: PolyMat, B: PolyMat, op: str) -> None:
 # -- elementary operations ----------------------------------------------------
 
 
-def degree(P: PolyMat) -> int:
-    """Largest i with C_i nonzero; 0 for the zero matrix by convention."""
-    for i in range(P.degree_bound, -1, -1):
-        if np.any(P.coeffs[i]):
-            return i
-    return 0
-
-
 def row_degrees(P: PolyMat) -> list[int]:
     """Degree of each row; zero rows have row degree 0 by convention."""
     nonzero = P.coeffs.any(axis=2)  # [i, j]: coefficient i of row j is nonzero

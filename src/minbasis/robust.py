@@ -16,13 +16,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    LeadingCoefficientError,
     NumericalInconsistencyError,
     PreconditionError,
     ShapeError,
 )
 from .fullsyl import _require_full_sylvester, has_full_sylvester_rank
-from .minimal import certify_minimal_basis
+from .minimal import _full_leading_certificate
 from .polymat import PolyMat, _require_congruent, evaluate, s1_stack
 from .sylvester import (
     _block_count,
@@ -43,13 +42,10 @@ def distance(A: PolyMat, B: PolyMat) -> float:
 
 
 def _require_robust_minimal(M: PolyMat, tol: float | None, what: str) -> int:
-    """d' of a minimal basis whose leading coefficient has full row rank, the
-    one check of that hypothesis: LeadingCoefficientError naming ``what``
-    without the full-rank leading coefficient, PreconditionError when M is
-    not a minimal basis."""
-    if full_leading_rank(M, tol) is None:
-        raise LeadingCoefficientError(f"{what} requires a full-rank leading coefficient")
-    cert = certify_minimal_basis(M, tol)
+    """d' of a minimal basis whose leading coefficient has full row rank:
+    the errors of ``_full_leading_certificate`` naming ``what``, then
+    PreconditionError when M is not a minimal basis."""
+    cert = _full_leading_certificate(M, tol, what)
     if not cert.is_minimal_basis:
         raise PreconditionError(f"{what} requires a minimal basis ({cert.reason})")
     return cert.d_prime
@@ -244,6 +240,7 @@ def fragile_neighbor(M: PolyMat, eps: float) -> tuple[PolyMat, float]:
     receive a common tiny vector, or (single-row case) a degree-raising term
     is subtracted so the result vanishes at a far-away point.
     """
+    _require_wide(M, "fragile_neighbor")
     if not (math.isfinite(eps) and eps > 0):
         raise ShapeError(f"eps must be a finite positive number, got {eps!r}")
     m, q, d = M.rows, M.cols, M.degree_bound

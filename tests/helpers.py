@@ -1,6 +1,7 @@
 """Shared builders for the block-bidiagonal worked examples and random
-inputs, the reversal of a matrix, the exact oracle's kernel on one matrix
-with a reference nullspace, and a spy on the package's factorizations."""
+inputs, the degree and the reversal of a matrix, the exact oracle's kernel
+on one matrix with a reference nullspace, and a spy on the package's
+factorizations."""
 
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import numpy as np
 
 from minbasis import PolyMat, oracle
 from minbasis.errors import ShapeError
-from minbasis.polymat import degree, s1_stack, scale
+from minbasis.polymat import s1_stack, scale
 from minbasis.sylvester import sylvester_array
 
 
@@ -147,6 +148,14 @@ def planted_indices(epsilons, rng: np.random.Generator) -> PolyMat:
 
     U, V = unimodular(m), unimodular(q)
     return PolyMat(np.stack([U @ C @ V for C in L]))
+
+
+def degree(P: PolyMat) -> int:
+    """Largest i with C_i nonzero; 0 for the zero matrix by convention."""
+    for i in range(P.degree_bound, -1, -1):
+        if np.any(P.coeffs[i]):
+            return i
+    return 0
 
 
 def reversal(P: PolyMat, grade: int) -> PolyMat:

@@ -375,17 +375,12 @@ def test_json_reports_are_deterministic(capsys, ex1_file):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
-def test_tol_env_var_is_used(capsys, ex1_file, monkeypatch):
+def test_tol_flag_is_used(capsys, ex1_file):
     # An absurd threshold wipes out every rank, so certification must fail.
-    monkeypatch.setenv("MINBASIS_TOL", "1e6")
-    code, report = run_json(capsys, ["certify", ex1_file, "--json"])
+    code, report = run_json(capsys, ["certify", ex1_file, "--json", "--tol", "1e6"])
     assert code == 0
     assert report["results"]["is_minimal_basis"] is False
     assert report["tolerances"]["tol"] == 1e6
-
-
-def test_tol_flag_beats_env_var(capsys, ex1_file, monkeypatch):
-    monkeypatch.setenv("MINBASIS_TOL", "1e6")
     code, report = run_json(capsys, ["certify", ex1_file, "--json", "--tol", "1e-10"])
     assert code == 0
     assert report["results"]["is_minimal_basis"] is True
@@ -393,7 +388,7 @@ def test_tol_flag_beats_env_var(capsys, ex1_file, monkeypatch):
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-def test_invalid_tolerance_exits_2(capsys, tmp_path, monkeypatch, value):
+def test_invalid_tolerance_exits_2(capsys, tmp_path, value):
     # (lam - 2) C is not a minimal basis; a bad tolerance must not say it is.
     path = tmp_path / "cf.json"
     save(common_factor_2x4(), path)
@@ -403,26 +398,7 @@ def test_invalid_tolerance_exits_2(capsys, tmp_path, monkeypatch, value):
     assert repr(float(value)) in captured.err
     generic = ["generic", "--m", "3", "--n", "2", "--d", "2", "--trials", "5"]
     assert main(generic + ["--tol", value]) == 2
-    monkeypatch.setenv("MINBASIS_TOL", value)
-    assert main(["certify", str(path), "--strict"]) == 2
-    assert repr(float(value)) in capsys.readouterr().err
-    assert main(["analyze", str(path), "--json"]) == 2
-    assert main(generic) == 2
-
-
-def test_a_non_numeric_env_tolerance_exits_2(capsys, ex1_file, monkeypatch):
-    monkeypatch.setenv("MINBASIS_TOL", "abc")
-    assert main(["certify", ex1_file]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "MINBASIS_TOL is not a number" in captured.err
-
-
-def test_oracle_rank_never_reads_the_env_tolerance(capsys, ex2_file, monkeypatch):
-    monkeypatch.setenv("MINBASIS_TOL", "abc")
-    code, report = run_json(capsys, ["oracle-rank", ex2_file, "--json"])
-    assert code == 0
-    assert report["tolerances"] == {"tol": None, "policy": "exact"}
+    assert main(["analyze", str(path), "--json", "--tol", value]) == 2
 
 
 # The positional arguments of each command, and the value each flag takes.

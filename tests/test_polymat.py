@@ -7,7 +7,6 @@ import pytest
 import minbasis as mb
 from minbasis.polymat import (
     PolyMat,
-    degree,
     evaluate,
     evaluate_array,
     from_dict,
@@ -20,7 +19,7 @@ from minbasis.polymat import (
 )
 from minbasis.sylvester import singular_values
 
-from helpers import example1, example3, one_lambda, one_lambda_dual, reversal
+from helpers import degree, example1, example3, one_lambda, one_lambda_dual, reversal
 
 
 def naive_evaluate(P, lam):

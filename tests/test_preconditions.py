@@ -97,14 +97,10 @@ def test_a_minimal_certificate_with_full_leading_rank_gives_full_row_rank_at_d_p
      "scan_extra must be an integer"),
     (lambda: mb.robustness_radius_minimal(example1(), scan_extra=-1),
      "scan_extra must be non-negative"),
-    (lambda: mb.sample_full_sylvester(2, 3, 1, seed=0, max_rejects=0),
-     "max_rejects must be positive"),
     (lambda: mb.genericity_experiment(2.0, 3, 1, trials=5, seed=0), "m must be an integer, got 2.0"),
     (lambda: mb.sample_full_sylvester(2, 3.0, 1, seed=0), "n must be an integer, got 3.0"),
     (lambda: mb.classical_lower_bound_check(example1(), num_samples=0),
      "num_samples must be positive, got 0"),
-    (lambda: mb.sample_full_sylvester(2, 3, 1, seed=0, max_rejects=True),
-     "max_rejects must be an integer, got True"),
     (lambda: mb.sample_full_sylvester(2, 0, 1, seed=0), "n must be positive, got 0"),
     (lambda: mb.genericity_experiment(2, 3, 0, trials=5, seed=0), "d must be positive, got 0"),
     (lambda: mb.predicted_minimal_indices(2, 3.0, 1), "n must be an integer, got 3.0"),
@@ -153,17 +149,6 @@ def test_a_numpy_integer_count_is_accepted():
     assert kprime_t(np.int64(6), 3, 3) == KPrimeT(k_prime=6, t=0)
 
 
-@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
-def test_sample_full_sylvester_rejects_a_non_finite_margin_before_any_draw(margin, monkeypatch):
-    from minbasis import fullsyl
-
-    draws = []
-    monkeypatch.setattr(fullsyl, "sample_polymat", lambda *a, **kw: draws.append(a))
-    with pytest.raises(mb.InputFormatError, match="min_margin must be a finite number"):
-        mb.sample_full_sylvester(2, 3, 1, seed=0, min_margin=margin)
-    assert draws == []
-
-
 TALL = PolyMat(np.ones((2, 3, 2)))
 CONSTANT = PolyMat(np.ones((1, 2, 3)))
 
@@ -185,6 +170,18 @@ CONSTANT = PolyMat(np.ones((1, 2, 3)))
     (mb.certify_full_leading, TALL, "certification requires a wide matrix, got 3x2"),
     # Checked before m*ell % n, which divides by n = 0 for a square M.
     (_lify, PolyMat(np.ones((2, 3, 3))), "build_lification requires a wide matrix, got 3x3"),
+    # The shape comes before the leading coefficient and minimality.
+    (mb.certify_minimal_basis, CONSTANT, "certification requires degree_bound >= 1"),
+    (mb.robustness_radius_minimal, TALL,
+     "robustness_radius_minimal requires a wide matrix, got 3x2"),
+    (mb.robustness_radius_minimal, CONSTANT,
+     "robustness_radius_minimal requires degree_bound >= 1"),
+    (mb.classical_lower_bound_check, TALL,
+     "classical_lower_bound_check requires a wide matrix, got 3x2"),
+    (mb.classical_lower_bound_check, CONSTANT,
+     "classical_lower_bound_check requires degree_bound >= 1"),
+    (lambda M: mb.fragile_neighbor(M, 1e-3), TALL,
+     "fragile_neighbor requires a wide matrix, got 3x2"),
 ])
 def test_the_wide_checks_keep_their_messages(call, M, match):
     with pytest.raises(mb.ShapeError, match=match):

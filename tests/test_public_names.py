@@ -1,7 +1,9 @@
 """The package's public names against the README table that gives each its
-reason, and the package functions that the traced benchmark wraps by name."""
+reason, the package functions that the traced benchmark wraps by name, and a
+caller for every module-level function of the package."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import re
@@ -91,3 +93,34 @@ def test_the_traced_benchmark_finds_every_function_it_wraps(monkeypatch):
     for (module, name), fn in originals.items():
         assert getattr(module, name) is fn
     assert mb.certify_minimal_basis is certify
+
+
+def _used_names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_module_function_is_called_in_the_package_exported_or_wrapped():
+    # By the source alone: a function that only tests call belongs in tests/.
+    package = ROOT / "src" / "minbasis"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in ast.walk(trees["__init__"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    spans = ast.parse((ROOT / "benchmarks" / "spans.py").read_text(encoding="utf-8"))
+    layers = next(node.value for node in spans.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"])
+    wrapped = {(layer, name) for layer, names in ast.literal_eval(layers).items()
+               for name in names}
+    # The names each top-level statement uses; a function's own body is no caller.
+    statements = [(stmt, _used_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    unused = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = stmt.name
+            called = any(name in used for other, used in statements if other is not stmt)
+            if not (called or name in exported or (module, name) in wrapped):
+                unused.append(f"{module}.{name}")
+    assert unused == []
