@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -257,22 +258,54 @@ def vstack_polymats(blocks: Iterable[PolyMat]) -> PolyMat:
 # entries are [re, im] pairs.
 
 
-def _parse_entry(value, field: str, where: str):
+# Types of the numbers that ``json`` parses.
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_entries(row: list, field: str, where: str) -> None:
+    """InputFormatError naming the first entry of ``row`` that is not a real
+    number, or in a complex field not an [re, im] pair of real numbers.
+
+    A row of JSON numbers, or of 2-lists of them, passes on one pass over
+    the types of its entries; only a row that fails it is walked entry by
+    entry, by the isinstance rule that also accepts subclasses such as
+    np.float64 (and tuple pairs) and refuses booleans.
+    """
     if field == "real":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputFormatError(f"{where}: expected a real number, got {value!r}")
+        if _JSON_NUMBERS.issuperset(map(type, row)):
+            return
     elif (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+        {list}.issuperset(map(type, row))
+        and {2}.issuperset(map(len, row))
+        and _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(row)))
     ):
-        raise InputFormatError(f"{where}: expected an [re, im] pair, got {value!r}")
-    try:
-        return float(value) if field == "real" else complex(value[0], value[1])
-    except OverflowError:
-        # An integer literal past the float range (a float literal such as
-        # 1e400 reads as inf, which PolyMat rejects as non-finite).
-        raise InputFormatError(f"{where}: number too large for a float") from None
+        return
+    for c, value in enumerate(row):
+        if field == "real":
+            if not _is_real(value):
+                raise InputFormatError(f"{where}[{c}]: expected a real number, got {value!r}")
+        elif not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_real, value)):
+            raise InputFormatError(f"{where}[{c}]: expected an [re, im] pair, got {value!r}")
+
+
+def _raise_too_large(coeff_obj: list) -> None:
+    """InputFormatError naming the first entry of a checked coefficient list
+    that has no float: an integer literal past the float range (a float
+    literal such as 1e400 reads as inf, which PolyMat rejects as
+    non-finite)."""
+    for i, mat in enumerate(coeff_obj):
+        for r, row in enumerate(mat):
+            for c, value in enumerate(row):
+                try:
+                    np.array(value, dtype=_REAL_DTYPE)
+                except OverflowError:
+                    raise InputFormatError(
+                        f"coefficients[{i}][{r}][{c}]: number too large for a float"
+                    ) from None
 
 
 def from_dict(obj: dict) -> PolyMat:
@@ -297,8 +330,6 @@ def from_dict(obj: dict) -> PolyMat:
         raise InputFormatError(
             f"coefficients: expected {db + 1} matrices for degree_bound {db}, got {got}"
         )
-    dtype = _COMPLEX_DTYPE if field == "complex" else _REAL_DTYPE
-    arr = np.zeros((db + 1, rows, cols), dtype=dtype)
     for i, mat in enumerate(coeff_obj):
         if not isinstance(mat, list) or len(mat) != rows:
             raise InputFormatError(
@@ -311,26 +342,30 @@ def from_dict(obj: dict) -> PolyMat:
                     f"coefficients[{i}][{r}]: expected {cols} columns, got "
                     f"{len(row) if isinstance(row, list) else type(row).__name__}"
                 )
-            for c, value in enumerate(row):
-                arr[i, r, c] = _parse_entry(value, field, f"coefficients[{i}][{r}][{c}]")
+            _check_entries(row, field, f"coefficients[{i}][{r}]")
+    try:
+        arr = np.array(coeff_obj, dtype=_REAL_DTYPE)
+    except OverflowError:
+        _raise_too_large(coeff_obj)
+        raise
+    if field == "complex":
+        # The [re, im] pairs of a contiguous array are its complex entries,
+        # signed zeros included.
+        arr = arr.view(_COMPLEX_DTYPE)[..., 0]
     return PolyMat(arr)
 
 
 def to_dict(P: PolyMat) -> dict:
     """Serialize to the JSON object form (round-trips through ``from_dict``)."""
-    if P.field == "real":
-        coeffs = [[[float(v) for v in row] for row in C] for C in P.coeffs]
-    else:
-        coeffs = [
-            [[[float(v.real), float(v.imag)] for v in row] for row in C]
-            for C in P.coeffs
-        ]
+    coeffs = P.coeffs
+    if P.field == "complex":
+        coeffs = coeffs.view(_REAL_DTYPE).reshape(*coeffs.shape, 2)
     return {
         "field": P.field,
         "rows": P.rows,
         "cols": P.cols,
         "degree_bound": P.degree_bound,
-        "coefficients": coeffs,
+        "coefficients": coeffs.tolist(),
     }
 
 

@@ -208,18 +208,55 @@ def _complement(A: np.ndarray) -> tuple[np.ndarray, float]:
     return q[:, A.shape[1] :], float(np.abs(np.diag(r)).min())
 
 
+# Rows of the diagonal blocks of a block triangular solve.
+_TRIANGULAR_BLOCK = 64
+
+
+def _triangular_solve(T: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
+    """Solution X of T X = B for a square triangular T, lower when ``lower``
+    and upper otherwise, by block substitution: each diagonal block of
+    ``_TRIANGULAR_BLOCK`` rows is solved by ``np.linalg.solve`` after the
+    blocks already solved are subtracted with one product, so the work is
+    n^2 * nrhs flops plus small LUs instead of an LU of all of T."""
+    n = T.shape[0]
+    X = np.empty(B.shape, np.result_type(T, B))
+    starts = range(0, n, _TRIANGULAR_BLOCK)
+    for i in starts if lower else reversed(starts):
+        j = min(i + _TRIANGULAR_BLOCK, n)
+        done = slice(0, i) if lower else slice(j, n)
+        X[i:j] = np.linalg.solve(T[i:j, i:j], B[i:j] - T[i:j, done] @ X[done])
+    return X
+
+
 def _min_norm_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # Minimum-norm solution of A X = B for a wide A of full row rank: with
-    # the reduced QR A^H = QR, A = R^H Q^H and X = Q R^{-H} B.
-    q, r = np.linalg.qr(A.conj().T)
+    # Minimum-norm solution of A X = B for a wide A of full row rank, by the
+    # semi-normal equations: with A^H = QR, A A^H = R^H R, so
+    # X = A^H (A A^H)^{-1} B = A^H R^{-1} R^{-H} B needs R alone.  They are
+    # as accurate as the solution through Q for minimum-norm problems (Paige
+    # 1973; Bjorck, Numerical Methods for Least Squares Problems, 1996).
+    AH = A.conj().T
+    r = np.linalg.qr(AH, mode="r")
     smallest = float(np.abs(np.diag(r)).min())
     if not smallest > 0.0:
         raise NumericalInconsistencyError(
             f"correction system of shape {A.shape} is singular (min |r_ii| = {smallest:.3e})"
         )
-    X = q @ np.linalg.solve(r.conj().T, B)
-    resid = np.linalg.norm(A @ X - B)
-    if resid > CORRECTION_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(B)):
+
+    def semi_normal(rhs: np.ndarray) -> np.ndarray:
+        y = _triangular_solve(r.conj().T, rhs, lower=True)
+        return AH @ _triangular_solve(r, y, lower=False)
+
+    X = semi_normal(B)
+    allowed = CORRECTION_RESIDUAL_FACTOR * (1.0 + np.linalg.norm(B))
+    E = A @ X - B
+    if np.linalg.norm(E) > allowed:
+        # Their residual grows with cond(A) * eps, where a solve through Q
+        # keeps it at eps: one step of refinement (the corrected semi-normal
+        # equations) brings it back, so only an inconsistent system fails.
+        X = X - semi_normal(E)
+        E = A @ X - B
+    resid = np.linalg.norm(E)
+    if resid > allowed:
         raise NumericalInconsistencyError(
             f"correction system inconsistent (residual {resid:.3e}); the "
             "perturbed matrix may have lost full-Sylvester-rank"

@@ -1,6 +1,7 @@
 """Shared builders for the block-bidiagonal worked examples and random
 inputs, the degree and the reversal of a matrix, the exact oracle's kernel
-on one matrix with a reference nullspace, and a spy on the package's
+on one matrix with a reference nullspace, entry-by-entry references for the
+JSON loader and a minimum-norm solve through Q, and a spy on the package's
 factorizations."""
 
 import sys
@@ -10,8 +11,8 @@ from typing import NamedTuple
 import numpy as np
 
 from minbasis import PolyMat, oracle
-from minbasis.errors import ShapeError
-from minbasis.polymat import s1_stack, scale
+from minbasis.errors import InputFormatError, ShapeError
+from minbasis.polymat import _check_field, s1_stack, scale
 from minbasis.sylvester import sylvester_array
 
 
@@ -213,6 +214,79 @@ def fraction_nullspace(A) -> list[list[Fraction]]:
         for i, c in enumerate(pivots):
             vec[c] = -R[i][f]
     return basis
+
+
+def _reference_entry(value, field: str, where: str):
+    if field == "real":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputFormatError(f"{where}: expected a real number, got {value!r}")
+    elif (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+    ):
+        raise InputFormatError(f"{where}: expected an [re, im] pair, got {value!r}")
+    try:
+        return float(value) if field == "real" else complex(value[0], value[1])
+    except OverflowError:
+        raise InputFormatError(f"{where}: number too large for a float") from None
+
+
+def reference_from_dict(obj: dict) -> PolyMat:
+    """``polymat.from_dict`` one Python call per coefficient entry, with its
+    structural checks in the same order: the reference for the loader."""
+    if not isinstance(obj, dict):
+        raise InputFormatError("top-level value must be an object")
+    for key in ("field", "rows", "cols", "degree_bound", "coefficients"):
+        if key not in obj:
+            raise InputFormatError(f"missing required key {key!r}")
+    field = obj["field"]
+    _check_field(field)
+    rows, cols, db = obj["rows"], obj["cols"], obj["degree_bound"]
+    for name, val, low in (("rows", rows, 1), ("cols", cols, 1), ("degree_bound", db, 0)):
+        if isinstance(val, bool) or not isinstance(val, int) or val < low:
+            raise InputFormatError(f"{name}: expected an integer >= {low}, got {val!r}")
+    coeff_obj = obj["coefficients"]
+    if not isinstance(coeff_obj, list) or len(coeff_obj) != db + 1:
+        got = len(coeff_obj) if isinstance(coeff_obj, list) else type(coeff_obj).__name__
+        raise InputFormatError(
+            f"coefficients: expected {db + 1} matrices for degree_bound {db}, got {got}"
+        )
+    arr = np.zeros((db + 1, rows, cols), dtype=complex if field == "complex" else float)
+    for i, mat in enumerate(coeff_obj):
+        if not isinstance(mat, list) or len(mat) != rows:
+            raise InputFormatError(
+                f"coefficients[{i}]: expected {rows} rows, got "
+                f"{len(mat) if isinstance(mat, list) else type(mat).__name__}"
+            )
+        for r, row in enumerate(mat):
+            if not isinstance(row, list) or len(row) != cols:
+                raise InputFormatError(
+                    f"coefficients[{i}][{r}]: expected {cols} columns, got "
+                    f"{len(row) if isinstance(row, list) else type(row).__name__}"
+                )
+            for c, value in enumerate(row):
+                arr[i, r, c] = _reference_entry(value, field, f"coefficients[{i}][{r}][{c}]")
+    return PolyMat(arr)
+
+
+def reference_to_dict(P: PolyMat) -> dict:
+    """``polymat.to_dict`` one Python call per coefficient entry: the
+    reference for the saved JSON."""
+    if P.field == "real":
+        coeffs = [[[float(v) for v in row] for row in C] for C in P.coeffs]
+    else:
+        coeffs = [[[[float(v.real), float(v.imag)] for v in row] for row in C] for C in P.coeffs]
+    return {"field": P.field, "rows": P.rows, "cols": P.cols,
+            "degree_bound": P.degree_bound, "coefficients": coeffs}
+
+
+def qr_min_norm_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution of A X = B for a wide A of full row rank through
+    the Q of a reduced QR A^H = QR: X = Q R^{-H} B.  The reference for the
+    semi-normal equations of ``sylvester._min_norm_solve``."""
+    q, r = np.linalg.qr(A.conj().T)
+    return q @ np.linalg.solve(r.conj().T, B)
 
 
 class Call(NamedTuple):

@@ -1,0 +1,79 @@
+"""The statistics and the run order of tools/bench_pairs.py, the paired
+comparison of two trees' benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_run_order_alternates_which_tree_runs_first():
+    assert bench_pairs.run_order(4) == [
+        ("base", "change"), ("change", "base"), ("base", "change"), ("change", "base")]
+    assert bench_pairs.run_order(1) == [("base", "change")]
+
+
+def test_quartiles_interpolate_between_sorted_values():
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == (2.0, 3.0, 4.0)
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == (1.75, 2.5, 3.25)
+    assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_wins_follow_the_better_direction_and_ties_count_for_neither():
+    base, change = [10.0, 10.0, 10.0], [9.0, 10.0, 11.0]
+    assert bench_pairs.wins(base, change, "lower") == 1
+    assert bench_pairs.wins(base, change, "higher") == 1
+    assert bench_pairs.wins(base, base, "lower") == 0
+
+
+@pytest.mark.parametrize("offsets, better, claim", [
+    # Ten of ten pairs won, the median 1.0 better: beyond the IQR.
+    ([-1.0] * 10, "lower", True),
+    # Nine of ten won, but the median moves by 0.1, inside the IQR.
+    ([-0.1] * 9 + [5.0], "lower", False),
+    # Eight of ten won: too few, whatever the medians.
+    ([-1.0] * 8 + [5.0] * 2, "lower", False),
+    ([1.0] * 10, "higher", True),
+])
+def test_compare_claims_a_gain_on_nine_tenths_of_pairs_beyond_the_base_iqr(offsets, better,
+                                                                           claim):
+    # A base that drifts by 0.05 per pair: its quartiles are 0.225 apart.
+    base = [10.0 + 0.05 * i for i in range(10)]
+    row = bench_pairs.compare(base, [b + o for b, o in zip(base, offsets)], better)
+    assert row["pairs"] == 10
+    assert row["base_q3"] - row["base_q1"] == pytest.approx(0.225)
+    assert row["claim"] is claim
+
+
+def test_main_alternates_the_trees_and_reads_metrics_from_benchmark_json(
+        tmp_path, monkeypatch, capsys):
+    base = tmp_path / "base"
+    (base / "benchmarks").mkdir(parents=True)
+    (base / "benchmarks" / "run.py").write_text("")
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append(tree)
+        value = 2.0 if tree == base else 1.0
+        return {"failed": 0, "attempted": 3,
+                "metrics": {name: {"value": value} for name in names}}
+
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "OUT", tmp_path / "out")
+    assert bench_pairs.main([str(base), "--workload", "w", "--pairs", "3",
+                             "--seconds", "1", "--seed", "5"]) == 0
+    change = bench_pairs.ROOT
+    assert calls == [base, change, change, base, base, change]
+    record = json.loads((tmp_path / "out" / "w-5.json").read_text())
+    assert list(record["table"]) == names
+    lower = [m["name"] for m in spec["end_to_end"] if m["better"] == "lower"]
+    assert all(record["table"][name]["wins"] == 3 for name in lower)
+    assert "change: 0/9 ops failed" in capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Differential tests of the QR-based dual path against SVD and lstsq
-references, and of the dual-degree check of N against its full certificate."""
+references, of its triangular and minimum-norm solves against numpy's solve
+and a solve through Q, and of the dual-degree check of N against its full
+certificate."""
 
 import numpy as np
 import pytest
@@ -14,9 +16,15 @@ from minbasis.dual import (
 )
 from minbasis.fullsyl import kprime_t
 from minbasis.polymat import PolyMat
-from minbasis.sylvester import _min_norm_solve, sylvester, sylvester_nullspace, sylvester_rank
+from minbasis.sylvester import (
+    _min_norm_solve,
+    _triangular_solve,
+    sylvester,
+    sylvester_nullspace,
+    sylvester_rank,
+)
 
-from helpers import common_factor_2x4, random_perturbation
+from helpers import common_factor_2x4, qr_min_norm_solve, random_perturbation
 
 # (m, n, d, field): (2,3,1) and (4,3,2) have t > 0, (6,3,3) has t = 0.
 SHAPES = [(2, 3, 1, "real"), (4, 3, 2, "real"), (3, 2, 2, "complex"), (6, 3, 3, "real")]
@@ -109,3 +117,59 @@ def test_min_norm_solve_rejects_a_singular_system():
     A = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(mb.NumericalInconsistencyError, match="singular"):
         _min_norm_solve(A, np.ones((2, 1)))
+
+
+def _gaussian(rng, shape, complex_field: bool) -> np.ndarray:
+    real = rng.standard_normal(shape)
+    return real + 1j * rng.standard_normal(shape) if complex_field else real
+
+
+# n = 1, one block minus one row, one block, one block plus one row, and more
+# than two blocks of the block substitution.
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("lower", [True, False], ids=["lower", "upper"])
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("nrhs", [1, 5])
+def test_triangular_solve_matches_numpy_solve(n, lower, complex_field, nrhs):
+    rng = np.random.default_rng(n + 7 * nrhs)
+    # A unit-scale off-diagonal over a dominant diagonal keeps T well
+    # conditioned, so both solves agree to a few ulps of the solution.
+    T = _gaussian(rng, (n, n), complex_field) / np.sqrt(n) + 3.0 * np.eye(n)
+    T = np.tril(T) if lower else np.triu(T)
+    B = _gaussian(rng, (n, nrhs), complex_field)
+    X = _triangular_solve(T, B, lower)
+    reference = np.linalg.solve(T, B)
+    assert X.shape == B.shape and X.dtype == reference.dtype
+    assert np.linalg.norm(X - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+def _planted_system(rng, rows, cols, kappa, complex_field):
+    """Wide A = U diag(s) V^H with singular values from 1 down to 1/kappa,
+    and B = A X for an X in the row space of A, so X is the minimum-norm
+    solution."""
+    U = np.linalg.qr(_gaussian(rng, (rows, rows), complex_field))[0]
+    V = np.linalg.qr(_gaussian(rng, (cols, rows), complex_field))[0]
+    A = (U * np.geomspace(1.0, 1.0 / kappa, rows)) @ V.conj().T
+    X = V @ _gaussian(rng, (rows, 3), complex_field)
+    return A, A @ X, X
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+def test_min_norm_solve_by_triangular_solves_is_as_accurate_as_through_q(kappa, complex_field):
+    # 90 rows: R has two diagonal blocks.  Past cond(A) of about 1e8 the
+    # residual of the semi-normal equations alone exceeds the inconsistency
+    # check; the refinement step keeps such systems solvable.
+    rng = np.random.default_rng(int(np.log10(kappa)) + 100 * complex_field)
+    A, B, X = _planted_system(rng, 90, 130, kappa, complex_field)
+    error = np.linalg.norm(_min_norm_solve(A, B) - X)
+    reference = np.linalg.norm(qr_min_norm_solve(A, B) - X)
+    assert error <= 4.0 * reference
+
+
+def test_min_norm_solve_rejects_an_inconsistent_system():
+    # The rows differ only by the rounding of 1/3, so R is not singular but
+    # no float solution meets the residual check, refined or not.
+    A = np.array([[1.0, 1 / 3, 0.0], [3.0, 1.0, 0.0]])
+    with pytest.raises(mb.NumericalInconsistencyError, match="inconsistent"):
+        _min_norm_solve(A, np.array([[1.0], [0.0]]))

@@ -146,8 +146,8 @@ def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch)
     assert _qr_of(perturb + backward, M) == []
     assert lif.pair.N is pair.N
     assert lify == []
-    # One reduced QR per correction system, here only the degree-k' one.
-    assert _qr_of(perturb, report.perturbed_pair.M) == [(kp + 1, "reduced")]
+    # One R-only QR per correction system, here only the degree-k' one.
+    assert _qr_of(perturb, report.perturbed_pair.M) == [(kp + 1, "r")]
     assert [c.kind for c in perturb if c.kind == "qr"] == ["qr"]
     # Inside the admissible radius the rank decisions on M + delta come from
     # M's memo by Weyl's inequality: no SVD of its S_k or its highest-row-
@@ -172,7 +172,7 @@ def test_dual_and_perturbation_with_t_positive_factor_by_qr(monkeypatch):
     assert _qr_of(dual, M) == [(3, "complete"), (4, "complete")]
     # The only other QR splits the nullspace of S_4 from the shifted rows.
     assert [c for c in dual if c.kind == "qr" and c.key is None] == [Call("qr", None, "complete")]
-    assert _qr_of(perturb, report.perturbed_pair.M) == [(3, "reduced"), (4, "reduced")]
+    assert _qr_of(perturb, report.perturbed_pair.M) == [(3, "r"), (4, "r")]
     assert len([c for c in perturb if c.kind == "qr"]) == 2
     # verify_duality checks each new N by its degrees: no S_k of N is built.
     duals = {id(pair.N), id(report.perturbed_pair.N)}

@@ -19,7 +19,16 @@ from minbasis.polymat import (
 )
 from minbasis.sylvester import singular_values
 
-from helpers import degree, example1, example3, one_lambda, one_lambda_dual, reversal
+from helpers import (
+    degree,
+    example1,
+    example3,
+    one_lambda,
+    one_lambda_dual,
+    reference_from_dict,
+    reference_to_dict,
+    reversal,
+)
 
 
 def naive_evaluate(P, lam):
@@ -330,3 +339,69 @@ def test_load_reports_json_syntax_position(tmp_path):
     path.write_text("{ not json }")
     with pytest.raises(mb.InputFormatError, match="line"):
         load(path)
+
+
+# Entries whose float a per-entry float() and one nested-list conversion must
+# agree on: signed zeros, integers past 2**53 and past int64 (rounded), huge
+# finite values and subnormals.
+_EDGE_VALUES = [0.0, -0.0, 2**53 + 1, 2**63 + 1, -(2**64) - 3, 2**1000, 10**300,
+                5e-324, -2.5e-310, 1, -7]
+
+
+def _loader_dict(field: str, entries: list) -> dict:
+    """A 2x3 grade-1 matrix object whose entries are ``entries``, in order,
+    cycled to fill it, through a JSON round trip."""
+    flat = [entries[i % len(entries)] for i in range(12)]
+    coeffs = [[flat[6 * i + 3 * r : 6 * i + 3 * r + 3] for r in range(2)] for i in range(2)]
+    obj = {"field": field, "rows": 2, "cols": 3, "degree_bound": 1, "coefficients": coeffs}
+    return json.loads(json.dumps(obj))
+
+
+def _assert_loads_like_reference(obj: dict) -> None:
+    P, R = from_dict(obj), reference_from_dict(obj)
+    assert P.coeffs.dtype == R.coeffs.dtype and P.coeffs.tobytes() == R.coeffs.tobytes()
+    assert json.dumps(to_dict(P)) == json.dumps(reference_to_dict(R))
+
+
+@pytest.mark.parametrize("start", range(0, len(_EDGE_VALUES), 3))
+def test_loader_matches_reference_on_edge_values(start):
+    real = _EDGE_VALUES[start:] + _EDGE_VALUES[:start]
+    _assert_loads_like_reference(_loader_dict("real", real))
+    pairs = [[a, b] for a in real[:4] for b in (0.0, -0.0, real[-1])]
+    _assert_loads_like_reference(_loader_dict("complex", pairs))
+
+
+def test_loader_matches_reference_on_numpy_floats_and_tuple_pairs():
+    # Built in memory, not parsed: np.float64 subclasses float, and a pair
+    # may be a tuple; neither passes the one-pass type check of a row.
+    real = _loader_dict("real", [1.5, -0.0])
+    real["coefficients"][0][1] = [np.float64(v) for v in (-0.0, 2.0, 3.5)]
+    _assert_loads_like_reference(real)
+    cplx = _loader_dict("complex", [[1.0, -0.0]])
+    cplx["coefficients"][1][0] = [(np.float64(-0.0), 2), [np.float64(3.0), -0.0], (1, 2)]
+    _assert_loads_like_reference(cplx)
+
+
+_BAD_REAL = [True, "1", None, 10**400]
+_BAD_PAIRS = [True, "1", None, [1.0], [1.0, 2.0, 3.0], [False, 1.0], [1.0, None],
+              [10**400, 0.0], [0.0, -(10**400)], (1.0, "2")]
+_RAGGED = object()  # marks a row cut short by one entry
+
+
+@pytest.mark.parametrize("field, bad", [("real", v) for v in _BAD_REAL + [_RAGGED]]
+                         + [("complex", v) for v in _BAD_PAIRS + [_RAGGED]])
+@pytest.mark.parametrize("where", [(0, 0, 0), (1, 0, 1), (1, 1, 2)],
+                         ids=["first", "middle", "last"])
+def test_loader_reports_a_bad_entry_as_the_reference_does(field, bad, where):
+    obj = _loader_dict(field, [[0.5, -1.0]] if field == "complex" else [0.5, -1.0])
+    i, r, c = where
+    row = obj["coefficients"][i][r]
+    if bad is _RAGGED:
+        del row[c]
+    else:
+        row[c] = bad
+    with pytest.raises(mb.InputFormatError) as expected:
+        reference_from_dict(obj)
+    with pytest.raises(mb.InputFormatError) as got:
+        from_dict(obj)
+    assert str(got.value) == str(expected.value)
