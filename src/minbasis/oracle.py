@@ -2,16 +2,19 @@
 
 Exact matrices are numpy object arrays of Python ints and Fractions; S_k is
 built by the floating-point path's ``sylvester_array``.  Each row is scaled
-to integers, and one modular kernel (``_rank_nullspace``) proves both bounds
-of every rank: elimination modulo a prime gives the lower one, and an integer
-nullspace lifted from a few primes and checked over Z gives the upper one.
-So every floating-point rank decision can be cross-checked exactly at the
-float pipeline's sizes.  Complex inputs are out of scope.
+to integers, and every rank is proven from both sides: a rank modulo a prime
+is the lower bound, and integer null vectors checked over Z give the upper
+one.  ``exact_rank_profile`` takes both for all of S_1, S_2, ... from one
+modular elimination across k (``_ModularPass``); one kernel on a single
+matrix (``_rank_nullspace``) serves ``exact_rank`` and any S_k the pass does
+not settle.  So every floating-point rank decision can be cross-checked
+exactly at the float pipeline's sizes.  Complex inputs are out of scope.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -81,10 +84,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes():
-    """Primes below 2**31 in descending order, so that a product of two
-    residues fits in int64."""
-    n = 2**31 - 1
+def _primes(below: int = 2**31):
+    """Primes below the power of two ``below`` in descending order; below
+    2**31 a product of two residues fits in int64."""
+    n = below - 1
     while True:
         if _is_prime(n):
             yield n
@@ -178,8 +181,11 @@ def _minor_bound_squared(A: np.ndarray) -> int:
     """H^2 for a bound H on every minor of A: the product of its
     min(rows, cols) largest nonzero row norms (Hadamard).  A nonzero integer
     row has norm at least 1, so H bounds minors of every size."""
-    norms2 = sorted(sum(x * x for x in row) for row in A.tolist())
-    return math.prod(n for n in norms2[-min(A.shape):] if n)
+    if _magnitude(A) ** 2 * A.shape[1] < 2**63:
+        norms2 = (A.astype(np.int64) ** 2).sum(axis=1).tolist()
+    else:
+        norms2 = [sum(x * x for x in row) for row in A.tolist()]
+    return math.prod(n for n in sorted(norms2)[-min(A.shape):] if n)
 
 
 def _rank_nullspace(A: np.ndarray) -> tuple[int, np.ndarray, int]:
@@ -245,16 +251,35 @@ def exact_rank(A) -> int:
     return _rank(_integer_rows(_fraction_matrix(A)))
 
 
-def _fraction_coeffs(M: PolyMat) -> np.ndarray:
+def _integer_coeffs(M: PolyMat) -> np.ndarray:
+    """M's coefficients with each row r of every C_i scaled by 2^s_r, the
+    least power of two that makes row r integral: the integers that
+    ``_integer_rows`` gives from their Fractions, as int64 when every entry
+    fits (``_compact``), else as Python ints.
+
+    A finite nonzero float is c * 2^e for an odd integer c, so no Fraction
+    is built: s_r is the largest of 0 and -e over the entries of row r, and
+    each entry is c shifted left by e + s_r >= 0.
+    """
     if M.field != "real":
         raise InputFormatError("exact oracle requires real (rational-valued) entries")
-    # The coefficients are finite floats, so each is an exact Fraction.
-    return np.frompyfunc(Fraction, 1, 1)(M.coeffs)
+    mantissa, exponent = np.frexp(M.coeffs)
+    whole = np.ldexp(mantissa, 53).astype(np.int64)  # C = whole * 2^(exponent - 53)
+    low = whole & -whole  # the lowest set bit of each entry, 0 for a zero
+    zeros = np.frexp(low)[1] - 1  # its position: the trailing zeros, -1 for a zero
+    odd = whole >> np.maximum(zeros, 0)
+    power = np.where(low != 0, exponent - 53 + zeros, 0)
+    shift = power - power.min(axis=(0, 2), keepdims=True).clip(max=0)
+    shift[low == 0] = 0
+    if (np.frexp(np.abs(odd))[1] + shift).max() <= 63:  # bit lengths: every |entry| < 2^63
+        return odd << shift
+    return odd.astype(object) << shift.astype(object)
 
 
 def _exact_normal_rank(Z: np.ndarray) -> int:
-    # Every minor has degree at most d * min(m, q), so evaluating at one more
-    # integer than that and taking the max rank is exact.
+    # The fallback of _normal_rank.  Every minor has degree at most
+    # d * min(m, q), so evaluating at one more integer than that and taking
+    # the max rank is exact.
     grade, m, q = Z.shape
     full = min(m, q)
     best = 0
@@ -265,14 +290,237 @@ def _exact_normal_rank(Z: np.ndarray) -> int:
     return best
 
 
+# The one-pass profile works modulo a batch of primes below 2**26, so that an
+# int64 sum of up to _TERMS products of two residues cannot overflow.
+_PASS_PRIMES = tuple(itertools.islice(_primes(2**26), 3))
+_TERMS = 2**11
+
+
+def _dot_mod(A: np.ndarray, B: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A @ B mod p for stacks of residues with one prime per leading index
+    (p of shape (P, 1, 1)), summing at most _TERMS products at a time."""
+    out = np.zeros(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
+    for s in range(0, A.shape[-1], _TERMS):
+        out = (out + A[..., s : s + _TERMS] @ B[..., s : s + _TERMS, :]) % p
+    return out
+
+
+class _ModularPass:
+    """One column elimination of S_1, S_2, ... modulo a batch of primes, and
+    the null vectors it proves.
+
+    S_{k+1} is the columns of S_k, padded with m zero rows, plus the q
+    columns of block column k, which are zero outside rows km .. (k+d+1)m.
+    So the pass keeps the columns seen so far as a reduced basis of their
+    span modulo each prime and reduces only each new block against it:
+    ``ranks[k-1]``, the rank of S_k mod the primes, is a lower bound on its
+    rank over Q.  A non-pivot row above row km depends on the rows before
+    it, in every column so far and, being zero there, in every later one;
+    so a reduced new column is zero above row km, and a basis vector whose
+    pivot row lies above it never reduces a column again.  The basis keeps
+    only its vectors with pivots in rows km .. (k+d+1)m, on those rows, next
+    to their coefficients on the columns of S_k (the transform).
+
+    A new column that depends on the earlier ones gives a null vector x of
+    S_{k+1}: 1 at that column, and a combination of independent columns
+    before it.  If x is a null vector of S_k, then [x; 0] and [0; x] are
+    null vectors of S_{k+1}, so a column whose position in the previous
+    block was dependent is dependent again; only a column that was
+    independent there marks a new minimal index (an event), and only its
+    vector is lifted, by CRT over the batch and rational reconstruction,
+    and checked over Z (``proven``).  The degree-b vectors of the proven
+    events and their shifts prove n_k >= sum_i max(0, k - b_i): their
+    leading coefficients (block b_i) are independent, since each is nonzero
+    at its own position and zero at every position that was dependent
+    before it, so the vectors are column reduced.
+
+    Primes run in lockstep on one pivot row, the first nonzero row of a
+    reduced column, as the window needs.  A prime that finds a column
+    dependent where another does not has too low a rank, and leaves the
+    batch, as does one whose first nonzero row comes later than another's;
+    the others keep every earlier result.
+    """
+
+    def __init__(self, Z: np.ndarray):
+        self.Z = Z  # the integer coefficient stack, int64 or Python ints
+        grade, self.m, self.q = Z.shape
+        self.d = grade - 1
+        self.p = np.array(_PASS_PRIMES, dtype=np.int64)
+        # Block column k's new columns as rows: (prime, column, row - km).
+        column = Z.reshape(grade * self.m, self.q).T
+        self.new = np.stack([np.remainder(column, p) for p in _PASS_PRIMES]).astype(np.int64)
+        window = grade * self.m
+        self.basis = np.zeros((len(self.p), 0, window), dtype=np.int64)
+        self.pivots = np.zeros(0, dtype=np.intp)  # rows of S, absolute
+        self.blocks = 0
+        self.ranks: list[int] = []
+        self.independent: list[int] = []  # columns of S, in order
+        self.dependent = np.zeros(self.q, dtype=bool)  # positions in a block
+        self.events: list[tuple[int, int, np.ndarray, np.ndarray, tuple[int, ...]]] = []
+        self.proofs: list[bool] = []
+
+    def _keep(self, keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+        """Drop the primes outside ``keep`` from the batch and from ``arrays``."""
+        self.p, self.new = self.p[keep], self.new[keep]
+        return [a[keep] for a in arrays]
+
+    def extend(self) -> None:
+        """Reduce block column b = ``blocks`` and record the rank of S_{b+1}.
+
+        Only the columns at positions not yet dependent are reduced; each
+        new pivot is eliminated from every other new column at once."""
+        b, m, q, d = self.blocks, self.m, self.q, self.d
+        window, T = (d + 1) * m, (b + 1) * q
+        lo = b * m  # the window is rows lo .. lo + window of S_{b+1}
+        live = self.pivots >= lo
+        basis = np.zeros((len(self.p), int(live.sum()), window + T), dtype=np.int64)
+        basis[:, :, : window - m] = self.basis[:, live, m:window]
+        basis[:, :, window : window + T - q] = self.basis[:, live, window:]
+        pivots = self.pivots[live] - lo
+        open_ = np.flatnonzero(~self.dependent)
+        fresh = np.zeros((len(self.p), open_.size, window + T), dtype=np.int64)
+        fresh[:, :, :window] = self.new[:, open_]
+        fresh[:, np.arange(open_.size), window + b * q + open_] = 1
+        p = self.p[:, None, None]
+        if pivots.size:
+            fresh = (fresh - _dot_mod(fresh[:, :, pivots], basis, p)) % p
+        # Each pivot subtracts one product below p^2 < 2^52 from every entry
+        # of fresh, reduced mod p only where it is read, and at least once
+        # every _TERMS pivots.
+        found: list[int] = []  # the pivot rows (in the window) of the new basis vectors
+        taken: list[int] = []  # their rows in fresh
+        for i, j in enumerate(open_.tolist()):
+            row = fresh[:, i] % p[:, 0]
+            nonzero = row[:, :window] != 0
+            alive = nonzero.any(axis=1).tolist()
+            if not any(alive):
+                support = np.array(self.independent, dtype=np.intp)
+                self.events.append((b, b * q + j, support, row[:, window + support],
+                                    tuple(self.p.tolist())))
+                self.dependent[j] = True
+                continue
+            if not all(alive):
+                fresh, basis, row, nonzero = self._keep(np.array(alive), fresh, basis, row, nonzero)
+            at = int(nonzero.argmax(axis=1).min())  # the first nonzero row of any prime
+            lead = row[:, at].tolist()
+            if 0 in lead:
+                fresh, basis, row = self._keep(row[:, at] != 0, fresh, basis, row)
+                lead = [x for x in lead if x]
+            p = self.p[:, None, None]
+            inverse = [[pow(x, -1, pp)] for x, pp in zip(lead, self.p.tolist())]
+            v = row * np.array(inverse, dtype=np.int64) % p[:, 0]
+            fresh -= (fresh[:, :, at] % p[:, 0])[:, :, None] * v[:, None, :]
+            fresh[:, i] = v
+            found.append(at)
+            taken.append(i)
+            self.independent.append(b * q + j)
+            if len(found) % _TERMS == 0:
+                fresh %= p
+        if found:
+            rows = fresh[:, taken] % p
+            if pivots.size:
+                basis = (basis - _dot_mod(basis[:, :, found], rows, p)) % p
+            basis = np.concatenate([basis, rows], axis=1)
+            pivots = np.concatenate([pivots, found])
+        self.basis, self.pivots = basis, pivots + lo
+        self.blocks += 1
+        self.ranks.append(len(self.independent))
+
+    def _verify(self, event) -> bool:
+        """Whether the event's column is dependent over Q, with a null vector
+        of S_{b+1} over Z: the one lifted from the batch's residues, or,
+        when those do not suffice, the kernel's on the event's columns.
+
+        Those columns are the independent ones before the event's and the
+        event's own.  The former are independent over Q too, so the kernel
+        finds rank len(support) and the null vector of the lift, or full
+        column rank where the batch was wrong."""
+        b, column, support, residues, primes = event
+        S = sylvester_array(self.Z, b + 1)
+        p = np.array(primes)[:, None]
+        balanced = residues - p * (residues > p // 2)
+        if (balanced == balanced[0]).all():  # an integer vector below p/2 in size
+            lifted = balanced[0], 1
+        else:
+            X, modulus = np.zeros(len(support), dtype=object), 1
+            for r, prime in zip(residues, primes):  # CRT, as in _rank_nullspace
+                step = (r.astype(object) - X % prime) * pow(modulus, -1, prime) % prime
+                X, modulus = X + modulus * step, modulus * prime
+            lifted = _lift(X, modulus)
+        if lifted is not None:
+            x = np.zeros((b + 1) * self.q, dtype=object)
+            x[support], x[column] = lifted
+            if _vanishes(S, x[None]):
+                return True
+        return _rank_nullspace(S[:, np.append(support, column)])[0] == len(support)
+
+    def proven(self) -> list[int]:
+        """The degrees b of the events so far whose null vectors hold over Z."""
+        self.proofs += [self._verify(e) for e in self.events[len(self.proofs):]]
+        return [e[0] for e, ok in zip(self.events, self.proofs) if ok]
+
+    def rank(self, k: int) -> int:
+        """The exact rank of S_k: the rank mod the batch, when the proven
+        null vectors or the size of S_k bound it from above; else the
+        kernel on S_k alone."""
+        while self.blocks < k:
+            self.extend()
+        lower = self.ranks[k - 1]
+        if lower == min((k + self.d) * self.m, k * self.q) or lower == k * self.q - sum(
+            max(0, k - b) for b in self.proven()
+        ):
+            return lower
+        return _rank(sylvester_array(self.Z, k))
+
+    def point_rank(self, lam: int) -> int:
+        """The rank of M(lam) modulo a prime of the batch, a lower bound on
+        the normal rank.  The points take the primes in turn, so a prime
+        that lowers the rank at every point holds back only its own."""
+        i = lam % len(self.p)
+        p = int(self.p[i])
+        C = self.new[i].reshape(self.q, self.d + 1, self.m)  # C[:, j] = C_j^T mod p
+        value = C[:, -1]
+        for j in range(self.d - 1, -1, -1):
+            value = (value * lam + C[:, j]) % p
+        return len(_echelon(value, p)[1])
+
+
+def _normal_rank(sweep: _ModularPass, cap: int) -> int:
+    """The exact normal rank of a wide M from its pass.
+
+    The rank of M(lam) mod p at an integer lam is a lower bound; the proven
+    null vectors of the pass are independent over Q(lam) (column reduced),
+    so q minus their count is an upper bound.  Points and blocks are taken
+    in turn until the bounds meet: every m-minor has degree at most d*m, so
+    one of the first d*m + 1 points attains the normal rank unless the
+    prime divides it there, and every right minimal index is at most
+    (m-1)d, so the pass finds them all before the cap.  Otherwise the
+    rank of M at each point is certified exactly.
+    """
+    m, q, d = sweep.m, sweep.q, sweep.d
+    points = list(range(1, d * m + 2))
+    lower = 0
+    while True:
+        if points:
+            lower = max(lower, sweep.point_rank(points.pop(0)))
+        if lower == m or lower == q - len(sweep.proven()):
+            return lower
+        if sweep.blocks < cap:
+            sweep.extend()
+        elif not points:
+            return _exact_normal_rank(sweep.Z.astype(object))
+
+
 def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     """Tolerance-free counterpart of ``rank_profile``: the same scan, with
     exact Sylvester ranks and the exact normal rank.  It always scans (no
     full-Sylvester-rank shortcut) and records no ``decisions``.  The rows of
-    M are scaled to integers once (``_integer_rows``) for every S_k and M(lam).
+    M are scaled to integers once (``_integer_coeffs``), and one modular
+    pass (``_ModularPass``) proves the ranks of every S_k in turn.
     """
     _require_wide(M, "rank profile", graded=True)
-    Z = _integer_rows(_fraction_coeffs(M))
-    compact = _compact(Z)  # so that every S_k is built on int64 when it fits
-    ranks, stopped, _ = _scan(M, k_max, lambda k: _rank(sylvester_array(compact, k)))
-    return _profile(M, ranks, _exact_normal_rank(Z), stopped, (), None)
+    sweep = _ModularPass(_integer_coeffs(M))
+    ranks, stopped, _ = _scan(M, k_max, sweep.rank)
+    # The pass may run on to the default scan cap for the normal rank.
+    normal_rank = _normal_rank(sweep, M.rows * M.degree_bound + 2)
+    return _profile(M, ranks, normal_rank, stopped, (), None)

@@ -1,8 +1,8 @@
 """Shared builders for the block-bidiagonal worked examples and random
 inputs, the degree and the reversal of a matrix, the exact oracle's kernel
-on one matrix with a reference nullspace, entry-by-entry references for the
-JSON loader and a minimum-norm solve through Q, and a spy on the package's
-factorizations."""
+on one matrix with a reference nullspace, the per-k exact profile,
+entry-by-entry references for the JSON loader and a minimum-norm solve
+through Q, and a spy on the package's factorizations."""
 
 import sys
 from fractions import Fraction
@@ -12,6 +12,7 @@ import numpy as np
 
 from minbasis import PolyMat, oracle
 from minbasis.errors import InputFormatError, ShapeError
+from minbasis.minimal import RankProfile, _profile, _scan
 from minbasis.polymat import _check_field, s1_stack, scale
 from minbasis.sylvester import sylvester_array
 
@@ -126,6 +127,14 @@ def common_factor_2x4() -> PolyMat:
     return PolyMat.from_coeff_list([-2.0 * C, C])
 
 
+def near_common_factor() -> PolyMat:
+    """``common_factor_2x4`` plus noise of size 1e-9, which gives every
+    coefficient a dyadic denominator near 2^82."""
+    C = common_factor_2x4()
+    rng = np.random.default_rng(4)
+    return PolyMat(C.coeffs + 1e-9 * rng.standard_normal(C.coeffs.shape))
+
+
 def planted_indices(epsilons, rng: np.random.Generator) -> PolyMat:
     """Minimal basis of grade 1 with right minimal indices ``epsilons``.
 
@@ -184,10 +193,26 @@ def exact_nullspace(A) -> list[list[Fraction]]:
     return [[Fraction(int(v), D) for v in row] for row in V]
 
 
+def fraction_coeffs(M: PolyMat) -> np.ndarray:
+    """M's coefficients as Fractions, each the exact value of its float: the
+    reference for the oracle's integer coefficients."""
+    return np.frompyfunc(Fraction, 1, 1)(M.coeffs)
+
+
 def exact_sylvester(M: PolyMat, k: int) -> np.ndarray:
     """S_k of M over Fractions, as an object array, from the float path's
-    builder and the exact oracle's coefficients."""
-    return sylvester_array(oracle._fraction_coeffs(M), k)
+    builder."""
+    return sylvester_array(fraction_coeffs(M), k)
+
+
+def per_k_exact_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
+    """``exact_rank_profile`` with the kernel certifying every S_k from
+    scratch and M's rank at each evaluation point: the reference for the
+    one-pass profile."""
+    Z = oracle._integer_rows(fraction_coeffs(M))
+    compact = oracle._compact(Z)
+    ranks, stopped, _ = _scan(M, k_max, lambda k: oracle._rank(sylvester_array(compact, k)))
+    return _profile(M, ranks, oracle._exact_normal_rank(Z), stopped, (), None)
 
 
 def fraction_nullspace(A) -> list[list[Fraction]]:

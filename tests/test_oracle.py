@@ -12,14 +12,15 @@ from minbasis.polymat import PolyMat, evaluate, evaluate_array
 from minbasis.sylvester import rank_nullity, sylvester
 
 from helpers import (
-    common_factor_2x4,
     example1,
     example1_N,
     example2,
     example3,
     exact_nullspace,
     exact_sylvester,
+    fraction_coeffs,
     fraction_nullspace,
+    near_common_factor,
     planted_indices,
 )
 
@@ -182,7 +183,7 @@ def test_exact_profile_rejects_complex():
 def test_exact_evaluate_horner():
     # The float path's Horner evaluates the oracle's Fraction stack exactly.
     M = example2()
-    val = evaluate_array(oracle._fraction_coeffs(M), np.asarray(Fraction(3, 2)))
+    val = evaluate_array(fraction_coeffs(M), np.asarray(Fraction(3, 2)))
     assert all(isinstance(x, Fraction) for x in val.flat)
     assert np.allclose(val.astype(float), evaluate(M, 1.5))
 
@@ -192,17 +193,10 @@ def test_rational_matrix_rejects_ragged():
         exact_rank([[1, 2], [3]])
 
 
-def _near_common_factor():
-    # Noise of size 1e-9 gives every coefficient a dyadic denominator near 2^82.
-    C = common_factor_2x4()
-    rng = np.random.default_rng(4)
-    return PolyMat(C.coeffs + 1e-9 * rng.standard_normal(C.coeffs.shape))
-
-
 @pytest.mark.parametrize("M", [
     example1(), example2(), example3(),
     planted_indices((1, 2, 5), np.random.default_rng(1)),
-    _near_common_factor(),
+    near_common_factor(),
 ], ids=["example1", "example2", "example3", "planted_1_2_5", "near_common_factor"])
 def test_exact_sylvester_is_the_float_builder_entry_by_entry(M):
     for k in (1, 2, 4):
@@ -215,7 +209,7 @@ def test_exact_sylvester_is_the_float_builder_entry_by_entry(M):
 
 
 def test_exact_rank_profile_clears_huge_row_denominators():
-    M = _near_common_factor()
+    M = near_common_factor()
     assert max(f.denominator for f in exact_sylvester(M, 1).flat if f) > 2**60
     # S_1 has full rank 4: the noise breaks the common factor.
     assert exact_rank_profile(M).ranks[0] == 4
@@ -368,6 +362,6 @@ def test_exact_profile_checks_the_shape_before_converting(M, error, monkeypatch)
     def no_conversion(M):
         raise AssertionError("coefficients converted before the shape check")
 
-    monkeypatch.setattr(oracle, "_fraction_coeffs", no_conversion)
+    monkeypatch.setattr(oracle, "_integer_coeffs", no_conversion)
     with pytest.raises(mb.ShapeError, match=error):
         exact_rank_profile(M)
