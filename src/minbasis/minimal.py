@@ -201,6 +201,11 @@ def _index_sum_jump(
     return implied, factored
 
 
+def _default_scan_cap(M: PolyMat) -> int:
+    """The scan cap m*d + 2 when no ``k_max`` is given (see ``rank_profile``)."""
+    return M.rows * M.degree_bound + 2
+
+
 def _scan(
     M: PolyMat,
     k_max: int | None,
@@ -217,7 +222,7 @@ def _scan(
     None to go on.
     """
     m = M.rows
-    cap = _block_count(k_max, "scan cap") if k_max is not None else m * M.degree_bound + 2
+    cap = _block_count(k_max, "scan cap") if k_max is not None else _default_scan_cap(M)
     ranks: list[int] = []
     prev = 0
     for k in range(1, cap + 1):

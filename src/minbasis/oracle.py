@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputFormatError, NumericalInconsistencyError
-from .minimal import RankProfile, _profile, _scan
+from .minimal import RankProfile, _default_scan_cap, _profile, _scan
 from .polymat import PolyMat, evaluate_array
 from .sylvester import _require_wide, sylvester_array
 
@@ -181,11 +181,14 @@ def _minor_bound_squared(A: np.ndarray) -> int:
     """H^2 for a bound H on every minor of A: the product of its
     min(rows, cols) largest nonzero row norms (Hadamard).  A nonzero integer
     row has norm at least 1, so H bounds minors of every size."""
-    if _magnitude(A) ** 2 * A.shape[1] < 2**63:
-        norms2 = (A.astype(np.int64) ** 2).sum(axis=1).tolist()
-    else:
-        norms2 = [sum(x * x for x in row) for row in A.tolist()]
-    return math.prod(n for n in sorted(norms2)[-min(A.shape):] if n)
+    norms2 = sorted(sum(x * x for x in row) for row in A.tolist())
+    return math.prod(n for n in norms2[-min(A.shape):] if n)
+
+
+def _crt(X: np.ndarray, m: int, residues: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """The object array congruent to X mod m and to ``residues`` mod p,
+    with its modulus m*p (Chinese remainder theorem)."""
+    return X + m * ((residues - X % p) * pow(m, -1, p) % p), m * p
 
 
 def _rank_nullspace(A: np.ndarray) -> tuple[int, np.ndarray, int]:
@@ -219,9 +222,7 @@ def _rank_nullspace(A: np.ndarray) -> tuple[int, np.ndarray, int]:
             free = free.nonzero()[0]
         elif key != best:
             continue
-        # CRT: X = X_p (mod p) and X (mod m).
-        X = X + m * ((_reduced(E, pivots, free, p) - X % p) * pow(m, -1, p) % p)
-        m *= p
+        X, m = _crt(X, m, _reduced(E, pivots, free, p), p)
         lifted = _lift(X, m)
         if lifted is not None:
             Y, D = lifted
@@ -437,16 +438,10 @@ class _ModularPass:
         column rank where the batch was wrong."""
         b, column, support, residues, primes = event
         S = sylvester_array(self.Z, b + 1)
-        p = np.array(primes)[:, None]
-        balanced = residues - p * (residues > p // 2)
-        if (balanced == balanced[0]).all():  # an integer vector below p/2 in size
-            lifted = balanced[0], 1
-        else:
-            X, modulus = np.zeros(len(support), dtype=object), 1
-            for r, prime in zip(residues, primes):  # CRT, as in _rank_nullspace
-                step = (r.astype(object) - X % prime) * pow(modulus, -1, prime) % prime
-                X, modulus = X + modulus * step, modulus * prime
-            lifted = _lift(X, modulus)
+        X, modulus = np.zeros(len(support), dtype=object), 1
+        for r, prime in zip(residues, primes):
+            X, modulus = _crt(X, modulus, r, prime)
+        lifted = _lift(X, modulus)
         if lifted is not None:
             x = np.zeros((b + 1) * self.q, dtype=object)
             x[support], x[column] = lifted
@@ -522,5 +517,5 @@ def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     sweep = _ModularPass(_integer_coeffs(M))
     ranks, stopped, _ = _scan(M, k_max, sweep.rank)
     # The pass may run on to the default scan cap for the normal rank.
-    normal_rank = _normal_rank(sweep, M.rows * M.degree_bound + 2)
+    normal_rank = _normal_rank(sweep, _default_scan_cap(M))
     return _profile(M, ranks, normal_rank, stopped, (), None)

@@ -1,10 +1,8 @@
 """The exact profile in one modular pass: differential tests against the
 per-k profile (``helpers.per_k_exact_profile``), the pass under a bad prime,
-the dyadic integer coefficients against their Fractions, and the int64
-Hadamard bound against its Python-int sum."""
+and the dyadic integer coefficients against their Fractions."""
 
 import itertools
-import math
 import sys
 from pathlib import Path
 
@@ -91,7 +89,9 @@ def _scan_oracle_inputs(seed, directory):
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_one_pass_settles_the_structured_scan_inputs_alone(seed, tmp_path, monkeypatch):
     # The six oracle inputs of the structured_scan benchmark: the pass proves
-    # every rank and the normal rank, so neither fallback runs.
+    # every rank and the normal rank, and lifts every event's null vector
+    # from its own residues, so the kernel never runs: not on an S_k, not at
+    # a point of M, and not on an event's columns.
     reference = {}
     scan = _scan_oracle_inputs(seed, tmp_path)
     assert len(scan) == 6
@@ -103,6 +103,7 @@ def test_one_pass_settles_the_structured_scan_inputs_alone(seed, tmp_path, monke
 
     monkeypatch.setattr(oracle, "_rank", no_fallback)
     monkeypatch.setattr(oracle, "_exact_normal_rank", no_fallback)
+    monkeypatch.setattr(oracle, "_rank_nullspace", no_fallback)
     for x in scan:
         assert oracle.exact_rank_profile(PolyMat(x.coeffs)) == reference[x.label], x.label
 
@@ -234,28 +235,3 @@ def test_integer_coeffs_take_both_sides_of_the_int64_boundary():
     dtypes = [oracle._integer_coeffs(PolyMat(A)).dtype for A in list(_dyadic_corpus())[-6:]]
     assert dtypes == [np.int64, object, np.int64, object, object, object]
 
-
-def _python_minor_bound_squared(A) -> int:
-    norms2 = sorted(sum(x * x for x in row) for row in A.tolist())
-    return math.prod(n for n in norms2[-min(A.shape):] if n)
-
-
-def _minor_bound_corpus():
-    rng = np.random.default_rng(37)
-    for i in range(30):
-        rows, cols = (int(x) for x in rng.integers(1, 12, size=2))
-        # Largest magnitudes with max|A|^2 * cols below 2^63, and past it.
-        top = math.isqrt((2**63 - 1) // cols)
-        if i % 3 == 2:
-            top += 1
-        A = rng.integers(-top, top + 1, size=(rows, cols), dtype=np.int64)
-        A.flat[int(rng.integers(A.size))] = top if i % 2 else -top
-        A[rng.random((rows, cols)) < 0.2] = 0
-        yield A
-    yield np.zeros((3, 4), dtype=np.int64)
-    yield np.array([[2**70, 1], [3, -(2**65)]], dtype=object)
-
-
-@pytest.mark.parametrize("A", list(_minor_bound_corpus()))
-def test_minor_bound_in_int64_equals_the_python_int_sum(A):
-    assert oracle._minor_bound_squared(A) == _python_minor_bound_squared(A)
