@@ -48,9 +48,12 @@ class RankProfile:
     counts the right minimal indices equal to j; it is empty when the matrix
     does not have full row normal rank, where the recursion does not apply.
     ``d_prime`` is the first k with rank increment equal to the row count
-    (the largest right minimal index), or None.  ``decisions`` holds the
-    rank decisions of the S_k that were factored, in increasing k; ranks
-    between them may be implied (see ``rank_profile``).
+    (the largest right minimal index), or None.  ``decided_k`` lists the k
+    of the S_k whose ranks were measured, in increasing order; the ranks at
+    the other k are implied by a theorem (see ``rank_profile``), and a
+    larger S_k that the index sum jump checked may lie past the ranks kept.
+    ``decisions`` holds the floating-point rank decision of each S_k in
+    ``decided_k``; the exact profile measures every k and keeps none.
     """
 
     ranks: tuple[int, ...]
@@ -60,6 +63,7 @@ class RankProfile:
     normal_rank_full: bool
     stabilized_increment: int | None
     decisions: tuple[RankDecision, ...]
+    decided_k: tuple[int, ...]
     tolerance: float | None
 
     @property
@@ -103,9 +107,11 @@ def _evaluation_rank(M: PolyMat, tol: float | None) -> int:
 
 
 def _profile(M: PolyMat, ranks: list[int], normal_rank: int, stopped: bool,
-             decisions: Sequence[RankDecision], tol: float | None) -> RankProfile:
+             decided_k: Sequence[int], decisions: Sequence[RankDecision],
+             tol: float | None) -> RankProfile:
     """The profile of the ranks r_1, r_2, ... of M's Sylvester matrices, with
-    M's normal rank and the ``decisions`` at ``tol`` the ranks rest on.
+    M's normal rank, the k whose ranks were measured and their ``decisions``
+    at ``tol`` (empty for the exact profile).
 
     ``stopped`` says the last rank increment is m, so d' = len(ranks) - 1
     when the normal rank is full: the normal rank guards a stop against a
@@ -130,6 +136,7 @@ def _profile(M: PolyMat, ranks: list[int], normal_rank: int, stopped: bool,
         normal_rank_full=full,
         stabilized_increment=None if full else normal_rank,
         decisions=tuple(decisions),
+        decided_k=tuple(decided_k),
         tolerance=tol,
     )
 
@@ -152,8 +159,31 @@ def _full_sylvester_profile(M: PolyMat, tol: float | None) -> RankProfile | None
         return None
     m, q, d = M.rows, M.cols, M.degree_bound
     ranks = [min((k + d) * m, k * q) for k in range(1, report.k_prime_t.k_prime + 2)]
-    decisions = [sylvester_rank(M, c.k, tol) for c in report.checked_ranks]
-    return _profile(M, ranks, m, True, decisions, tol)
+    decided_k = [c.k for c in report.checked_ranks]
+    decisions = [sylvester_rank(M, k, tol) for k in decided_k]
+    return _profile(M, ranks, m, True, decided_k, decisions, tol)
+
+
+def _implies_full_next(M: PolyMat, tol: float | None, k: int, rank: int) -> bool:
+    """Whether ``rank`` is the full row rank (k+d)m of S_k and the leading
+    coefficient C_d has full row rank, so that S_{k+1} has full row rank
+    too: S_{k+1} = [[S_k, Y], [0, C_d]] is block upper triangular with both
+    diagonal blocks of full row rank.  The implied rank rests on the theorem
+    and the two decisions, not on a bound for sigma_min(S_{k+1})."""
+    return rank == (k + M.degree_bound) * M.rows and full_leading_rank(M, tol) is not None
+
+
+def _float_jump(
+    M: PolyMat, tol: float | None, ranks: list[int]
+) -> tuple[list[int], list[int]] | None:
+    """The float scan's ``jump``: the stop at the first S_k of full row rank
+    when C_d has full row rank, which ends the scan with d' = k and the
+    implied r_{k+1} = (k+1+d)m without factoring S_{k+1}; else the index sum
+    jump."""
+    k = len(ranks)
+    if _implies_full_next(M, tol, k, ranks[-1]):
+        return ranks + [(k + 1 + M.degree_bound) * M.rows], []
+    return _index_sum_jump(M, tol, ranks)
 
 
 def _index_sum_jump(
@@ -169,12 +199,14 @@ def _index_sum_jump(
     2014).  Once the prefix leaves one index unknown (its nullity increment
     n_k - n_{k-1} = #{eps_i <= k-1} is n-1), that index eps is at least k
     and at most R = D - (sum of the known ones), and since
-    nullity(S_j) = sum_i max(0, j - eps_i), the nullity of S_{R+1} gives it.
+    nullity(S_j) = sum_i max(0, j - eps_i), the nullity of S_R gives it.
     The stop pair d' = eps, d'+1 must rest on rank decisions that agree with
-    the implied ranks, so S_eps is factored too, and S_{eps+1} unless it is
-    S_{R+1} (it is, without finite eigenvalues): r_eps catches an eps too
-    large, r_{eps+1} one too small.  A check that fails returns None, and the
-    scan goes on from the memo.
+    the implied ranks: r_eps catches an eps too large, r_{eps+1} one too
+    small.  So S_eps is factored, and S_{eps+1} unless S_eps has full row
+    rank with a full-rank C_d, which implies r_{eps+1} (see
+    ``_implies_full_next``).  When eps + 1 = R, S_{eps+1} is the source and
+    agrees by construction, so S_{R+1} is factored instead.  A check that
+    fails returns None, and the scan goes on from the memo.
     """
     m, q = M.rows, M.cols
     n, k = q - m, len(ranks)
@@ -187,18 +219,21 @@ def _index_sum_jump(
     top = sum(row_degrees(M)) - known  # R
     if top < k:
         return None
-    eps = n * (top + 1) - known - sylvester_rank(M, top + 1, tol).nullity
+    eps = n * top - known - sylvester_rank(M, top, tol).nullity
     if not k <= eps <= top:
         return None
-    # For j >= k every known index is below j and the unknown one is >= k.
-    implied = ranks + [
-        j * q - ((n - 1) * j - known) - max(0, j - eps) for j in range(k + 1, eps + 2)
-    ]
-    factored = [j for j in sorted({eps, eps + 1, top + 1}) if j > k]
-    decided = [sylvester_rank(M, j, tol).rank for j in factored]
-    if any(j <= eps + 1 and r != implied[j - 1] for j, r in zip(factored, decided)):
+
+    def implied(j: int) -> int:
+        # For j >= k every known index is below j and the unknown one is >= k.
+        return j * q - ((n - 1) * j - known) - max(0, j - eps)
+
+    checks = [eps]
+    if not _implies_full_next(M, tol, eps, sylvester_rank(M, eps, tol).rank):
+        checks.append(eps + 1 if eps + 1 != top else top + 1)
+    if any(sylvester_rank(M, j, tol).rank != implied(j) for j in checks):
         return None
-    return implied, factored
+    factored = sorted(j for j in {top, *checks} if j > k)
+    return ranks + [implied(j) for j in range(k + 1, eps + 2)], factored
 
 
 def _default_scan_cap(M: PolyMat) -> int:
@@ -248,11 +283,14 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
     Without ``k_max`` the one or two full-Sylvester-rank tests run first;
     when they pass, the profile is read off the theorem and ``decisions``
     holds only those tests.  Otherwise the scan runs, reusing every S_k the
-    tests already factored, and once a single minimal index is left unknown
-    the index sum theorem may settle it from one larger S_k (see
+    tests already factored.  With a leading coefficient of full row rank it
+    stops at the first S_k of full row rank, which is S_{d'}, and implies
+    r_{d'+1} (see ``_implies_full_next``).  Once a single minimal index is
+    left unknown, the index sum theorem may settle it from S_R (see
     ``_index_sum_jump``): the ranks in between are then implied, not
-    factored.  This profile is kept in M's memo, one per tolerance.  With
-    ``k_max`` the plain scan runs and records a decision for every k.
+    factored.  ``decided_k`` names the S_k the profile rests on.  This
+    profile is kept in M's memo, one per tolerance.  With ``k_max`` the
+    plain scan runs and records a decision for every k.
     """
     if k_max is None:
         return memoized(M, "profile", tol, lambda: _float_scan(M, None, tol))
@@ -270,10 +308,10 @@ def _float_scan(M: PolyMat, k_max: int | None, tol: float | None) -> RankProfile
         M,
         k_max,
         lambda k: sylvester_rank(M, k, tol).rank,
-        (lambda prefix: _index_sum_jump(M, tol, prefix)) if k_max is None else None,
+        (lambda prefix: _float_jump(M, tol, prefix)) if k_max is None else None,
     )
     decisions = [sylvester_rank(M, k, tol) for k in measured]
-    return _profile(M, ranks, _evaluation_rank(M, tol), stopped, decisions, tol)
+    return _profile(M, ranks, _evaluation_rank(M, tol), stopped, measured, decisions, tol)
 
 
 def _indices_or_none(profile: RankProfile) -> list[int] | None:

@@ -509,13 +509,14 @@ def _normal_rank(sweep: _ModularPass, cap: int) -> int:
 def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     """Tolerance-free counterpart of ``rank_profile``: the same scan, with
     exact Sylvester ranks and the exact normal rank.  It always scans (no
-    full-Sylvester-rank shortcut) and records no ``decisions``.  The rows of
-    M are scaled to integers once (``_integer_coeffs``), and one modular
-    pass (``_ModularPass``) proves the ranks of every S_k in turn.
+    full-Sylvester-rank shortcut), so ``decided_k`` lists every k, and it
+    records no ``decisions``.  The rows of M are scaled to integers once
+    (``_integer_coeffs``), and one modular pass (``_ModularPass``) proves
+    the ranks of every S_k in turn.
     """
     _require_wide(M, "rank profile", graded=True)
     sweep = _ModularPass(_integer_coeffs(M))
-    ranks, stopped, _ = _scan(M, k_max, sweep.rank)
+    ranks, stopped, measured = _scan(M, k_max, sweep.rank)
     # The pass may run on to the default scan cap for the normal rank.
     normal_rank = _normal_rank(sweep, _default_scan_cap(M))
-    return _profile(M, ranks, normal_rank, stopped, (), None)
+    return _profile(M, ranks, normal_rank, stopped, measured, (), None)

@@ -9,6 +9,7 @@ perturbation analysis depends on the ambient grade, not the achieved degree.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
@@ -343,8 +344,14 @@ def from_dict(obj: dict) -> PolyMat:
                     f"{len(row) if isinstance(row, list) else type(row).__name__}"
                 )
             _check_entries(row, field, f"coefficients[{i}][{r}]")
+    # The checks above fix the shape, so the numbers are read in one flat
+    # pass: np.array over the nested lists takes about twice as long.
+    values = chain.from_iterable(chain.from_iterable(coeff_obj))
+    shape = (db + 1, rows, cols)
+    if field == "complex":
+        values, shape = chain.from_iterable(values), (*shape, 2)
     try:
-        arr = np.array(coeff_obj, dtype=_REAL_DTYPE)
+        arr = np.fromiter(values, dtype=_REAL_DTYPE, count=math.prod(shape)).reshape(shape)
     except OverflowError:
         _raise_too_large(coeff_obj)
         raise

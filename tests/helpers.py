@@ -211,8 +211,9 @@ def per_k_exact_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     one-pass profile."""
     Z = oracle._integer_rows(fraction_coeffs(M))
     compact = oracle._compact(Z)
-    ranks, stopped, _ = _scan(M, k_max, lambda k: oracle._rank(sylvester_array(compact, k)))
-    return _profile(M, ranks, oracle._exact_normal_rank(Z), stopped, (), None)
+    ranks, stopped, measured = _scan(M, k_max,
+                                     lambda k: oracle._rank(sylvester_array(compact, k)))
+    return _profile(M, ranks, oracle._exact_normal_rank(Z), stopped, measured, (), None)
 
 
 def fraction_nullspace(A) -> list[list[Fraction]]:

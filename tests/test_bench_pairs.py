@@ -51,6 +51,25 @@ def test_compare_claims_a_gain_on_nine_tenths_of_pairs_beyond_the_base_iqr(offse
     assert row["claim"] is claim
 
 
+@pytest.mark.parametrize("offsets, better, worse", [
+    # Ten of ten pairs lost, the median 1.0 worse: beyond the IQR.
+    ([1.0] * 10, "lower", True),
+    ([-1.0] * 10, "higher", True),
+    # Nine of ten lost, but the median moves by 0.1, inside the IQR.
+    ([0.1] * 9 + [-5.0], "lower", False),
+    # Eight of ten lost: too few, whatever the medians.
+    ([1.0] * 8 + [-5.0] * 2, "lower", False),
+    # A clear gain is never worse.
+    ([-1.0] * 10, "lower", False),
+])
+def test_compare_flags_a_loss_on_nine_tenths_of_pairs_beyond_the_base_iqr(offsets, better,
+                                                                          worse):
+    base = [10.0 + 0.05 * i for i in range(10)]
+    row = bench_pairs.compare(base, [b + o for b, o in zip(base, offsets)], better)
+    assert row["worse"] is worse
+    assert not (row["worse"] and row["claim"])
+
+
 def test_main_alternates_the_trees_and_reads_metrics_from_benchmark_json(
         tmp_path, monkeypatch, capsys):
     base = tmp_path / "base"
@@ -76,4 +95,10 @@ def test_main_alternates_the_trees_and_reads_metrics_from_benchmark_json(
     assert list(record["table"]) == names
     lower = [m["name"] for m in spec["end_to_end"] if m["better"] == "lower"]
     assert all(record["table"][name]["wins"] == 3 for name in lower)
-    assert "change: 0/9 ops failed" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "change: 0/9 ops failed" in out
+    assert "| claim | worse |" in out
+    # The change halves every metric: a claim where lower is better, a
+    # loss where higher is.
+    assert all(record["table"][name]["claim"] for name in lower)
+    assert all(record["table"][name]["worse"] for name in names if name not in lower)

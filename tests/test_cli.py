@@ -48,6 +48,8 @@ def test_analyze_example1(capsys, ex1_file):
     assert report["results"]["ranks"] == [8, 16, 24, 30]
     assert report["results"]["d_prime"] == 3
     assert report["results"]["minimal_indices"] == [3, 3]
+    # The full-Sylvester-rank test of S_3 alone settles the profile.
+    assert report["results"]["decided_k"] == [3]
     assert report["results"]["certificate"]["is_minimal_basis"] is True
     assert report["input"] == {"rows": 6, "cols": 8, "degree_bound": 1, "field": "real"}
 
@@ -352,6 +354,7 @@ def test_oracle_rank_command(capsys, ex2_file):
     assert report["results"]["ranks"] == [6, 11, 15]
     assert report["results"]["alphas"] == [1, 1, 1]
     assert report["results"]["minimal_indices"] == [0, 1, 2]
+    assert report["results"]["decided_k"] == [1, 2, 3]  # every k, exactly
     # The oracle decides ranks exactly; no tolerance policy applies.
     assert report["tolerances"] == {"tol": None, "policy": "exact"}
 
@@ -529,7 +532,7 @@ def test_missing_file_exits_2(capsys):
 POLYMAT_KEYS = ("field", "rows", "cols", "degree_bound", "coefficients")
 CERT_KEYS = ("is_minimal_basis", "reason", "hr_rank", "d_prime", "degree_sum_expected",
              "degree_sum_observed", "marginal")
-PROFILE_KEYS = ("ranks", "nullities", "alphas", "d_prime", "normal_rank_full",
+PROFILE_KEYS = ("ranks", "nullities", "alphas", "d_prime", "normal_rank_full", "decided_k",
                 "minimal_indices")
 RADIUS_KEYS = ("radius", "k_used", "scanned", "scanned.k", "scanned.candidate", "kind")
 GENERIC_KEYS = ("m", "n", "d", "trials", "seed", "dist", "successes", "failures")

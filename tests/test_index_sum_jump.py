@@ -75,6 +75,41 @@ def test_jump_profile_matches_the_forced_scan(indices, seed):
         )
 
 
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(indices=INDEX_SETS, seed=st.integers(0, 2**16), delta=st.integers(0, 2))
+@example(indices=[1, 1, 1, 1, 9], seed=1, delta=0)  # the jump's eps = R
+@example(indices=[0, 3, 3], seed=1, delta=0)  # the scan's own stop
+@example(indices=[1, 2, 5], seed=5, delta=2)
+def test_an_implied_last_rank_is_the_rank_the_forced_scan_measures(indices, seed, delta):
+    # r_{d'+1} is left unmeasured only where S_{d'} and the leading
+    # coefficient have full row rank; the forced scan then measures that
+    # rank on S_{d'+1}, and a marginal S_{d'+1} only with a marginal S_{d'}.
+    M = planted_indices(tuple(indices), np.random.default_rng(seed))
+    if delta:
+        M = _with_finite_eigenvalue(M, delta)
+    profile = mb.rank_profile(M)
+    dp = profile.d_prime
+    if dp is None or dp + 1 in profile.decided_k:
+        return
+    assert profile.ranks[dp - 1] == (dp + M.degree_bound) * M.rows
+    assert minimal.full_leading_rank(M) is not None
+    forced = _forced(M)
+    assert forced.ranks[dp] == profile.ranks[dp] == (dp + 1 + M.degree_bound) * M.rows
+    assert not forced.decisions[dp].marginal or forced.decisions[dp - 1].marginal
+
+
+def test_the_scan_stops_at_the_first_sylvester_matrix_of_full_row_rank(monkeypatch):
+    # Indices (0, 3, 3), 6x9 of degree 1: the two largest indices tie, so the
+    # jump never fires.  S_3 has full row rank 24, and so has C_1, so
+    # r_4 = 30 follows without S_4.
+    M = planted_indices((0, 3, 3), np.random.default_rng(1))
+    spy = LinalgSpy(monkeypatch)
+    profile = mb.rank_profile(M)
+    assert sorted(c.key[1] for c in spy.take() if c.key is not None) == [1, 2, 3]
+    assert (profile.ranks, profile.d_prime, profile.decided_k) == ((8, 16, 24, 30), 3, (1, 2, 3))
+    assert _fields(profile) == _fields(_forced(M))
+
+
 def test_a_wrong_rank_near_the_tolerance_is_flagged_marginal():
     # The 110th singular value of S_4 is 1.08e-11, just below its threshold
     # 1.22e-11 (gap ratio 3.5): S_4 gets rank 109 where the exact rank is
@@ -88,15 +123,17 @@ def test_a_wrong_rank_near_the_tolerance_is_flagged_marginal():
 
 def test_jump_reads_the_last_index_off_one_sylvester_matrix(monkeypatch):
     # Indices (1, 1, 1, 1, 20): the scan measures S_1, S_2 and the shortcut
-    # tried S_4, S_5; then R = 24 - 4 = 20, so S_21 gives the last index and
-    # S_20 confirms it.  S_3 and S_6 .. S_19 are never factored.
+    # tried S_4, S_5; then R = 24 - 4 = 20, so S_20 gives the last index.  It
+    # has full row rank, as does the leading coefficient, so r_21 follows
+    # without S_21.  S_3, S_6 .. S_19 and S_21 are never factored.
     M = planted_indices((1, 1, 1, 1, 20), np.random.default_rng(7))
     spy = LinalgSpy(monkeypatch)
     cert = mb.certify_minimal_basis(M)
     ks = [c.key[1] for c in spy.take() if c.key is not None]
-    assert sorted(ks) == [1, 2, 4, 5, 20, 21]
+    assert sorted(ks) == [1, 2, 4, 5, 20]
     assert (cert.is_minimal_basis, cert.d_prime) == (True, 20)
-    assert len(cert.profile.decisions) == 4  # S_1, S_2, S_20, S_21
+    assert cert.profile.decided_k == (1, 2, 20)
+    assert len(cert.profile.decisions) == 3
     assert len(cert.profile.ranks) == 21
     # The profile, both decisive tests and the probes are in M's memo.
     assert mb.rank_profile(M) is cert.profile
@@ -111,7 +148,9 @@ def test_jump_reads_the_last_index_off_one_sylvester_matrix(monkeypatch):
 @pytest.mark.parametrize("indices,delta", [((1, 2, 5), 3), ((1, 1, 1, 1, 6), 2), ((0, 1, 3), 1)])
 def test_finite_eigenvalues_keep_the_verdict_of_the_forced_scan(indices, delta, monkeypatch):
     # The finite eigenvalue 2 of degree delta makes the row degree sum exceed
-    # the index sum, so R = eps + delta: the jump factors S_{eps+delta+1}.
+    # the index sum, so R = eps + delta: the jump reads eps off S_{eps+delta}
+    # and checks S_eps and S_{eps+1}; at delta = 1, S_{eps+1} is S_R, so it
+    # checks S_{R+1} instead.
     M = _with_finite_eigenvalue(planted_indices(indices, np.random.default_rng(5)), delta)
     spy = LinalgSpy(monkeypatch)
     cert = mb.certify_minimal_basis(M)
@@ -121,30 +160,70 @@ def test_finite_eigenvalues_keep_the_verdict_of_the_forced_scan(indices, delta, 
     assert cert.d_prime == forced.d_prime == max(indices)
     assert cert.degree_sum_observed == minimal._minimal_index_sum(forced, M.rows) == sum(indices)
     assert _fields(cert.profile) == _fields(forced)
-    assert max(indices) + delta + 1 in ks
+    eps = max(indices)
+    assert {eps, eps + 1, eps + delta} <= ks
+    assert (eps + delta + 1 in ks) == (delta == 1)
+    assert set(cert.profile.decided_k) == ks
+
+
+def _one_short_at(monkeypatch, k_short: int) -> None:
+    """Make every rank decision of S_{k_short} one rank too low."""
+    decide = minimal.sylvester_rank
+
+    def one_short(P, k, tol=None):
+        dec = decide(P, k, tol)
+        return replace(dec, rank=dec.rank - 1, nullity=dec.nullity + 1) if k == k_short else dec
+
+    monkeypatch.setattr(minimal, "sylvester_rank", one_short)
 
 
 def test_a_miscounted_last_index_falls_back_to_the_scan(monkeypatch):
     # Indices (1, 2, 5) and a finite eigenvalue of degree 3: R = 11 - 3 = 8.
-    # One rank too few on S_9, which the scan never reaches, gives eps = 4;
-    # r_4 cannot tell 4 from 5, but r_5 can, so the scan takes over from S_4.
+    # One rank too few on S_8 = S_R, which the scan never reaches, gives
+    # eps = 4; r_4 cannot tell 4 from 5, but r_5 can, so the scan takes over
+    # from S_4.
     M = _with_finite_eigenvalue(planted_indices((1, 2, 5), np.random.default_rng(5)), 3)
-    exact_rank = minimal.sylvester_rank
+    _one_short_at(monkeypatch, 8)
+    profile = mb.rank_profile(M)
+    assert 8 in M._sylvester_memo  # the jump read the miscounted S_R
+    assert _fields(profile) == _fields(_forced(M))
+    assert profile.decided_k == (1, 2, 3, 4, 5, 6)
+    assert len(profile.decisions) == len(profile.ranks) == 6
 
-    def one_short_at_9(P, k, tol=None):
-        dec = exact_rank(P, k, tol)
-        return replace(dec, rank=dec.rank - 1, nullity=dec.nullity + 1) if k == 9 else dec
 
-    monkeypatch.setattr(minimal, "sylvester_rank", one_short_at_9)
+def test_an_index_one_too_small_next_to_the_source_is_caught_by_the_next_matrix(monkeypatch):
+    # Indices (1, 2, 5) without finite eigenvalues: R = 8 - 3 = 5.  One rank
+    # too few on S_5 = S_R gives eps = 4 = R - 1, so S_{eps+1} is the source
+    # and agrees by construction; S_6 = S_{R+1} must catch it.
+    M = planted_indices((1, 2, 5), np.random.default_rng(5))
+    prefix = [minimal.sylvester_rank(M, k).rank for k in (1, 2, 3)]
+    _one_short_at(monkeypatch, 5)
+    spy = LinalgSpy(monkeypatch)
+    assert minimal._index_sum_jump(M, None, prefix) is None
+    assert sorted(c.key[1] for c in spy.take() if c.key is not None) == [4, 5, 6]
+    # The scan then stops at the miscounted S_5, as the forced scan does, and
+    # the decision it rests on cuts between two singular values far above the
+    # threshold.
     profile = mb.rank_profile(M)
     assert _fields(profile) == _fields(_forced(M))
-    assert len(profile.decisions) == len(profile.ranks) == 6
+    assert profile.d_prime == 4 and profile.marginal
+
+
+def test_a_miscounted_source_of_full_row_rank_leaves_a_marginal_profile(monkeypatch):
+    # Indices (1, 1, 1, 1, 20): R = 20, and S_20 one rank short gives
+    # eps = 19; S_21 refutes it, and the scan ends on the miscounted S_20.
+    M = planted_indices((1, 1, 1, 1, 20), np.random.default_rng(7))
+    _one_short_at(monkeypatch, 20)
+    cert = mb.certify_minimal_basis(M)
+    assert 21 in M._sylvester_memo
+    assert cert.profile.marginal and cert.marginal
+    assert cert.d_prime == 19
 
 
 def test_non_convex_ranks_make_a_profile_marginal():
     # Increments 3, 4, 2: the second rank decision over-counts somewhere.
     base = dict(alphas=(), d_prime=None, normal_rank_full=True, stabilized_increment=None,
-                decisions=(), tolerance=None)
+                decisions=(), decided_k=(), tolerance=None)
     bad = RankProfile(ranks=(3, 7, 9), nullities=(1, 1, 3), **base)
     good = RankProfile(ranks=(4, 7, 9), nullities=(0, 1, 3), **base)
     assert bad.marginal and not good.marginal
@@ -159,5 +238,6 @@ def test_jump_does_not_fire_on_a_non_convex_prefix(monkeypatch):
     assert minimal._index_sum_jump(M, None, [9, 21, 30]) is None
     assert spy.take() == []
     ranks = [11, 21, 30]
-    assert minimal._index_sum_jump(M, None, ranks) == ([11, 21, 30, 39, 48, 56], [5, 6])
-    assert ranks == [11, 21, 30]  # S_5 and S_6 factored, the prefix unchanged
+    assert minimal._index_sum_jump(M, None, ranks) == ([11, 21, 30, 39, 48, 56], [5])
+    # S_5 = S_R factored; it has full row rank, so r_6 follows without S_6.
+    assert ranks == [11, 21, 30]

@@ -56,7 +56,7 @@ def test_the_profile_of_the_full_sylvester_ranks_is_the_predicted_one():
         q, kp = m + n, kprime_t(m, n, d).k_prime
         ranks = [min((k + d) * m, k * q) for k in range(1, kp + 2)]
         assert [b - a for a, b in zip([0] + ranks, ranks)].index(m) == kp, (m, n, d)
-        profile = _profile(PolyMat(np.zeros((d + 1, m, q))), ranks, m, True, (), None)
+        profile = _profile(PolyMat(np.zeros((d + 1, m, q))), ranks, m, True, (), (), None)
         assert profile.d_prime == kp
         assert _indices_or_none(profile) == predicted_minimal_indices(m, n, d), (m, n, d)
         assert _minimal_index_sum(profile, m) == m * d, (m, n, d)

@@ -14,8 +14,10 @@ this tree's BENCHMARK.json, which is only read.  For each metric the table
 gives the base's median and quartiles, the change's median, and how many
 pairs the change won (ties count for neither side).  ``claim`` is "yes" when
 the change won at least nine tenths of the pairs and its median is better
-than the base's by more than the base's interquartile range.  The runs and
-the table are written to ``.bench_build/bench_pairs/`` in this tree.
+than the base's by more than the base's interquartile range; ``worse`` is
+its mirror, "yes" when the change lost at least nine tenths of the pairs
+and its median is worse by more than that range.  The runs and the table
+are written to ``.bench_build/bench_pairs/`` in this tree.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def compare(base: list[float], change: list[float], better: str) -> dict:
     """One row of the table for one metric, from its values in each pair."""
     q1, base_median, q3 = quartiles(base)
     change_median = statistics.median(change)
-    won = wins(base, change, better)
+    won, lost = wins(base, change, better), wins(change, base, better)
     gain = base_median - change_median if better == "lower" else change_median - base_median
     return {
         "base_median": base_median,
@@ -70,6 +72,7 @@ def compare(base: list[float], change: list[float], better: str) -> dict:
         "wins": won,
         "pairs": len(base),
         "claim": 10 * won >= 9 * len(base) and gain > q3 - q1,
+        "worse": 10 * lost >= 9 * len(base) and -gain > q3 - q1,
     }
 
 
@@ -90,15 +93,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def format_table(rows: dict, runs: dict) -> str:
     lines = [
-        "| metric | unit | better | base median | base q1-q3 | change median | change | wins | claim |",
-        "|---|---|---|---|---|---|---|---|---|",
+        "| metric | unit | better | base median | base q1-q3 | change median | change | wins "
+        "| claim | worse |",
+        "|---|---|---|---|---|---|---|---|---|---|",
     ]
     for name, row in rows.items():
         lines.append(
             f"| {name} | {row['unit']} | {row['better']} | {row['base_median']:.4g} | "
             f"{row['base_q1']:.4g}-{row['base_q3']:.4g} | {row['change_median']:.4g} | "
             f"{100 * row['relative']:+.1f}% | {row['wins']}/{row['pairs']} | "
-            f"{'yes' if row['claim'] else 'no'} |"
+            f"{'yes' if row['claim'] else 'no'} | {'yes' if row['worse'] else 'no'} |"
         )
     for tree in TREES:
         failed = sum(r["failed"] for r in runs[tree])
