@@ -46,6 +46,7 @@ from .sylvester import (
     _min_norm_solve,
     highest_row_degree_rank,
     memoized,
+    memoized_for,
     singular_values,
     sylvester,
     sylvester_nullspace,
@@ -223,11 +224,19 @@ def propagate_perturbation(
     the two minimum-Frobenius-norm correction systems against the perturbed
     Sylvester operators, and certifies the assembled pair.  The relative
     change is guaranteed not to exceed (2/theta2) * ||perturbation||.
+    M's memo keeps the latest report at ``tol``: a call with the same N and
+    delta_M objects, such as ``backward_error_map``'s after a propagation,
+    reads it back.
     """
     if not pair.is_valid:
         raise PreconditionError("propagation requires a valid dual pair")
+    _require_congruent(pair.M, delta_M, "propagate_perturbation")
+    return memoized_for(pair.M, "perturb", tol, (pair.N, delta_M),
+                        lambda: _propagated(pair, delta_M, tol))
+
+
+def _propagated(pair: DualPair, delta_M: PolyMat, tol: float | None) -> PerturbReport:
     M, N = pair.M, pair.N
-    _require_congruent(M, delta_M, "propagate_perturbation")
     m, q, d = M.rows, M.cols, M.degree_bound
     n = q - m
     kp, t = pair.k_prime_t.k_prime, pair.k_prime_t.t

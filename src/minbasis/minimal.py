@@ -89,10 +89,12 @@ def _convex(ranks) -> bool:
 
 
 # Normal rank equals the evaluation rank away from finitely many points; two
-# fixed pseudo-random probes make an accidental hit vanishingly rare.
-_PROBES = np.array([
-    complex(re, im) for re, im in np.random.default_rng(0x5E_ED).uniform(0.5, 1.5, (2, 2))
-])
+# fixed pseudo-random probes make an accidental hit vanishingly rare.  They
+# are the rows of np.random.default_rng(0x5EED).uniform(0.5, 1.5, (2, 2)) as
+# (re, im), written out so that importing the package does not load
+# numpy.random.
+_PROBES = np.array([complex(0.6379288440379999, 1.4902106560036337),
+                    complex(0.7225115845739198, 1.1299875481900221)])
 
 
 def _evaluation_rank(M: PolyMat, tol: float | None) -> int:

@@ -195,10 +195,12 @@ def poly_multiply_transpose(A: PolyMat, B: PolyMat) -> PolyMat:
         )
     _require_same_field(A, B, "poly_multiply_transpose")
     da, db = A.degree_bound, B.degree_bound
+    # Block (i, j) of the one product is A_i B_j^T; block row i adds into
+    # coefficients i .. i + db, in the order of i of a double loop.
+    blocks = (s1_stack(A) @ s1_stack(B).T).reshape(da + 1, A.rows, db + 1, B.rows)
     out = np.zeros((da + db + 1, A.rows, B.rows), dtype=A.coeffs.dtype)
     for i in range(da + 1):
-        for j in range(db + 1):
-            out[i + j] += A.coeffs[i] @ B.coeffs[j].T
+        out[i : i + db + 1] += blocks[i].transpose(1, 0, 2)
     return PolyMat(out)
 
 
@@ -269,28 +271,36 @@ def _is_real(value) -> bool:
 
 def _check_entries(row: list, field: str, where: str) -> None:
     """InputFormatError naming the first entry of ``row`` that is not a real
-    number, or in a complex field not an [re, im] pair of real numbers.
-
-    A row of JSON numbers, or of 2-lists of them, passes on one pass over
-    the types of its entries; only a row that fails it is walked entry by
-    entry, by the isinstance rule that also accepts subclasses such as
-    np.float64 (and tuple pairs) and refuses booleans.
-    """
-    if field == "real":
-        if _JSON_NUMBERS.issuperset(map(type, row)):
-            return
-    elif (
-        {list}.issuperset(map(type, row))
-        and {2}.issuperset(map(len, row))
-        and _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(row)))
-    ):
-        return
+    number, or in a complex field not an [re, im] pair of real numbers, by
+    the isinstance rule that also accepts subclasses such as np.float64 (and
+    tuple pairs) and refuses booleans."""
     for c, value in enumerate(row):
         if field == "real":
             if not _is_real(value):
                 raise InputFormatError(f"{where}[{c}]: expected a real number, got {value!r}")
         elif not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_real, value)):
             raise InputFormatError(f"{where}[{c}]: expected an [re, im] pair, got {value!r}")
+
+
+def _json_values(coeff_obj: list, rows: int, cols: int, field: str) -> list | None:
+    """The numbers of a list of ``rows`` lists of ``cols`` JSON numbers each,
+    or in a complex field of [re, im] lists of them, in order, a pair as two
+    numbers; None when ``coeff_obj`` is not one.
+
+    One pass over the types of all the numbers, and in a complex field one
+    over the types and one over the lengths of the pairs, replace the walk
+    entry by entry that only a list which fails them needs.
+    """
+    if not all(type(mat) is list and len(mat) == rows for mat in coeff_obj):
+        return None
+    if not all(type(row) is list and len(row) == cols for row in chain.from_iterable(coeff_obj)):
+        return None
+    values = list(chain.from_iterable(chain.from_iterable(coeff_obj)))
+    if field == "complex":
+        if not ({list}.issuperset(map(type, values)) and {2}.issuperset(map(len, values))):
+            return None
+        values = list(chain.from_iterable(values))
+    return values if _JSON_NUMBERS.issuperset(map(type, values)) else None
 
 
 def _raise_too_large(coeff_obj: list) -> None:
@@ -331,25 +341,27 @@ def from_dict(obj: dict) -> PolyMat:
         raise InputFormatError(
             f"coefficients: expected {db + 1} matrices for degree_bound {db}, got {got}"
         )
-    for i, mat in enumerate(coeff_obj):
-        if not isinstance(mat, list) or len(mat) != rows:
-            raise InputFormatError(
-                f"coefficients[{i}]: expected {rows} rows, got "
-                f"{len(mat) if isinstance(mat, list) else type(mat).__name__}"
-            )
-        for r, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != cols:
+    values = _json_values(coeff_obj, rows, cols, field)
+    if values is None:
+        for i, mat in enumerate(coeff_obj):
+            if not isinstance(mat, list) or len(mat) != rows:
                 raise InputFormatError(
-                    f"coefficients[{i}][{r}]: expected {cols} columns, got "
-                    f"{len(row) if isinstance(row, list) else type(row).__name__}"
+                    f"coefficients[{i}]: expected {rows} rows, got "
+                    f"{len(mat) if isinstance(mat, list) else type(mat).__name__}"
                 )
-            _check_entries(row, field, f"coefficients[{i}][{r}]")
-    # The checks above fix the shape, so the numbers are read in one flat
-    # pass: np.array over the nested lists takes about twice as long.
-    values = chain.from_iterable(chain.from_iterable(coeff_obj))
-    shape = (db + 1, rows, cols)
-    if field == "complex":
-        values, shape = chain.from_iterable(values), (*shape, 2)
+            for r, row in enumerate(mat):
+                if not isinstance(row, list) or len(row) != cols:
+                    raise InputFormatError(
+                        f"coefficients[{i}][{r}]: expected {cols} columns, got "
+                        f"{len(row) if isinstance(row, list) else type(row).__name__}"
+                    )
+                _check_entries(row, field, f"coefficients[{i}][{r}]")
+        # The checks above fix the shape, so the numbers are read in one
+        # flat pass: np.array over the nested lists takes about twice as long.
+        values = chain.from_iterable(chain.from_iterable(coeff_obj))
+        if field == "complex":
+            values = chain.from_iterable(values)
+    shape = (db + 1, rows, cols) if field == "real" else (db + 1, rows, cols, 2)
     try:
         arr = np.fromiter(values, dtype=_REAL_DTYPE, count=math.prod(shape)).reshape(shape)
     except OverflowError:

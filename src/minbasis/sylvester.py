@@ -7,9 +7,12 @@ highest-row-degree matrix goes through a memo held by P itself, freed with
 the matrix.  It keeps the read-only descending singular values of S_k under
 the key k and of the highest-row-degree matrix under "hr", each computed
 once; the rank decision at ``tol`` of the matrix under a key, under
-(key, tol); and the reports built from those decisions that ``memoized`` is
-asked to keep, under (name, tol).  It never keeps the factored arrays or a
-nullspace basis (a QR of S_k^H, taken only of S_k of full row rank).
+(key, tol); the reports built from those decisions that ``memoized`` is
+asked to keep, under (name, tol); and, under ("perturb", tol), the latest
+propagation of a perturbation to a dual basis, with the dual basis and the
+perturbation it was built from (``memoized_for``).  It never keeps the
+factored arrays or a nullspace basis (a QR of S_k^H, taken only of S_k of
+full row rank).
 ``weyl_full_rank`` reads a parent's memo to bound the ranks of a
 perturbation of it and writes nothing.  A few helpers factor the other
 constant matrices: orthogonal complements, minimum-norm solves and nearest
@@ -348,6 +351,25 @@ def memoized(P: PolyMat, name: str, tol: float | None, compute: Callable[[], _T]
     if report is None:
         report = P._sylvester_memo[key] = compute()
     return report
+
+
+def memoized_for(P: PolyMat, name: str, tol: float | None, inputs: tuple,
+                 compute: Callable[[], _T]) -> _T:
+    """``compute()``, a report built from P's rank decisions at ``tol`` and
+    from the objects ``inputs``.
+
+    P's memo keeps the latest one per report name and tolerance, in a slot
+    that also holds ``inputs``: a call with the same objects, by identity,
+    reads it back, and a call with others replaces it.  Identity is sound
+    for PolyMats, whose coefficients are read-only, and the slot keeps its
+    inputs alive, so their ids cannot be reused.  A ``compute`` that raises
+    stores nothing.
+    """
+    key = (name, tol)
+    slot = P._sylvester_memo.get(key)
+    if slot is None or any(a is not b for a, b in zip(slot, inputs)):
+        slot = P._sylvester_memo[key] = (*inputs, compute())
+    return slot[-1]
 
 
 def sylvester_singular_values(P: PolyMat, k: int) -> np.ndarray:

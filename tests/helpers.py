@@ -1,8 +1,9 @@
 """Shared builders for the block-bidiagonal worked examples and random
 inputs, the degree and the reversal of a matrix, the exact oracle's kernel
 on one matrix with a reference nullspace, the per-k exact profile,
-entry-by-entry references for the JSON loader and a minimum-norm solve
-through Q, and a spy on the package's factorizations."""
+entry-by-entry references for the JSON loader, a double-loop polynomial
+product and a minimum-norm solve through Q, and a spy on the package's
+factorizations."""
 
 import sys
 from fractions import Fraction
@@ -305,6 +306,18 @@ def reference_to_dict(P: PolyMat) -> dict:
         coeffs = [[[[float(v.real), float(v.imag)] for v in row] for row in C] for C in P.coeffs]
     return {"field": P.field, "rows": P.rows, "cols": P.cols,
             "degree_bound": P.degree_bound, "coefficients": coeffs}
+
+
+def reference_poly_multiply_transpose(A: PolyMat, B: PolyMat) -> PolyMat:
+    """``polymat.poly_multiply_transpose`` by one small product A_i B_j^T per
+    pair of coefficients, added into coefficient i + j: the reference for
+    the one product of the stacked coefficients."""
+    da, db = A.degree_bound, B.degree_bound
+    out = np.zeros((da + db + 1, A.rows, B.rows), dtype=A.coeffs.dtype)
+    for i in range(da + 1):
+        for j in range(db + 1):
+            out[i + j] += A.coeffs[i] @ B.coeffs[j].T
+    return PolyMat(out)
 
 
 def qr_min_norm_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:

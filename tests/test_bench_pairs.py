@@ -102,3 +102,55 @@ def test_main_alternates_the_trees_and_reads_metrics_from_benchmark_json(
     # loss where higher is.
     assert all(record["table"][name]["claim"] for name in lower)
     assert all(record["table"][name]["worse"] for name in names if name not in lower)
+
+
+def _record(tree: Path, workload: str, seed: int, best_s: dict) -> None:
+    """A run record of ``benchmarks/run.py`` in ``tree`` with the given best
+    times in seconds."""
+    out = tree / ".bench_build" / "benchmarks"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"result-{workload}-{seed}-trace0.json").write_text(json.dumps(
+        {"ops": {op: {"best": b, "worst": 2 * b} for op, b in best_s.items()}}))
+
+
+def test_run_once_reads_each_ops_best_time_from_the_run_record(tmp_path):
+    # A stand-in run.py that prints the result line and writes the record.
+    tree = tmp_path / "tree"
+    (tree / "benchmarks").mkdir(parents=True)
+    (tree / "benchmarks" / "run.py").write_text(
+        "import json, pathlib, sys\n"
+        "out = pathlib.Path('.bench_build/benchmarks')\n"
+        "out.mkdir(parents=True, exist_ok=True)\n"
+        "(out / f'result-{sys.argv[2]}-{sys.argv[4]}-trace0.json').write_text(json.dumps(\n"
+        "    {'ops': {'lify': {'best': 0.002}, 'perturb': {'best': 0.0005}}}))\n"
+        "print('report line')\n"
+        "print(json.dumps({'failed': 0, 'attempted': 2, 'metrics': {}}))\n")
+    result = bench_pairs.run_once(tree, "w", 3, 1.0)
+    assert result["failed"] == 0
+    assert result["op_best_ms"] == pytest.approx({"lify": 2.0, "perturb": 0.5})
+
+
+def test_main_prints_the_median_best_time_of_each_op_per_tree(tmp_path, monkeypatch, capsys):
+    base = tmp_path / "base"
+    (base / "benchmarks").mkdir(parents=True)
+    (base / "benchmarks" / "run.py").write_text("")
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    change_best = iter([1.0, 3.0, 2.0])
+
+    def fake_run(tree, workload, seed, seconds):
+        ops = {"lify": 4.0, "perturb": 1.0} if tree == base else {"lify": next(change_best)}
+        return {"failed": 0, "attempted": 1, "op_best_ms": ops,
+                "metrics": {name: {"value": 1.0} for name in names}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "OUT", tmp_path / "out")
+    assert bench_pairs.main([str(base), "--workload", "w", "--pairs", "3",
+                             "--seconds", "1", "--seed", "5"]) == 0
+    record = json.loads((tmp_path / "out" / "w-5.json").read_text())
+    assert record["op_medians"] == {"lify": {"base": 4.0, "change": 2.0},
+                                    "perturb": {"base": 1.0, "change": None}}
+    out = capsys.readouterr().out
+    assert "| op | base median ms | change median ms | change |" in out
+    assert "| lify | 4 | 2 | -50.0% |" in out
+    assert "| perturb | 1 | - | - |" in out

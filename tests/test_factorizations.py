@@ -146,6 +146,10 @@ def test_user_chain_factors_each_sylvester_matrix_once(generic_633, monkeypatch)
     assert _qr_of(perturb + backward, M) == []
     assert lif.pair.N is pair.N
     assert lify == []
+    # The map propagates the same delta to the same N: M's memo gives back
+    # the report, and nothing is factored.
+    assert be.perturbation is report
+    assert backward == []
     # One R-only QR per correction system, here only the degree-k' one.
     assert _qr_of(perturb, report.perturbed_pair.M) == [(kp + 1, "r")]
     assert [c.kind for c in perturb if c.kind == "qr"] == ["qr"]

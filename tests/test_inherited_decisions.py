@@ -43,11 +43,13 @@ def _case(shape, fraction):
 
 def _svd_path(monkeypatch, pair, delta, tol=None):
     """The propagation with every check on the perturbed pair factored:
-    ``weyl_full_rank`` patched to decide nothing."""
+    ``weyl_full_rank`` patched to decide nothing.  It propagates a copy of
+    ``delta``, so it recomputes what M's memo keeps of a propagation of
+    ``delta`` itself."""
     with monkeypatch.context() as patch:
         patch.setattr(dual_module, "weyl_full_rank", lambda *args: False)
         spy = LinalgSpy(patch)
-        report = mb.propagate_perturbation(pair, delta, tol)
+        report = mb.propagate_perturbation(pair, PolyMat(delta.coeffs), tol)
         assert svds_of(spy.take(), report.perturbed_pair.M) != []
     return report
 
@@ -143,7 +145,9 @@ def test_perturbed_M_is_decided_without_an_svd(shape, fraction, monkeypatch):
                                                  M.coeffs.dtype)), 1.0, rng)
         lif = mb.build_lification(K, M)
         spy.take()
-        be = mb.backward_error_map(lif, random_perturbation(K, 1e-6, rng), delta)
+        # A copy of delta: the map propagates it again, not from M's memo.
+        be = mb.backward_error_map(lif, random_perturbation(K, 1e-6, rng),
+                                   PolyMat(delta.coeffs))
         assert svds_of(spy.take(), be.perturbation.perturbed_pair.M) == []
 
 
@@ -173,7 +177,7 @@ def test_a_bound_that_fails_for_N_alone_sends_the_pair_to_verify_duality(monkeyp
         patch.setattr(dual_module, "weyl_full_rank",
                       lambda P, *args: P is not pair.N and weyl_full_rank(P, *args))
         spy = LinalgSpy(patch)
-        new = mb.propagate_perturbation(pair, delta).perturbed_pair
+        new = mb.propagate_perturbation(pair, PolyMat(delta.coeffs)).perturbed_pair
         assert [c for c in spy.take("svd") if c.hr_of == id(new.N)] != []
     assert _same_pair(new, mb.propagate_perturbation(pair, delta).perturbed_pair)
 

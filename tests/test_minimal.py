@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,3 +283,24 @@ def test_a_wrong_verdict_on_a_long_planted_scan_is_marginal():
     M = planted_indices((1, 1, 1, 10, 20), np.random.default_rng(0))
     assert (M.rows, M.cols) == (33, 38)
     assert certify_minimal_basis(M).marginal
+
+
+def test_the_normal_rank_probes_are_the_seeded_draws():
+    from minbasis.minimal import _PROBES
+
+    drawn = np.array([complex(re, im) for re, im in
+                      np.random.default_rng(0x5E_ED).uniform(0.5, 1.5, (2, 2))])
+    assert _PROBES.dtype == drawn.dtype and _PROBES.tobytes() == drawn.tobytes()
+
+
+def test_importing_the_package_does_not_load_numpy_random():
+    # NumPy 2 loads numpy.random on first use only; the package draws its
+    # probes at import time no more, so a command-line start skips it.
+    src = str(Path(mb.__file__).resolve().parent.parent)
+    code = ("import sys; import numpy; before = 'numpy.random' in sys.modules; "
+            "import minbasis, minbasis.cli; print(before, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this NumPy loads numpy.random with numpy")
+    assert out == ["False", "False"]

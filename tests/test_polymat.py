@@ -26,6 +26,7 @@ from helpers import (
     one_lambda,
     one_lambda_dual,
     reference_from_dict,
+    reference_poly_multiply_transpose,
     reference_to_dict,
     reversal,
 )
@@ -405,3 +406,47 @@ def test_loader_reports_a_bad_entry_as_the_reference_does(field, bad, where):
     with pytest.raises(mb.InputFormatError) as got:
         from_dict(obj)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", [[[1.0, 2.0, 3.0], [4.0]], [[1.0], [2.0, 3.0, 4.0]],
+                                 [True, [0.0, 1.0]], [[0.0, 1.0], "12"], [[1.0, None], [2.0, 3.0]],
+                                 [{"re": 1.0, "im": 2.0}, [0.0, 1.0]], [[[1.0], [2.0]], [0.0, 1.0]]],
+                         ids=["long-then-short", "short-then-long", "bool", "string", "null",
+                              "object", "nested"])
+def test_loader_names_a_bad_complex_entry_in_a_large_file(bad):
+    # Two neighbouring entries of a 30x40 grade-2 complex file go bad, the
+    # first pair of them with lengths that still sum to four numbers: the
+    # passes over the whole list fail and the walk names the first entry,
+    # as the reference does.
+    rng = np.random.default_rng(8)
+    P = PolyMat(rng.standard_normal((3, 30, 40)) + 1j * rng.standard_normal((3, 30, 40)))
+    obj = json.loads(json.dumps(to_dict(P)))
+    obj["coefficients"][2][17][21:23] = bad
+    obj = json.loads(json.dumps(obj))
+    with pytest.raises(mb.InputFormatError) as expected:
+        reference_from_dict(obj)
+    with pytest.raises(mb.InputFormatError) as got:
+        from_dict(obj)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("coefficients[2][17][2")
+
+
+def _double_loop_cases():
+    rng = np.random.default_rng(29)
+    for field in ("real", "complex"):
+        for da in range(4):
+            for db in range(25):
+                for rows_a, rows_b, cols in ((1, 1, 3), (1, 5, 8), (6, 1, 8), (3, 4, 9)):
+                    def draw(shape):
+                        x = rng.standard_normal(shape)
+                        return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+                    yield (PolyMat(draw((da + 1, rows_a, cols))),
+                           PolyMat(draw((db + 1, rows_b, cols))))
+
+
+def test_poly_multiply_transpose_matches_the_double_loop_reference():
+    for A, B in _double_loop_cases():
+        got = poly_multiply_transpose(A, B)
+        ref = reference_poly_multiply_transpose(A, B)
+        assert got.coeffs.shape == ref.coeffs.shape and got.field == ref.field
+        assert np.linalg.norm(got.coeffs - ref.coeffs) <= 1e-14 * np.linalg.norm(ref.coeffs)

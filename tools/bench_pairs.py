@@ -18,6 +18,11 @@ than the base's by more than the base's interquartile range; ``worse`` is
 its mirror, "yes" when the change lost at least nine tenths of the pairs
 and its median is worse by more than that range.  The runs and the table
 are written to ``.bench_build/bench_pairs/`` in this tree.
+
+A second table gives, for each op of the workload, the base's and the
+change's median of the op's ``best`` time, read from the run record that
+``benchmarks/run.py`` writes into each tree: it shows which op moved.  These
+times are not scaled by the speed probe.
 """
 
 from __future__ import annotations
@@ -78,7 +83,8 @@ def compare(base: list[float], change: list[float], better: str) -> dict:
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON result line of one untraced run of ``benchmarks/run.py`` in
-    ``tree``; it exits 1 when an op failed, which the result records."""
+    ``tree``; it exits 1 when an op failed, which the result records.  Its
+    ``op_best_ms`` holds each op's ``best`` time in ms from the run record."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -88,7 +94,34 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode not in (0, 1) or not lines:
         raise RuntimeError(f"{tree}: benchmarks/run.py exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    record = tree / ".bench_build" / "benchmarks" / f"result-{workload}-{seed}-trace0.json"
+    ops = json.loads(record.read_text())["ops"]
+    result["op_best_ms"] = {op: 1e3 * latency["best"] for op, latency in ops.items()}
+    return result
+
+
+def op_medians(runs: dict) -> dict:
+    """Each op's median ``best`` time in ms per tree, over the runs that
+    timed the op (None for a tree with none)."""
+    names = sorted({op for tree in TREES for r in runs[tree] for op in r.get("op_best_ms", {})})
+    medians = {}
+    for op in names:
+        values = {t: [r["op_best_ms"][op] for r in runs[t] if op in r.get("op_best_ms", {})]
+                  for t in TREES}
+        medians[op] = {t: statistics.median(v) if v else None for t, v in values.items()}
+    return medians
+
+
+def format_op_table(medians: dict) -> str:
+    lines = ["| op | base median ms | change median ms | change |", "|---|---|---|---|"]
+    for op, m in medians.items():
+        base, change = m["base"], m["change"]
+        relative = (f"{100 * (change / base - 1.0):+.1f}%" if base and change is not None
+                    else "-")
+        cells = ["-" if v is None else f"{v:.4g}" for v in (base, change)]
+        lines.append(f"| {op} | {cells[0]} | {cells[1]} | {relative} |")
+    return "\n".join(lines)
 
 
 def format_table(rows: dict, runs: dict) -> str:
@@ -140,14 +173,16 @@ def main(argv=None) -> int:
         rows[name] = {"unit": m["unit"], "better": m["better"],
                       **compare(values["base"], values["change"], m["better"])}
     table = format_table(rows, runs)
+    medians = op_medians(runs)
     print(f"workload {args.workload}  seed {args.seed}  seconds {args.seconds}  "
           f"pairs {args.pairs}  base {base}")
     print(table)
+    print(format_op_table(medians))
     OUT.mkdir(parents=True, exist_ok=True)
     (OUT / f"{args.workload}-{args.seed}.json").write_text(json.dumps({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "pairs": args.pairs, "base": str(base), "order": run_order(args.pairs),
-        "runs": runs, "table": rows,
+        "runs": runs, "table": rows, "op_medians": medians,
     }, indent=1))
     return 0
 
