@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputFormatError, PreconditionError
-from .polymat import PolyMat, _check_field
+from .polymat import PolyMat, _block_count, _check_field
 from .sylvester import (
-    MARGINAL_GAP, _block_count, _require_wide, clearance, memoized,
+    MARGINAL_GAP, _require_wide, clearance, memoized,
     singular_values, stacked_ranks, sylvester_array, sylvester_rank,
 )
 

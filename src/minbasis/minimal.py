@@ -20,10 +20,9 @@ from .errors import (
     LeadingCoefficientError,
 )
 from .fullsyl import has_full_sylvester_rank
-from .polymat import PolyMat, evaluate, row_degrees
+from .polymat import PolyMat, _block_count, evaluate, row_degrees
 from .sylvester import (
     RankDecision,
-    _block_count,
     _require_wide,
     full_leading_rank,
     highest_row_degree_rank,

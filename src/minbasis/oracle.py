@@ -4,25 +4,23 @@ Exact matrices are numpy object arrays of Python ints and Fractions; S_k is
 built by the floating-point path's ``sylvester_array``.  Each row is scaled
 to integers, and every rank is proven from both sides: a rank modulo a prime
 is the lower bound, and integer null vectors checked over Z give the upper
-one.  ``exact_rank_profile`` takes both for all of S_1, S_2, ... from one
-modular elimination across k (``_ModularPass``); one kernel on a single
-matrix (``_rank_nullspace``) serves ``exact_rank`` and any S_k the pass does
-not settle.  So every floating-point rank decision can be cross-checked
+one.  One modular elimination across k (``_ModularPass``) takes both for all
+of S_1, S_2, ... in ``exact_rank_profile``, and for a single matrix in
+``exact_rank``.  So every floating-point rank decision can be cross-checked
 exactly at the float pipeline's sizes.  Complex inputs are out of scope.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputFormatError, NumericalInconsistencyError
+from .errors import InputFormatError
 from .minimal import RankProfile, _default_scan_cap, _profile, _scan
-from .polymat import PolyMat, evaluate_array
+from .polymat import PolyMat
 from .sylvester import _require_wide, sylvester_array
 
 
@@ -64,10 +62,8 @@ def _integer_rows(F: np.ndarray) -> np.ndarray:
     return np.frompyfunc(int, 1, 1)(F * np.array(scale, dtype=object)[:, None])
 
 
-@functools.cache
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7, exact for odd 7 < n < 3.2e9.
-    Cached: the kernel asks about the same few candidates on every call."""
+    """Miller-Rabin with bases 2, 3, 5, 7, exact for odd 7 < n < 3.2e9."""
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -84,10 +80,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes(below: int = 2**31):
-    """Primes below the power of two ``below`` in descending order; below
-    2**31 a product of two residues fits in int64."""
-    n = below - 1
+def _primes(below: int):
+    """Odd primes below ``below`` in descending order."""
+    n = (below - 2) | 1  # the largest odd number below
     while True:
         if _is_prime(n):
             yield n
@@ -95,7 +90,7 @@ def _primes(below: int = 2**31):
 
 
 def _magnitude(A: np.ndarray) -> int:
-    return int(np.abs(A).max())
+    return int(np.abs(A).max(initial=0))
 
 
 def _compact(A: np.ndarray) -> np.ndarray:
@@ -180,8 +175,11 @@ def _vanishes(A: np.ndarray, V: np.ndarray) -> bool:
 def _minor_bound_squared(A: np.ndarray) -> int:
     """H^2 for a bound H on every minor of A: the product of its
     min(rows, cols) largest nonzero row norms (Hadamard).  A nonzero integer
-    row has norm at least 1, so H bounds minors of every size."""
-    norms2 = sorted(sum(x * x for x in row) for row in A.tolist())
+    row has norm at least 1, so H bounds minors of every size.  The squared
+    norms are summed in int64 when a magnitude bound rules out overflow."""
+    if _magnitude(A) ** 2 * A.shape[1] >= 2**63:
+        A = A.astype(object)
+    norms2 = sorted((A * A).sum(axis=1).tolist())
     return math.prod(n for n in norms2[-min(A.shape):] if n)
 
 
@@ -189,67 +187,6 @@ def _crt(X: np.ndarray, m: int, residues: np.ndarray, p: int) -> tuple[np.ndarra
     """The object array congruent to X mod m and to ``residues`` mod p,
     with its modulus m*p (Chinese remainder theorem)."""
     return X + m * ((residues - X % p) * pow(m, -1, p) % p), m * p
-
-
-def _rank_nullspace(A: np.ndarray) -> tuple[int, np.ndarray, int]:
-    """Exact rank of an integer matrix, with a proof of each bound, and its
-    reduced row echelon nullspace basis as integer rows V over one
-    denominator D.
-
-    The rank r mod a prime is at most the rank over Q, so it is the lower
-    bound, final at the column count.  Otherwise the reduced residues of
-    the primes that share the best pivot set (most pivots, then
-    lexicographically first; any other prime is bad) are combined by CRT
-    and lifted to rational null vectors.  Once A V^T = 0 holds over Z,
-    those cols - r independent vectors prove rank <= r, and they force the
-    pivot set to be Q's, so V/D is Q's basis.  A prime product past 2 H^2
-    guarantees the lift, so reaching it without a certificate raises
-    instead of looping.
-    """
-    A = _compact(A)
-    rows, cols = A.shape
-    best, m, X, cap = None, 1, None, None
-    for p in _primes():
-        E, pivots = _echelon(A, p)
-        rank = len(pivots)
-        if rank == cols:
-            return rank, np.zeros((0, cols), dtype=object), 1
-        key = (-rank, pivots)
-        if best is None or key < best:
-            best, m, X = key, 1, np.zeros((rank, cols - rank), dtype=object)
-            free = np.ones(cols, dtype=bool)
-            free[pivots] = False
-            free = free.nonzero()[0]
-        elif key != best:
-            continue
-        X, m = _crt(X, m, _reduced(E, pivots, free, p), p)
-        lifted = _lift(X, m)
-        if lifted is not None:
-            Y, D = lifted
-            V = np.zeros((cols - rank, cols), dtype=object)
-            V[np.arange(cols - rank), free] = D
-            V[:, pivots] = -Y.T
-            if _vanishes(A, V):
-                return rank, V, D
-        if cap is None:
-            cap = 2 * _minor_bound_squared(A)
-        if m > cap:
-            raise NumericalInconsistencyError(
-                f"no integer nullspace of a {rows}x{cols} matrix certifies rank {rank} "
-                f"modulo a {m.bit_length()}-bit prime product, past the Hadamard bound "
-                f"2H^2 of {cap.bit_length()} bits"
-            )
-
-
-def _rank(A: np.ndarray) -> int:
-    """Exact rank of an integer matrix, certified on the side with fewer
-    columns, which has the smaller nullspace."""
-    return _rank_nullspace(A.T if A.shape[1] > A.shape[0] else A)[0]
-
-
-def exact_rank(A) -> int:
-    """Exact rank of a 2-D array-like of ints, floats or Fractions."""
-    return _rank(_integer_rows(_fraction_matrix(A)))
 
 
 def _integer_coeffs(M: PolyMat) -> np.ndarray:
@@ -277,20 +214,6 @@ def _integer_coeffs(M: PolyMat) -> np.ndarray:
     return odd.astype(object) << shift.astype(object)
 
 
-def _exact_normal_rank(Z: np.ndarray) -> int:
-    # The fallback of _normal_rank.  Every minor has degree at most
-    # d * min(m, q), so evaluating at one more integer than that and taking
-    # the max rank is exact.
-    grade, m, q = Z.shape
-    full = min(m, q)
-    best = 0
-    for lam in range(1, (grade - 1) * full + 2):
-        best = max(best, _rank(evaluate_array(Z, np.asarray(lam))))
-        if best == full:
-            break
-    return best
-
-
 # The one-pass profile works modulo a batch of primes below 2**26, so that an
 # int64 sum of up to _TERMS products of two residues cannot overflow.
 _PASS_PRIMES = tuple(itertools.islice(_primes(2**26), 3))
@@ -304,6 +227,40 @@ def _dot_mod(A: np.ndarray, B: np.ndarray, p: np.ndarray) -> np.ndarray:
     for s in range(0, A.shape[-1], _TERMS):
         out = (out + A[..., s : s + _TERMS] @ B[..., s : s + _TERMS, :]) % p
     return out
+
+
+def _dixon(A: np.ndarray, p: int) -> bool:
+    """Whether the last column c of the integer matrix A = [A_s, c] is a
+    combination of the others over Q, given that those are independent
+    modulo the prime p < 2**26, with an integer null vector checked over Z.
+
+    Rows of A_s independent mod p (the pivots of its transpose) give a block
+    B, invertible mod p, so B y = -c there has one rational solution.  Its
+    p-adic digits come from that inverse alone (Dixon): x = B^-1 r mod p,
+    then r <- (r - B x) / p, exactly, starting from r = -c.  Each
+    reconstruction (``_lift``) of the digits so far is checked on all of A.
+    By Cramer, y's numerators and denominator are minors of [B, c]; past
+    2 H^2 for a bound H on those (Hadamard), the reconstruction is y, so a
+    y that fails the check means that c is independent over Q.
+    """
+    s = A.shape[1] - 1
+    B = A[_echelon(A[:, :s].T, p)[1]]
+    E, pivots = _echelon(np.hstack([B[:, :s], np.eye(s, dtype=np.int64)]), p)
+    inverse = _reduced(E, pivots, np.arange(s, 2 * s), p)
+    # |r| <= s |B| throughout, so r - B x stays below s |B| p.
+    B = B.astype(np.int64 if _magnitude(B) * (s + 1) * p < 2**63 else object)
+    r, X, m, cap = -B[:, s], np.zeros(s, dtype=object), 1, None
+    while True:
+        x = _dot_mod(inverse, (r % p).astype(np.int64)[:, None], p)[:, 0]
+        r = (r - B[:, :s] @ x.astype(B.dtype)) // p
+        X, m = X + m * x.astype(object), m * p
+        lifted = _lift(X, m)
+        if lifted is not None and _vanishes(A, np.append(*lifted)[None]):
+            return True
+        if cap is None:
+            cap = 2 * _minor_bound_squared(B)
+        if m > cap:
+            return False
 
 
 class _ModularPass:
@@ -339,17 +296,20 @@ class _ModularPass:
     reduced column, as the window needs.  A prime that finds a column
     dependent where another does not has too low a rank, and leaves the
     batch, as does one whose first nonzero row comes later than another's;
-    the others keep every earlier result.
+    the others keep every earlier result.  Bounds that do not meet mean that
+    every prime left is bad for Z; the pass then starts over with the next
+    batch (``_restart``), and only finitely many primes are bad.
     """
 
-    def __init__(self, Z: np.ndarray):
+    def __init__(self, Z: np.ndarray, primes: tuple[int, ...] | None = None):
         self.Z = Z  # the integer coefficient stack, int64 or Python ints
         grade, self.m, self.q = Z.shape
         self.d = grade - 1
-        self.p = np.array(_PASS_PRIMES, dtype=np.int64)
+        self.primes = primes or _PASS_PRIMES  # the batch; _restart takes the next one
+        self.p = np.array(self.primes, dtype=np.int64)
         # Block column k's new columns as rows: (prime, column, row - km).
         column = Z.reshape(grade * self.m, self.q).T
-        self.new = np.stack([np.remainder(column, p) for p in _PASS_PRIMES]).astype(np.int64)
+        self.new = np.stack([np.remainder(column, p) for p in self.primes]).astype(np.int64)
         window = grade * self.m
         self.basis = np.zeros((len(self.p), 0, window), dtype=np.int64)
         self.pivots = np.zeros(0, dtype=np.intp)  # rows of S, absolute
@@ -359,6 +319,10 @@ class _ModularPass:
         self.dependent = np.zeros(self.q, dtype=bool)  # positions in a block
         self.events: list[tuple[int, int, np.ndarray, np.ndarray, tuple[int, ...]]] = []
         self.proofs: list[bool] = []
+
+    def _restart(self) -> None:
+        """Start over modulo the next len(primes) primes below the batch."""
+        self.__init__(self.Z, tuple(itertools.islice(_primes(min(self.primes)), len(self.primes))))
 
     def _keep(self, keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
         """Drop the primes outside ``keep`` from the batch and from ``arrays``."""
@@ -428,26 +392,20 @@ class _ModularPass:
         self.ranks.append(len(self.independent))
 
     def _verify(self, event) -> bool:
-        """Whether the event's column is dependent over Q, with a null vector
-        of S_{b+1} over Z: the one lifted from the batch's residues, or,
-        when those do not suffice, the kernel's on the event's columns.
-
-        Those columns are the independent ones before the event's and the
-        event's own.  The former are independent over Q too, so the kernel
-        finds rank len(support) and the null vector of the lift, or full
-        column rank where the batch was wrong."""
+        """Whether the event's column of S_{b+1} is dependent over Q on the
+        independent columns before it, with a null vector over Z on those
+        columns: the one lifted from the batch's residues, or, when those do
+        not suffice, the p-adic lift from the batch's first prime
+        (``_dixon``), which also proves a column independent."""
         b, column, support, residues, primes = event
-        S = sylvester_array(self.Z, b + 1)
+        A = sylvester_array(self.Z, b + 1)[:, np.append(support, column)]
         X, modulus = np.zeros(len(support), dtype=object), 1
         for r, prime in zip(residues, primes):
             X, modulus = _crt(X, modulus, r, prime)
         lifted = _lift(X, modulus)
-        if lifted is not None:
-            x = np.zeros((b + 1) * self.q, dtype=object)
-            x[support], x[column] = lifted
-            if _vanishes(S, x[None]):
-                return True
-        return _rank_nullspace(S[:, np.append(support, column)])[0] == len(support)
+        if lifted is not None and _vanishes(A, np.append(*lifted)[None]):
+            return True
+        return _dixon(A, primes[0])
 
     def proven(self) -> list[int]:
         """The degrees b of the events so far whose null vectors hold over Z."""
@@ -455,17 +413,17 @@ class _ModularPass:
         return [e[0] for e, ok in zip(self.events, self.proofs) if ok]
 
     def rank(self, k: int) -> int:
-        """The exact rank of S_k: the rank mod the batch, when the proven
-        null vectors or the size of S_k bound it from above; else the
-        kernel on S_k alone."""
-        while self.blocks < k:
-            self.extend()
-        lower = self.ranks[k - 1]
-        if lower == min((k + self.d) * self.m, k * self.q) or lower == k * self.q - sum(
-            max(0, k - b) for b in self.proven()
-        ):
-            return lower
-        return _rank(sylvester_array(self.Z, k))
+        """The exact rank of S_k: the rank mod the batch, once the proven
+        null vectors or the size of S_k bound it from above."""
+        while True:
+            while self.blocks < k:
+                self.extend()
+            lower = self.ranks[k - 1]
+            if lower == min((k + self.d) * self.m, k * self.q) or lower == k * self.q - sum(
+                max(0, k - b) for b in self.proven()
+            ):
+                return lower
+            self._restart()
 
     def point_rank(self, lam: int) -> int:
         """The rank of M(lam) modulo a prime of the batch, a lower bound on
@@ -489,8 +447,8 @@ def _normal_rank(sweep: _ModularPass, cap: int) -> int:
     in turn until the bounds meet: every m-minor has degree at most d*m, so
     one of the first d*m + 1 points attains the normal rank unless the
     prime divides it there, and every right minimal index is at most
-    (m-1)d, so the pass finds them all before the cap.  Otherwise the
-    rank of M at each point is certified exactly.
+    (m-1)d, so the pass finds them all before the cap.  Otherwise the pass
+    starts over with the next batch, and the points with it.
     """
     m, q, d = sweep.m, sweep.q, sweep.d
     points = list(range(1, d * m + 2))
@@ -503,7 +461,16 @@ def _normal_rank(sweep: _ModularPass, cap: int) -> int:
         if sweep.blocks < cap:
             sweep.extend()
         elif not points:
-            return _exact_normal_rank(sweep.Z.astype(object))
+            sweep._restart()
+            points = list(range(1, d * m + 2))
+
+
+def exact_rank(A) -> int:
+    """Exact rank of a 2-D array-like of ints, floats or Fractions: S_1 of
+    the grade-0 stack [A] in one modular pass, taken on the side with fewer
+    columns, which has the smaller nullspace."""
+    Z = _compact(_integer_rows(_fraction_matrix(A)))
+    return _ModularPass((Z.T if Z.shape[1] > Z.shape[0] else Z)[None]).rank(1)
 
 
 def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:

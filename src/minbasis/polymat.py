@@ -104,8 +104,20 @@ class PolyMat:
     @classmethod
     def zeros(cls, rows: int, cols: int, degree_bound: int, field: str = "real") -> "PolyMat":
         _check_field(field)
+        rows, cols = _block_count(rows, "rows"), _block_count(cols, "cols")
+        degree_bound = _block_count(degree_bound, "degree_bound", least=0)
         dtype = _COMPLEX_DTYPE if field == "complex" else _REAL_DTYPE
         return cls(np.zeros((degree_bound + 1, rows, cols), dtype=dtype))
+
+
+def _block_count(k, what: str = "block-column count k", least: int = 1) -> int:
+    """k as an int if it is a Python or numpy integer >= ``least`` (1 or 0),
+    else ShapeError; also the check of every count argument."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ShapeError(f"{what} must be an integer, got {k!r}")
+    if k < least:
+        raise ShapeError(f"{what} must be {'positive' if least else 'non-negative'}, got {k!r}")
+    return int(k)
 
 
 def _check_field(field: str) -> None:
@@ -231,6 +243,7 @@ def scale(P: PolyMat, factor: float) -> PolyMat:
 
 def embed(P: PolyMat, degree_bound: int) -> PolyMat:
     """Re-embed P into a larger ambient grade by zero-padding coefficients."""
+    degree_bound = _block_count(degree_bound, "degree_bound", least=0)
     if degree_bound < P.degree_bound:
         raise ShapeError(
             f"cannot embed grade {P.degree_bound} matrix into smaller grade {degree_bound}"

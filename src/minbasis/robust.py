@@ -22,9 +22,8 @@ from .errors import (
 )
 from .fullsyl import _require_full_sylvester, has_full_sylvester_rank
 from .minimal import _full_leading_certificate
-from .polymat import PolyMat, _require_congruent, evaluate, s1_stack
+from .polymat import PolyMat, _block_count, _require_congruent, evaluate, s1_stack
 from .sylvester import (
-    _block_count,
     _nearest_lower_rank,
     _require_wide,
     full_leading_rank,

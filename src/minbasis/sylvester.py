@@ -22,13 +22,14 @@ lower-rank matrices.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 import numpy as np
 
 from .errors import InputFormatError, NumericalInconsistencyError, ShapeError
-from .polymat import PolyMat, highest_row_degree_matrix, row_degrees
+from .polymat import PolyMat, _block_count, highest_row_degree_matrix, row_degrees
 
 
 def sylvester_array(coeffs: np.ndarray, k: int) -> np.ndarray:
@@ -45,16 +46,6 @@ def sylvester_array(coeffs: np.ndarray, k: int) -> np.ndarray:
     for j in range(k):
         data[..., j * m : (j + grade) * m, j * q : (j + 1) * q] = column
     return data
-
-
-def _block_count(k, what: str = "block-column count k", least: int = 1) -> int:
-    """k as an int if it is a Python or numpy integer >= ``least`` (1 or 0),
-    else ShapeError; also the check of every count argument."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ShapeError(f"{what} must be an integer, got {k!r}")
-    if k < least:
-        raise ShapeError(f"{what} must be {'positive' if least else 'non-negative'}, got {k!r}")
-    return int(k)
 
 
 def _require_wide(M: PolyMat, what: str, graded: bool = False) -> None:
@@ -136,6 +127,18 @@ class RankDecision:
         return self.tolerance_used < self.roundoff_floor or self.gap_ratio < MARGINAL_GAP
 
 
+def _check_tol(tol) -> None:
+    """InputFormatError unless the explicit tolerance ``tol`` is a Python or
+    numpy int or float (not a bool) from 0 to the largest float.  Checked before a
+    tolerance keys a memo or meets singular values: a negative, NaN or
+    infinite threshold would count every or no singular value and turn any
+    input into a confident wrong verdict, and a string, bytes or a list is
+    no threshold at all."""
+    if not (isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+            and 0 <= tol <= sys.float_info.max):
+        raise InputFormatError(f"rank tolerance must be a finite number >= 0, got {tol!r}")
+
+
 def stacked_ranks(
     sv: np.ndarray, shape: tuple[int, int], tol: float | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,19 +149,12 @@ def stacked_ranks(
     number >= 0; when ``tol`` is None the threshold is the round-off floor
     max(shape) * eps * sigma_1 of each matrix.
     """
-    # The one place a tolerance meets singular values, so the one place it is
-    # checked: a negative, NaN or infinite threshold would count every or no
-    # singular value and turn any input into a confident wrong verdict.
     floor = default_tolerance(shape, sv[..., 0])
     if tol is None:
         tau = floor
     else:
-        value = float(tol)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise InputFormatError(
-                f"rank tolerance must be a finite number >= 0, got {tol!r}"
-            )
-        tau = np.full(floor.shape, value)
+        _check_tol(tol)
+        tau = np.full(floor.shape, float(tol))
     # Counting over the whole array is several times faster for one matrix.
     ranks = np.count_nonzero(sv > tau[..., None], axis=-1 if sv.ndim > 1 else None)
     return ranks, tau, floor
@@ -304,6 +300,8 @@ def _spectrum(P: PolyMat, key: int | str) -> np.ndarray:
 
 
 def _memo_rank(P: PolyMat, key: int | str, tol: float | None) -> RankDecision:
+    if tol is not None:
+        _check_tol(tol)
     memo = P._sylvester_memo
     dec = memo.get((key, tol))
     if dec is None:
@@ -346,6 +344,8 @@ def weyl_full_rank(P: PolyMat, child: PolyMat, keys: list, eta: float, tol: floa
 def memoized(P: PolyMat, name: str, tol: float | None, compute: Callable[[], _T]) -> _T:
     """``compute()``, a report built from P's rank decisions at ``tol``,
     computed once per matrix, report name and tolerance."""
+    if tol is not None:
+        _check_tol(tol)
     key = (name, tol)
     report = P._sylvester_memo.get(key)
     if report is None:
@@ -365,6 +365,8 @@ def memoized_for(P: PolyMat, name: str, tol: float | None, inputs: tuple,
     inputs alive, so their ids cannot be reused.  A ``compute`` that raises
     stores nothing.
     """
+    if tol is not None:
+        _check_tol(tol)
     key = (name, tol)
     slot = P._sylvester_memo.get(key)
     if slot is None or any(a is not b for a, b in zip(slot, inputs)):

@@ -1,5 +1,5 @@
 """Shared builders for the block-bidiagonal worked examples and random
-inputs, the degree and the reversal of a matrix, the exact oracle's kernel
+inputs, the degree and the reversal of a matrix, a multi-prime exact kernel
 on one matrix with a reference nullspace, the per-k exact profile,
 entry-by-entry references for the JSON loader, a double-loop polynomial
 product and a minimum-norm solve through Q, and a spy on the package's
@@ -12,9 +12,9 @@ from typing import NamedTuple
 import numpy as np
 
 from minbasis import PolyMat, oracle
-from minbasis.errors import InputFormatError, ShapeError
+from minbasis.errors import InputFormatError, NumericalInconsistencyError, ShapeError
 from minbasis.minimal import RankProfile, _profile, _scan
-from minbasis.polymat import _check_field, s1_stack, scale
+from minbasis.polymat import _check_field, evaluate_array, s1_stack, scale
 from minbasis.sylvester import sylvester_array
 
 
@@ -186,11 +186,81 @@ def reversal(P: PolyMat, grade: int) -> PolyMat:
     return PolyMat(rev)
 
 
+def _rank_nullspace(A: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """Exact rank of an integer matrix, with a proof of each bound, and its
+    reduced row echelon nullspace basis as integer rows V over one
+    denominator D: the reference for the oracle's one-pass ranks.
+
+    The rank r mod a prime is at most the rank over Q, so it is the lower
+    bound, final at the column count.  Otherwise the reduced residues of
+    the primes that share the best pivot set (most pivots, then
+    lexicographically first; any other prime is bad) are combined by CRT
+    and lifted to rational null vectors.  Once A V^T = 0 holds over Z,
+    those cols - r independent vectors prove rank <= r, and they force the
+    pivot set to be Q's, so V/D is Q's basis.  A prime product past 2 H^2
+    guarantees the lift, so reaching it without a certificate raises
+    instead of looping.
+    """
+    A = oracle._compact(A)
+    rows, cols = A.shape
+    best, m, X, cap = None, 1, None, None
+    for p in oracle._primes(2**31):
+        E, pivots = oracle._echelon(A, p)
+        rank = len(pivots)
+        if rank == cols:
+            return rank, np.zeros((0, cols), dtype=object), 1
+        key = (-rank, pivots)
+        if best is None or key < best:
+            best, m, X = key, 1, np.zeros((rank, cols - rank), dtype=object)
+            free = np.ones(cols, dtype=bool)
+            free[pivots] = False
+            free = free.nonzero()[0]
+        elif key != best:
+            continue
+        X, m = oracle._crt(X, m, oracle._reduced(E, pivots, free, p), p)
+        lifted = oracle._lift(X, m)
+        if lifted is not None:
+            Y, D = lifted
+            V = np.zeros((cols - rank, cols), dtype=object)
+            V[np.arange(cols - rank), free] = D
+            V[:, pivots] = -Y.T
+            if oracle._vanishes(A, V):
+                return rank, V, D
+        if cap is None:
+            cap = 2 * oracle._minor_bound_squared(A)
+        if m > cap:
+            raise NumericalInconsistencyError(
+                f"no integer nullspace of a {rows}x{cols} matrix certifies rank {rank} "
+                f"modulo a {m.bit_length()}-bit prime product, past the Hadamard bound "
+                f"2H^2 of {cap.bit_length()} bits"
+            )
+
+
+def _rank(A: np.ndarray) -> int:
+    """Exact rank of an integer matrix by the kernel, certified on the side
+    with fewer columns, which has the smaller nullspace."""
+    return _rank_nullspace(A.T if A.shape[1] > A.shape[0] else A)[0]
+
+
+def _exact_normal_rank(Z: np.ndarray) -> int:
+    """The exact normal rank of an integer coefficient stack: every minor
+    has degree at most d * min(m, q), so the largest kernel rank at one
+    more integer point than that is exact."""
+    grade, m, q = Z.shape
+    full = min(m, q)
+    best = 0
+    for lam in range(1, (grade - 1) * full + 2):
+        best = max(best, _rank(evaluate_array(Z, np.asarray(lam))))
+        if best == full:
+            break
+    return best
+
+
 def exact_nullspace(A) -> list[list[Fraction]]:
-    """The exact oracle's right nullspace basis of a 2-D array-like of ints,
+    """The kernel's right nullspace basis of a 2-D array-like of ints,
     floats or Fractions (A @ v == 0 for each basis vector): one vector per
     non-pivot column of the reduced row echelon form."""
-    _, V, D = oracle._rank_nullspace(oracle._integer_rows(oracle._fraction_matrix(A)))
+    _, V, D = _rank_nullspace(oracle._integer_rows(oracle._fraction_matrix(A)))
     return [[Fraction(int(v), D) for v in row] for row in V]
 
 
@@ -212,9 +282,8 @@ def per_k_exact_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     one-pass profile."""
     Z = oracle._integer_rows(fraction_coeffs(M))
     compact = oracle._compact(Z)
-    ranks, stopped, measured = _scan(M, k_max,
-                                     lambda k: oracle._rank(sylvester_array(compact, k)))
-    return _profile(M, ranks, oracle._exact_normal_rank(Z), stopped, measured, (), None)
+    ranks, stopped, measured = _scan(M, k_max, lambda k: _rank(sylvester_array(compact, k)))
+    return _profile(M, ranks, _exact_normal_rank(Z), stopped, measured, (), None)
 
 
 def fraction_nullspace(A) -> list[list[Fraction]]:

@@ -24,9 +24,12 @@ from helpers import (
     planted_indices,
 )
 
-# The kernel's first two primes: a residue test that only one of them fails
-# exercises the bad-prime path.
-P1, P2 = itertools.islice(oracle._primes(), 2)
+# The reference kernel's first two primes: a residue test that only one of
+# them fails exercises its bad-prime path.
+P1, P2 = itertools.islice(oracle._primes(2**31), 2)
+# The product of the pass's batch: every prime of it is bad for a matrix
+# with an entry of this size where a unit would do.
+BATCH = math.prod(oracle._PASS_PRIMES)
 
 
 def _integers(vec) -> list[int]:
@@ -247,16 +250,22 @@ def test_primes_are_every_prime_below_2_to_the_31_in_order():
     def trial_division(n):
         return all(n % f for f in range(3, math.isqrt(n) + 1, 2))
 
-    first = list(itertools.islice(oracle._primes(), 20))
+    first = list(itertools.islice(oracle._primes(2**31), 20))
     expected = [n for n in range(2**31 - 1, first[-1] - 1, -2) if trial_division(n)]
     assert first == expected
 
 
-def test_a_prime_that_divides_every_maximal_minor_is_not_believed():
-    # diag(1, P1) has rank 1 modulo P1; the lift of its null vector (0, 1)
-    # fails the check over Z, and the next prime proves rank 2.
-    assert exact_rank([[1, 0], [0, P1]]) == 2
-    assert exact_nullspace([[1, 0], [0, P1]]) == []
+@pytest.mark.parametrize("p", [P1, BATCH], ids=["kernel_prime", "pass_batch"])
+def test_a_prime_that_divides_every_maximal_minor_is_not_believed(p, monkeypatch):
+    # diag(1, p) has rank 1 modulo p; the lift of its null vector (0, 1)
+    # fails the check over Z, and the next prime (or batch) proves rank 2.
+    restarts = []
+    restart = oracle._ModularPass._restart
+    monkeypatch.setattr(oracle._ModularPass, "_restart",
+                        lambda self: restarts.append(self.primes) or restart(self))
+    assert exact_rank([[1, 0], [0, p]]) == 2
+    assert len(restarts) == (p == BATCH)
+    assert exact_nullspace([[1, 0], [0, p]]) == []
 
 
 @pytest.mark.parametrize("p", [P1, P2], ids=["first_prime", "second_prime"])
@@ -271,12 +280,14 @@ def test_a_bad_prime_with_a_later_pivot_column_is_skipped(p):
     _assert_null_vectors(A, basis, 1)
 
 
-def test_exact_profile_with_a_row_times_the_first_prime():
-    # Every entry of that row of each S_k is 0 modulo P1, so the first prime
-    # undercounts every rank; a row scaling keeps the exact profile.
+@pytest.mark.parametrize("p", [P1, oracle._PASS_PRIMES[0]], ids=["kernel_prime", "pass_prime"])
+def test_exact_profile_with_a_row_times_the_first_prime(p):
+    # Every entry of that row of each S_k is 0 modulo p, so p undercounts
+    # every rank: the reference kernel's first prime, or the pass's, which
+    # leaves the batch.  A row scaling keeps the exact profile.
     M = planted_indices((1, 2), np.random.default_rng(17))
     coeffs = M.coeffs.copy()
-    coeffs[:, 0, :] *= P1
+    coeffs[:, 0, :] *= p
     scaled = exact_rank_profile(PolyMat(coeffs))
     floating = mb.rank_profile(M)
     assert (scaled.ranks, scaled.d_prime, scaled.normal_rank_full) == (
@@ -333,11 +344,44 @@ def test_exact_nullspace_is_the_reduced_row_echelon_basis(A):
 
 
 def test_no_certificate_by_the_hadamard_bound_raises(monkeypatch):
-    # With every check over Z failing, the kernel stops once the prime
-    # product passes 2 H^2 instead of trying primes forever.
+    # With every check over Z failing, the reference kernel stops once the
+    # prime product passes 2 H^2 instead of trying primes forever.
     monkeypatch.setattr(oracle, "_vanishes", lambda A, V: False)
     with pytest.raises(mb.NumericalInconsistencyError, match="Hadamard bound"):
-        exact_rank([[1, 2, 3], [2, 4, 6]])
+        exact_nullspace([[1, 2, 3], [2, 4, 6]])
+
+
+@pytest.mark.parametrize("A,dependent", [
+    ([[1, 3], [2, 6]], True),
+    ([[1, 0, 2], [0, 1, 5], [1, 1, 7]], True),
+    ([[2, 0, 1], [0, 3, 1]], True),
+    ([[1, 0, 0], [0, 1, BATCH]], True),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, BATCH]], False),
+    ([[BATCH], [0]], False),
+], ids=["one_column", "two_columns", "fractions", "wide_entry", "independent", "no_support"])
+def test_the_dixon_lift_proves_the_last_column_dependent_or_independent(A, dependent):
+    # The columns before the last are independent modulo the pass's first
+    # prime; the last is dependent over Q, or independent though every
+    # prime of the batch finds it dependent.
+    p = oracle._PASS_PRIMES[0]
+    A = np.array(A, dtype=object)
+    assert len(oracle._echelon(A[:, :-1], p)[1]) == A.shape[1] - 1
+    assert oracle._dixon(A, p) == dependent
+
+
+def test_a_dixon_lift_past_the_hadamard_cap_proves_nothing(monkeypatch):
+    # With every check over Z failing, the lift stops once p^k passes 2 H^2:
+    # the column is then independent over Q, so the event stays unproven.
+    steps = []
+    lift = oracle._lift
+    monkeypatch.setattr(oracle, "_lift", lambda X, m: steps.append(m) or lift(X, m))
+    monkeypatch.setattr(oracle, "_vanishes", lambda A, V: False)
+    p, big = oracle._PASS_PRIMES[0], 10**9
+    A = np.array([[big, 2, big + 2], [2 * big, 4, 2 * big + 4], [0, big, big]], dtype=object)
+    assert not oracle._dixon(A, p)
+    cap = 2 * oracle._minor_bound_squared(A[[0, 2]])
+    assert len(steps) > 1
+    assert steps[-1] > cap >= steps[-1] // p
 
 
 @pytest.mark.parametrize("indices,seed", [((1, 1, 1, 1, 8), 0), ((1, 1, 1, 1, 20), 7)],
@@ -365,3 +409,23 @@ def test_exact_profile_checks_the_shape_before_converting(M, error, monkeypatch)
     monkeypatch.setattr(oracle, "_integer_coeffs", no_conversion)
     with pytest.raises(mb.ShapeError, match=error):
         exact_rank_profile(M)
+
+
+def _minor_bound_corpus():
+    """Integer matrices as int64 and as Python ints, on both sides of the
+    magnitude at which a squared row norm would overflow int64."""
+    rng = np.random.default_rng(37)
+    for i in range(24):
+        rows, cols = (int(v) for v in rng.integers(1, 7, size=2))
+        bits = (4, 29, 30, 31, 40, 70)[i % 6]
+        A = [[int(x) for x in row] for row in rng.integers(-2**15, 2**15, size=(rows, cols))]
+        A[0][0] = (2**bits - 1) * (1 if i % 2 else -1)
+        A[rows - 1] = [0] * cols
+        yield np.array(A, dtype=np.int64 if bits < 63 else object)
+        yield np.array(A, dtype=object)
+
+
+@pytest.mark.parametrize("A", list(_minor_bound_corpus()))
+def test_minor_bound_equals_its_python_int_loop(A):
+    norms2 = sorted(sum(x * x for x in row) for row in A.tolist())
+    assert oracle._minor_bound_squared(A) == math.prod(n for n in norms2[-min(A.shape):] if n)

@@ -1,8 +1,10 @@
 """The exact profile in one modular pass: differential tests against the
-per-k profile (``helpers.per_k_exact_profile``), the pass under a bad prime,
-and the dyadic integer coefficients against their Fractions."""
+per-k profile (``helpers.per_k_exact_profile``), the p-adic lift of an event
+that the batch cannot lift, the pass under a bad prime and a bad batch, and
+the dyadic integer coefficients against their Fractions."""
 
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -28,8 +30,8 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-# The kernel's first prime and the pass's first prime.
-KERNEL_PRIME = next(oracle._primes())
+# The reference kernel's first prime and the pass's first prime.
+KERNEL_PRIME = next(oracle._primes(2**31))
 PASS_PRIME = oracle._PASS_PRIMES[0]
 
 
@@ -88,10 +90,10 @@ def _scan_oracle_inputs(seed, directory):
 
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_one_pass_settles_the_structured_scan_inputs_alone(seed, tmp_path, monkeypatch):
-    # The six oracle inputs of the structured_scan benchmark: the pass proves
-    # every rank and the normal rank, and lifts every event's null vector
-    # from its own residues, so the kernel never runs: not on an S_k, not at
-    # a point of M, and not on an event's columns.
+    # The six oracle inputs of the structured_scan benchmark: the first batch
+    # proves every rank and the normal rank, and lifts every event's null
+    # vector from its own residues, so the pass never restarts and no event
+    # needs the p-adic lift.
     reference = {}
     scan = _scan_oracle_inputs(seed, tmp_path)
     assert len(scan) == 6
@@ -101,9 +103,8 @@ def test_one_pass_settles_the_structured_scan_inputs_alone(seed, tmp_path, monke
     def no_fallback(*args):
         raise AssertionError("fallback ran")
 
-    monkeypatch.setattr(oracle, "_rank", no_fallback)
-    monkeypatch.setattr(oracle, "_exact_normal_rank", no_fallback)
-    monkeypatch.setattr(oracle, "_rank_nullspace", no_fallback)
+    monkeypatch.setattr(oracle, "_dixon", no_fallback)
+    monkeypatch.setattr(oracle._ModularPass, "_restart", no_fallback)
     for x in scan:
         assert oracle.exact_rank_profile(PolyMat(x.coeffs)) == reference[x.label], x.label
 
@@ -169,26 +170,74 @@ def test_one_pass_equals_the_per_k_profile_on_planted_structure(indices, variant
         _assert_same_profile(M)
 
 
+def _count_restarts(monkeypatch) -> list[tuple[int, ...]]:
+    """The batch of each restart of the pass, in order."""
+    restarts = []
+    restart = oracle._ModularPass._restart
+    monkeypatch.setattr(oracle._ModularPass, "_restart",
+                        lambda self: restarts.append(self.primes) or restart(self))
+    return restarts
+
+
 @pytest.mark.parametrize("batch", ["bad_first", "bad_alone"])
 def test_a_bad_prime_in_the_batch_still_gives_the_proven_profile(batch, monkeypatch):
     # Row 0 times a prime p: modulo p, every S_k and M(lam) lose rank.  With
     # good primes beside it, p leaves the batch at its first wrong pivot;
-    # alone, it proves nothing, and every S_k it cannot settle, and the
-    # normal rank, go to the kernel.
+    # alone, it proves nothing, and the pass starts over once, with the
+    # primes below p.
     bad = next(itertools.islice(oracle._primes(2**26), 5, None))
     M = _scaled_row(planted_indices((1, 2, 5), np.random.default_rng(1)), bad)
     reference = per_k_exact_profile(M)
     assert reference.alphas == (0, 1, 1, 0, 0, 1)
     primes = (bad,) + oracle._PASS_PRIMES[:2] if batch == "bad_first" else (bad,)
     monkeypatch.setattr(oracle, "_PASS_PRIMES", primes)
-    kernel = []
-    rank = oracle._rank
-    monkeypatch.setattr(oracle, "_rank", lambda A: kernel.append(A.shape) or rank(A))
+    restarts = _count_restarts(monkeypatch)
     assert oracle.exact_rank_profile(M) == reference
-    assert (kernel == []) == (batch == "bad_first")
+    assert restarts == ([] if batch == "bad_first" else [(bad,)])
     sweep = oracle._ModularPass(oracle._integer_coeffs(M))
     sweep.extend()
     assert sweep.p.tolist() == list(primes[1:] or primes)
+
+
+def test_a_row_divisible_by_the_whole_batch_restarts_the_pass_once(monkeypatch):
+    # Row 0 of the integer stack times the product of the batch's primes (no
+    # float holds such a row, so the stack is scaled after conversion): every
+    # prime of the batch undercounts the rank of S_1, no event of that batch
+    # holds over Z, and the next three primes prove the profile.
+    M = planted_indices((1, 2, 5), np.random.default_rng(1))
+    reference = per_k_exact_profile(M)
+    convert = oracle._integer_coeffs
+
+    def scaled(M):
+        Z = convert(M).astype(object)
+        Z[:, 0, :] *= math.prod(oracle._PASS_PRIMES)
+        return Z
+
+    monkeypatch.setattr(oracle, "_integer_coeffs", scaled)
+    restarts = _count_restarts(monkeypatch)
+    assert oracle.exact_rank_profile(M) == reference
+    assert restarts == [oracle._PASS_PRIMES]
+
+
+def test_the_dixon_lift_proves_the_event_the_batch_cannot_lift(monkeypatch):
+    # Planted (1,1,1,10,20) at 33x38: the null vector of the degree-10 index
+    # needs more than the batch's 78 bits, so its CRT lift fails and the
+    # p-adic lift proves it; every other event lifts from the batch.
+    M = planted_indices((1, 1, 1, 10, 20), np.random.default_rng(0))
+    lifts = []
+    dixon = oracle._dixon
+    monkeypatch.setattr(oracle, "_dixon",
+                        lambda A, p: lifts.append(A.shape) or dixon(A, p))
+    sweep = oracle._ModularPass(oracle._integer_coeffs(M))
+    for _ in range(11):
+        sweep.extend()
+    assert sorted(sweep.proven()) == [1, 1, 1, 10]
+    assert lifts == [(396, 388)]  # the rows of S_11, 387 independent columns and the event
+    lifts.clear()
+    restarts = _count_restarts(monkeypatch)
+    assert oracle.exact_rank_profile(M) == per_k_exact_profile(M)
+    assert len(lifts) == 1
+    assert restarts == []
 
 
 def _dyadic_corpus():

@@ -285,6 +285,12 @@ def test_embed_preserves_value_and_raises_grade():
     assert np.allclose(evaluate(E, lam), evaluate(M, lam))
 
 
+def test_count_arguments_take_numpy_integers():
+    assert mb.embed(example1(), np.int64(3)).degree_bound == 3
+    Z = PolyMat.zeros(np.int32(2), np.int64(3), np.uint8(1))
+    assert Z.coeffs.shape == (2, 2, 3)
+
+
 # -- JSON interchange ----------------------------------------------------------
 
 

@@ -241,6 +241,20 @@ _ZERO_K_LIFICATION = build_lification(PolyMat.zeros(1, 4, 1),
      "vstack requires equal column counts and grades"),
     (lambda: mb.embed(one_lambda(), 0), mb.ShapeError,
      "cannot embed grade 1 matrix into smaller grade 0"),
+    # A count argument takes integers only, as _block_count checks every
+    # other one: NumPy used to raise its own TypeError for a float, and
+    # accept True as 1.
+    (lambda: mb.embed(one_lambda(), 2.5), mb.ShapeError,
+     "degree_bound must be an integer, got 2.5"),
+    (lambda: mb.embed(one_lambda(), True), mb.ShapeError,
+     "degree_bound must be an integer, got True"),
+    (lambda: PolyMat.zeros(2, 3, 1.5), mb.ShapeError,
+     "degree_bound must be an integer, got 1.5"),
+    (lambda: PolyMat.zeros(2.0, 3, 1), mb.ShapeError, "rows must be an integer, got 2.0"),
+    (lambda: PolyMat.zeros(2, False, 1), mb.ShapeError, "cols must be an integer, got False"),
+    (lambda: PolyMat.zeros(2, 0, 1), mb.ShapeError, "cols must be positive, got 0"),
+    (lambda: PolyMat.zeros(2, 3, -1), mb.ShapeError,
+     "degree_bound must be non-negative, got -1"),
     (lambda: mb.verify_duality(example1(), one_lambda()), mb.ShapeError,
      r"column counts differ \(8 vs 2\)"),
     (_perturb(mb.verify_duality(one_lambda(), one_lambda()), PolyMat.zeros(1, 2, 1)),

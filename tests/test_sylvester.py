@@ -119,10 +119,14 @@ def test_explicit_tolerance_is_respected():
     assert rank_nullity(A, tol=1e-3).rank == 1
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), -0.5e-300])
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), -0.5e-300,
+                                 "x", [1e-9], True, b"1", 10**400])
 def test_invalid_tolerance_is_rejected_on_every_path(tol):
     # A negative threshold counts every singular value and used to certify
     # the common factor (lam - 2) C as a minimal basis; NaN and inf count none.
+    # A string used to raise float()'s ValueError and a list the memo's
+    # TypeError (unhashable key); True and b"1" passed as 1.0 under memo keys
+    # of their own; an int past the float range cannot be a threshold.
     M = common_factor_2x4()
     mb.certify_minimal_basis(M)  # fills the memo at the default tolerance
     calls = [
