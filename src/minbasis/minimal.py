@@ -49,8 +49,10 @@ class RankProfile:
     ``d_prime`` is the first k with rank increment equal to the row count
     (the largest right minimal index), or None.  ``decided_k`` lists the k
     of the S_k whose ranks were measured, in increasing order; the ranks at
-    the other k are implied by a theorem (see ``rank_profile``), and a
-    larger S_k that the index sum jump checked may lie past the ranks kept.
+    the other k are implied by a theorem (see ``rank_profile``): below the
+    first, full column rank, where the full-Sylvester-rank tests start the
+    scan.  A larger S_k that the index sum jump checked may lie past the
+    ranks kept.
     ``decisions`` holds the floating-point rank decision of each S_k in
     ``decided_k``; the exact profile measures every k and keeps none.
     """
@@ -125,9 +127,9 @@ def _profile(M: PolyMat, ranks: list[int], normal_rank: int, stopped: bool,
     m, q = M.rows, M.cols
     full = normal_rank >= m
     d_prime = len(ranks) - 1 if stopped and full else None
-    n = (0,) + tuple(k * q - r for k, r in enumerate(ranks, start=1))
+    n = (0,) + tuple([k * q - r for k, r in enumerate(ranks, start=1)])
     alphas = () if d_prime is None else (n[1],) + tuple(
-        n[k + 1] - 2 * n[k] + n[k - 1] for k in range(1, len(ranks))
+        [n[k + 1] - 2 * n[k] + n[k - 1] for k in range(1, len(ranks))]
     )
     return RankProfile(
         ranks=tuple(ranks),
@@ -142,79 +144,57 @@ def _profile(M: PolyMat, ranks: list[int], normal_rank: int, stopped: bool,
     )
 
 
-def _full_sylvester_profile(M: PolyMat, tol: float | None) -> RankProfile | None:
-    """The profile that full-Sylvester-rank implies, or None without it.
-
-    Full row rank of S_k' forces full row rank of the leading coefficient,
-    so the attempt is skipped unless that holds.  The attempt is the
-    property test itself, both rank tests even when the first fails, so its
-    report is in the memo for a later ``has_full_sylvester_rank`` and the
-    scan that follows a failed attempt reuses its S_k.  With the property
-    every S_k has full rank, r_k = min((k+d)m, kq), and the scan would stop
-    at k = k'+1 with d' = k'.
-    """
-    if full_leading_rank(M, tol) is None:
-        return None
-    report = has_full_sylvester_rank(M, tol)
-    if not report.has_full_sylvester_rank:
-        return None
-    m, q, d = M.rows, M.cols, M.degree_bound
-    ranks = [min((k + d) * m, k * q) for k in range(1, report.k_prime_t.k_prime + 2)]
-    decided_k = [c.k for c in report.checked_ranks]
-    decisions = [sylvester_rank(M, k, tol) for k in decided_k]
-    return _profile(M, ranks, m, True, decided_k, decisions, tol)
-
-
-def _implies_full_next(M: PolyMat, tol: float | None, k: int, rank: int) -> bool:
+def _implies_full_next(M: PolyMat, full_leading: bool, k: int, rank: int) -> bool:
     """Whether ``rank`` is the full row rank (k+d)m of S_k and the leading
-    coefficient C_d has full row rank, so that S_{k+1} has full row rank
-    too: S_{k+1} = [[S_k, Y], [0, C_d]] is block upper triangular with both
-    diagonal blocks of full row rank.  The implied rank rests on the theorem
-    and the two decisions, not on a bound for sigma_min(S_{k+1})."""
-    return rank == (k + M.degree_bound) * M.rows and full_leading_rank(M, tol) is not None
+    coefficient C_d has full row rank (``full_leading``), so that S_{k+1}
+    has full row rank too: S_{k+1} = [[S_k, Y], [0, C_d]] is block upper
+    triangular with both diagonal blocks of full row rank.  The implied rank
+    rests on the theorem and the two decisions, not on a bound for
+    sigma_min(S_{k+1})."""
+    return full_leading and rank == (k + M.degree_bound) * M.rows
 
 
 def _float_jump(
-    M: PolyMat, tol: float | None, ranks: list[int]
+    M: PolyMat, tol: float | None, full_leading: bool, ranks: list[int]
 ) -> tuple[list[int], list[int]] | None:
     """The float scan's ``jump``: the stop at the first S_k of full row rank
     when C_d has full row rank, which ends the scan with d' = k and the
     implied r_{k+1} = (k+1+d)m without factoring S_{k+1}; else the index sum
     jump."""
     k = len(ranks)
-    if _implies_full_next(M, tol, k, ranks[-1]):
+    if _implies_full_next(M, full_leading, k, ranks[-1]):
         return ranks + [(k + 1 + M.degree_bound) * M.rows], []
-    return _index_sum_jump(M, tol, ranks)
+    return _index_sum_jump(M, tol, ranks, full_leading)
 
 
 def _index_sum_jump(
-    M: PolyMat, tol: float | None, ranks: list[int]
+    M: PolyMat, tol: float | None, ranks: list[int], full_leading: bool
 ) -> tuple[list[int], list[int]] | None:
     """The ranks r_1 .. r_{d'+1} that the measured ``ranks`` r_1 .. r_k and
     the index sum theorem settle, with the j > k whose S_j it factored, or
     None.
 
-    With full row normal rank and a highest-row-degree matrix of full row
-    rank, the right minimal indices sum to D minus the degree of the finite
-    eigenvalues, D the sum of the row degrees (De Teran, Dopico & Mackey,
-    2014).  Once the prefix leaves one index unknown (its nullity increment
-    n_k - n_{k-1} = #{eps_i <= k-1} is n-1), that index eps is at least k
-    and at most R = D - (sum of the known ones), and since
-    nullity(S_j) = sum_i max(0, j - eps_i), the nullity of S_R gives it.
-    The stop pair d' = eps, d'+1 must rest on rank decisions that agree with
-    the implied ranks: r_eps catches an eps too large, r_{eps+1} one too
-    small.  So S_eps is factored, and S_{eps+1} unless S_eps has full row
-    rank with a full-rank C_d, which implies r_{eps+1} (see
-    ``_implies_full_next``).  When eps + 1 = R, S_{eps+1} is the source and
-    agrees by construction, so S_{R+1} is factored instead.  A check that
-    fails returns None, and the scan goes on from the memo.
+    With a highest-row-degree matrix of full row rank, which implies full
+    row normal rank, the right minimal indices sum to D minus the degree of
+    the finite eigenvalues, D the sum of the row degrees (De Teran, Dopico
+    & Mackey, 2014).  Once the prefix leaves one index unknown (its
+    nullity increment n_k - n_{k-1} = #{eps_i <= k-1} is n-1), that index
+    eps is at least k and at most R = D - (sum of the known ones), and
+    since nullity(S_j) = sum_i max(0, j - eps_i), the nullity of S_R gives
+    it.  The stop pair d' = eps, d'+1 must rest on rank decisions that
+    agree with the implied ranks: r_eps catches an eps too large, r_{eps+1}
+    one too small.  So S_eps is factored, and S_{eps+1} unless S_eps has
+    full row rank with a full-rank C_d (``full_leading``), which implies
+    r_{eps+1} (see ``_implies_full_next``).  When eps + 1 = R, S_{eps+1} is
+    the source and agrees by construction, so S_{R+1} is factored instead.
+    A check that fails returns None, and the scan goes on from the memo.
     """
     m, q = M.rows, M.cols
     n, k = q - m, len(ranks)
     # n_k - n_{k-1} = n - 1 is the rank increment r_k - r_{k-1} = m + 1.
     if ranks[-1] - (ranks[-2] if k > 1 else 0) != m + 1 or not _convex(ranks):
         return None
-    if highest_row_degree_rank(M, tol).rank < m or _evaluation_rank(M, tol) < m:
+    if highest_row_degree_rank(M, tol).rank < m:
         return None
     known = (n - 1) * k - (k * q - ranks[-1])  # n_k = sum over the known of k - eps_i
     top = sum(row_degrees(M)) - known  # R
@@ -229,7 +209,7 @@ def _index_sum_jump(
         return j * q - ((n - 1) * j - known) - max(0, j - eps)
 
     checks = [eps]
-    if not _implies_full_next(M, tol, eps, sylvester_rank(M, eps, tol).rank):
+    if not _implies_full_next(M, full_leading, eps, sylvester_rank(M, eps, tol).rank):
         checks.append(eps + 1 if eps + 1 != top else top + 1)
     if any(sylvester_rank(M, j, tol).rank != implied(j) for j in checks):
         return None
@@ -247,6 +227,7 @@ def _scan(
     k_max: int | None,
     rank_at: Callable[[int], int],
     jump: Callable[[list[int]], tuple[list[int], list[int]] | None] | None = None,
+    start: int = 1,
 ) -> tuple[list[int], bool, list[int]]:
     """The rank scan shared by the floating-point and the exact profile: the
     ranks r_1, r_2, ..., whether the last increment is m, and the k whose
@@ -255,21 +236,24 @@ def _scan(
     ``rank_at(k)`` is the rank of S_k.  ``jump(ranks)``, called after each
     rank that does not stop the scan, may end it early with the whole rank
     list up to d'+1 and the k beyond the scanned ones it measured, or return
-    None to go on.
+    None to go on.  The scan measures from k = ``start``, where S_k must be
+    known to have full column rank kq when ``start`` > 1: the first jq
+    columns of S_k are S_j padded with zero rows, so r_j = jq below it, an
+    increment q > m that neither stops the scan nor calls ``jump``.
     """
-    m = M.rows
+    m, q = M.rows, M.cols
     cap = _block_count(k_max, "scan cap") if k_max is not None else _default_scan_cap(M)
-    ranks: list[int] = []
-    prev = 0
-    for k in range(1, cap + 1):
+    ranks = [k * q for k in range(1, start)]
+    prev = (start - 1) * q
+    for k in range(start, cap + 1):
         ranks.append(rank_at(k))
         if ranks[-1] - prev == m:
-            return ranks, True, list(range(1, k + 1))
+            return ranks, True, list(range(start, k + 1))
         prev = ranks[-1]
         jumped = jump(ranks) if jump is not None else None
         if jumped is not None:
-            return jumped[0], True, list(range(1, k + 1)) + jumped[1]
-    return ranks, False, list(range(1, cap + 1))
+            return jumped[0], True, list(range(start, k + 1)) + jumped[1]
+    return ranks, False, list(range(start, cap + 1))
 
 
 def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None) -> RankProfile:
@@ -279,19 +263,22 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
     d'.  The default scan cap m*d + 2 suffices for every full-normal-rank
     input because the minimal-index sum is bounded by m*d.  If the increments
     stabilize below m instead, the matrix does not have full row normal rank
-    and ``alphas`` is left empty.
+    and ``alphas`` is left empty.  A highest-row-degree matrix of full row
+    rank implies full row normal rank, since M(lam) = diag(lam^d_i)(C_hr +
+    O(1/lam)); only without it is the normal rank probed at two points.
 
-    Without ``k_max`` the one or two full-Sylvester-rank tests run first;
-    when they pass, the profile is read off the theorem and ``decisions``
-    holds only those tests.  Otherwise the scan runs, reusing every S_k the
-    tests already factored.  With a leading coefficient of full row rank it
-    stops at the first S_k of full row rank, which is S_{d'}, and implies
-    r_{d'+1} (see ``_implies_full_next``).  Once a single minimal index is
-    left unknown, the index sum theorem may settle it from S_R (see
-    ``_index_sum_jump``): the ranks in between are then implied, not
+    Without ``k_max``, and with a leading coefficient C_d of full row rank,
+    the one or two full-Sylvester-rank tests run first, and the scan starts
+    at the largest k whose test found S_k of full column rank kq (r_k = kq
+    below it, see ``_scan``).  The scan stops at the first S_k of full row
+    rank, which is S_{d'}, and implies r_{d'+1} (see
+    ``_implies_full_next``): with the property, that is S_{k'}, and
+    ``decisions`` hold only the decisive tests.  Once a single minimal
+    index is left unknown, the index sum theorem may settle it from S_R
+    (see ``_index_sum_jump``): the ranks in between are then implied, not
     factored.  ``decided_k`` names the S_k the profile rests on.  This
     profile is kept in M's memo, one per tolerance.  With ``k_max`` the
-    plain scan runs and records a decision for every k.
+    plain scan runs from k = 1 and records a decision for every k.
     """
     if k_max is None:
         return memoized(M, "profile", tol, lambda: _float_scan(M, None, tol))
@@ -299,20 +286,30 @@ def rank_profile(M: PolyMat, k_max: int | None = None, tol: float | None = None)
 
 
 def _float_scan(M: PolyMat, k_max: int | None, tol: float | None) -> RankProfile:
-    """The scan on rank decisions at ``tol``; the full-Sylvester-rank shortcut
-    and the index sum jump only without a cap."""
+    """The scan on rank decisions at ``tol``; the start past the S_k that the
+    full-Sylvester-rank tests found of full column rank, and the jumps,
+    only without a cap.  The normal rank is read as m when C_hr has full
+    row rank, else from ``_evaluation_rank``."""
     _require_wide(M, "rank_profile", graded=True)
-    shortcut = _full_sylvester_profile(M, tol) if k_max is None else None
-    if shortcut is not None:
-        return shortcut
+    m = M.rows
+    full_leading = full_leading_rank(M, tol) is not None
+    start, jump = 1, None
+    if k_max is None:
+        if full_leading:
+            # Only the first decisive test can find full column rank: the
+            # row test at k' has fewer rows than columns, unless t = 0 and
+            # it is the only test.
+            first = has_full_sylvester_rank(M, tol).checked_ranks[0]
+            if first.rank == first.k * M.cols:
+                start = first.k
+        jump = lambda prefix: _float_jump(M, tol, full_leading, prefix)  # noqa: E731
     ranks, stopped, measured = _scan(
-        M,
-        k_max,
-        lambda k: sylvester_rank(M, k, tol).rank,
-        (lambda prefix: _float_jump(M, tol, prefix)) if k_max is None else None,
+        M, k_max, lambda k: sylvester_rank(M, k, tol).rank, jump, start
     )
     decisions = [sylvester_rank(M, k, tol) for k in measured]
-    return _profile(M, ranks, _evaluation_rank(M, tol), stopped, measured, decisions, tol)
+    full_rows = full_leading or highest_row_degree_rank(M, tol).rank == m
+    normal_rank = m if full_rows else _evaluation_rank(M, tol)
+    return _profile(M, ranks, normal_rank, stopped, measured, decisions, tol)
 
 
 def _indices_or_none(profile: RankProfile) -> list[int] | None:

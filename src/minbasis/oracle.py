@@ -294,11 +294,10 @@ class _ModularPass:
 
     Primes run in lockstep on one pivot row, the first nonzero row of a
     reduced column, as the window needs.  A prime that finds a column
-    dependent where another does not has too low a rank, and leaves the
-    batch, as does one whose first nonzero row comes later than another's;
-    the others keep every earlier result.  Bounds that do not meet mean that
-    every prime left is bad for Z; the pass then starts over with the next
-    batch (``_restart``), and only finitely many primes are bad.
+    dependent where another does not, or whose first nonzero row comes
+    later than another's, is bad for Z, as are all primes when bounds do
+    not meet; the pass then starts over with the next batch
+    (``_restart``), and only finitely many primes are bad.
     """
 
     def __init__(self, Z: np.ndarray, primes: tuple[int, ...] | None = None):
@@ -317,20 +316,16 @@ class _ModularPass:
         self.ranks: list[int] = []
         self.independent: list[int] = []  # columns of S, in order
         self.dependent = np.zeros(self.q, dtype=bool)  # positions in a block
-        self.events: list[tuple[int, int, np.ndarray, np.ndarray, tuple[int, ...]]] = []
+        self.events: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         self.proofs: list[bool] = []
 
     def _restart(self) -> None:
         """Start over modulo the next len(primes) primes below the batch."""
         self.__init__(self.Z, tuple(itertools.islice(_primes(min(self.primes)), len(self.primes))))
 
-    def _keep(self, keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-        """Drop the primes outside ``keep`` from the batch and from ``arrays``."""
-        self.p, self.new = self.p[keep], self.new[keep]
-        return [a[keep] for a in arrays]
-
     def extend(self) -> None:
-        """Reduce block column b = ``blocks`` and record the rank of S_{b+1}.
+        """Reduce block column b = ``blocks`` and record the rank of S_{b+1},
+        or restart the pass when the primes of the batch disagree.
 
         Only the columns at positions not yet dependent are reduced; each
         new pivot is eliminated from every other new column at once."""
@@ -357,21 +352,16 @@ class _ModularPass:
         for i, j in enumerate(open_.tolist()):
             row = fresh[:, i] % p[:, 0]
             nonzero = row[:, :window] != 0
-            alive = nonzero.any(axis=1).tolist()
-            if not any(alive):
+            if not nonzero.any():
                 support = np.array(self.independent, dtype=np.intp)
-                self.events.append((b, b * q + j, support, row[:, window + support],
-                                    tuple(self.p.tolist())))
+                self.events.append((b, b * q + j, support, row[:, window + support]))
                 self.dependent[j] = True
                 continue
-            if not all(alive):
-                fresh, basis, row, nonzero = self._keep(np.array(alive), fresh, basis, row, nonzero)
             at = int(nonzero.argmax(axis=1).min())  # the first nonzero row of any prime
             lead = row[:, at].tolist()
-            if 0 in lead:
-                fresh, basis, row = self._keep(row[:, at] != 0, fresh, basis, row)
-                lead = [x for x in lead if x]
-            p = self.p[:, None, None]
+            if 0 in lead:  # a prime with a zero row, or a later first nonzero row
+                self._restart()
+                return
             inverse = [[pow(x, -1, pp)] for x, pp in zip(lead, self.p.tolist())]
             v = row * np.array(inverse, dtype=np.int64) % p[:, 0]
             fresh -= (fresh[:, :, at] % p[:, 0])[:, :, None] * v[:, None, :]
@@ -397,15 +387,15 @@ class _ModularPass:
         columns: the one lifted from the batch's residues, or, when those do
         not suffice, the p-adic lift from the batch's first prime
         (``_dixon``), which also proves a column independent."""
-        b, column, support, residues, primes = event
+        b, column, support, residues = event
         A = sylvester_array(self.Z, b + 1)[:, np.append(support, column)]
         X, modulus = np.zeros(len(support), dtype=object), 1
-        for r, prime in zip(residues, primes):
+        for r, prime in zip(residues, self.primes):
             X, modulus = _crt(X, modulus, r, prime)
         lifted = _lift(X, modulus)
         if lifted is not None and _vanishes(A, np.append(*lifted)[None]):
             return True
-        return _dixon(A, primes[0])
+        return _dixon(A, self.primes[0])
 
     def proven(self) -> list[int]:
         """The degrees b of the events so far whose null vectors hold over Z."""
@@ -475,11 +465,11 @@ def exact_rank(A) -> int:
 
 def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     """Tolerance-free counterpart of ``rank_profile``: the same scan, with
-    exact Sylvester ranks and the exact normal rank.  It always scans (no
-    full-Sylvester-rank shortcut), so ``decided_k`` lists every k, and it
-    records no ``decisions``.  The rows of M are scaled to integers once
-    (``_integer_coeffs``), and one modular pass (``_ModularPass``) proves
-    the ranks of every S_k in turn.
+    exact Sylvester ranks and the exact normal rank.  It always scans from
+    k = 1, without the full-Sylvester-rank tests or the jumps, so
+    ``decided_k`` lists every k, and it records no ``decisions``.  The rows
+    of M are scaled to integers once (``_integer_coeffs``), and one modular
+    pass (``_ModularPass``) proves the ranks of every S_k in turn.
     """
     _require_wide(M, "rank profile", graded=True)
     sweep = _ModularPass(_integer_coeffs(M))

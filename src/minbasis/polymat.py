@@ -156,8 +156,7 @@ def _require_same_field(A: PolyMat, B: PolyMat, op: str) -> None:
 def row_degrees(P: PolyMat) -> list[int]:
     """Degree of each row; zero rows have row degree 0 by convention."""
     nonzero = P.coeffs.any(axis=2)  # [i, j]: coefficient i of row j is nonzero
-    top = P.degree_bound - nonzero[::-1].argmax(axis=0)
-    return np.where(nonzero.any(axis=0), top, 0).tolist()
+    return (np.arange(len(nonzero))[:, None] * nonzero).max(axis=0).tolist()
 
 
 def highest_row_degree_matrix(P: PolyMat) -> np.ndarray:
@@ -238,6 +237,10 @@ def add(A: PolyMat, B: PolyMat) -> PolyMat:
 
 
 def scale(P: PolyMat, factor: float) -> PolyMat:
+    """P times ``factor``, a Python or numpy int, float or complex number
+    (not a bool); anything else raises InputFormatError."""
+    if isinstance(factor, bool) or not isinstance(factor, (int, float, complex, np.number)):
+        raise InputFormatError(f"scale factor must be a number, got {factor!r}")
     return PolyMat(P.coeffs * factor)
 
 

@@ -240,7 +240,8 @@ def fragile_neighbor(M: PolyMat, eps: float) -> tuple[PolyMat, float]:
     is subtracted so the result vanishes at a far-away point.
     """
     _require_wide(M, "fragile_neighbor")
-    if not (math.isfinite(eps) and eps > 0):
+    real = isinstance(eps, (int, float, np.integer, np.floating)) and not isinstance(eps, bool)
+    if not (real and math.isfinite(eps) and eps > 0):
         raise ShapeError(f"eps must be a finite positive number, got {eps!r}")
     m, q, d = M.rows, M.cols, M.degree_bound
     lead = M.coeffs[d]

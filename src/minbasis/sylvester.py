@@ -411,6 +411,6 @@ def full_leading_rank(P: PolyMat, tol: float | None = None) -> RankDecision | No
     rank, else None.  A full-rank C_d has no zero row, so it is then the
     highest-row-degree matrix and its decision comes from P's memo."""
     dec = highest_row_degree_rank(P, tol)
-    if dec.rank < P.rows or not P.coeffs[-1].any(axis=1).all():
+    if dec.rank < P.rows or not all(P.coeffs[-1].any(axis=1).tolist()):
         return None
     return dec

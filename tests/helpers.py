@@ -161,6 +161,16 @@ def planted_indices(epsilons, rng: np.random.Generator) -> PolyMat:
     return PolyMat(np.stack([U @ C @ V for C in L]))
 
 
+def raised_first_row(P: PolyMat) -> PolyMat:
+    """(I + lam e1 e2^T) P at one grade more: row 0 plus lam times row 1.
+    The rows span the same module, so the right nullspace stays, but the
+    highest-row-degree matrix repeats row 1's and loses full row rank."""
+    raised = np.zeros((P.degree_bound + 2,) + P.coeffs.shape[1:], dtype=P.coeffs.dtype)
+    raised[:-1] = P.coeffs
+    raised[1:, 0, :] += P.coeffs[:, 1, :]
+    return PolyMat(raised)
+
+
 def degree(P: PolyMat) -> int:
     """Largest i with C_i nonzero; 0 for the zero matrix by convention."""
     for i in range(P.degree_bound, -1, -1):

@@ -16,7 +16,9 @@ from minbasis.fullsyl import BLOCK_BYTES, decisive_rank_tests, kprime_t
 from minbasis.polymat import PolyMat
 from minbasis.sylvester import RankDecision
 
-from helpers import Call, LinalgSpy, planted_indices, random_perturbation, svds_of
+from helpers import (
+    Call, LinalgSpy, planted_indices, raised_first_row, random_perturbation, svds_of,
+)
 
 
 @pytest.fixture
@@ -55,8 +57,7 @@ def test_certify_factors_at_most_two_sylvester_matrices(generic_633, monkeypatch
 ], ids=["generic", "planted"])
 def test_full_leading_certificate_and_radius_reuse_the_certified_scan(make, monkeypatch):
     # Both read d' from the general certificate: after it, certify_full_leading
-    # factors no S_k, and the radius only the S_k past d' that it scans.  (The
-    # scan's normal-rank probes evaluate M and are not Sylvester matrices.)
+    # factors no S_k, and the radius only the S_k past d' that it scans.
     M = make()
     d_prime = mb.certify_minimal_basis(M).d_prime
     spy = LinalgSpy(monkeypatch)
@@ -71,22 +72,22 @@ def test_full_leading_certificate_and_radius_reuse_the_certified_scan(make, monk
 
 
 def test_warm_scan_reuses_its_normal_rank_probes(monkeypatch):
-    # The scan's two probes of M(lambda) are kept in M's memo next to its S_k,
-    # so once M is certified neither a second certificate nor its indices
-    # factor anything.
-    M = planted_indices((1, 2, 5), np.random.default_rng(2024))
+    # The scan's two probes of M(lambda), taken because the raised row leaves
+    # the highest-row-degree matrix rank deficient, are kept in M's memo next
+    # to its S_k, so once M is certified neither a second certificate nor its
+    # indices factor anything.
+    M = raised_first_row(planted_indices((1, 2, 5), np.random.default_rng(2024)))
     cert = mb.certify_minimal_basis(M)
-    assert not mb.has_full_sylvester_rank(M).has_full_sylvester_rank
+    assert ("normal_rank", None) in M._sylvester_memo
     spy = LinalgSpy(monkeypatch)
     assert mb.certify_minimal_basis(M) == cert
     assert sorted(mb.right_minimal_indices(M)) == [1, 2, 5]
     assert spy.take("svd") == []
 
 
-def test_cold_scan_certificate_takes_one_svd_for_both_normal_rank_probes(monkeypatch):
-    # Planted (1, 2, 5) fails the full-Sylvester-rank shortcut, so the scan
-    # runs and checks normal rank: both probes of M(lambda) in one SVD.
-    M = planted_indices((1, 2, 5), np.random.default_rng(2024))
+def _certify_with_unkeyed_svd_shapes(monkeypatch, M):
+    """M's certificate, with the shapes of the SVDs it took of matrices that
+    are no S_k."""
     spy = LinalgSpy(monkeypatch)
     shapes = []
     spy_svd = np.linalg.svd
@@ -96,10 +97,29 @@ def test_cold_scan_certificate_takes_one_svd_for_both_normal_rank_probes(monkeyp
         return spy_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    assert mb.certify_minimal_basis(M).is_minimal_basis
-    unkeyed = [shape for shape, c in zip(shapes, spy.take("svd")) if c.key is None]
+    cert = mb.certify_minimal_basis(M)
+    return cert, [shape for shape, c in zip(shapes, spy.take("svd")) if c.key is None]
+
+
+def test_cold_scan_certificate_takes_one_svd_for_both_normal_rank_probes(monkeypatch):
+    # Planted (1, 2, 5) with its first row raised has a rank-deficient
+    # highest-row-degree matrix, so the scan checks normal rank: both probes
+    # of M(lambda) in one SVD.
+    M = raised_first_row(planted_indices((1, 2, 5), np.random.default_rng(2024)))
+    cert, shapes = _certify_with_unkeyed_svd_shapes(monkeypatch, M)
     # The highest-row-degree matrix, then the stack of the two probes.
-    assert unkeyed == [(8, 11), (2, 8, 11)]
+    assert shapes == [(8, 11), (2, 8, 11)]
+    assert cert.reason == "hr_rank_deficient" and cert.profile.normal_rank_full
+
+
+def test_a_row_reduced_certificate_takes_no_normal_rank_probe(monkeypatch):
+    # Planted (1, 2, 5) itself is row reduced: its highest-row-degree matrix
+    # of full row rank gives full row normal rank without evaluating M.
+    M = planted_indices((1, 2, 5), np.random.default_rng(2024))
+    cert, shapes = _certify_with_unkeyed_svd_shapes(monkeypatch, M)
+    assert shapes == [(8, 11)]
+    assert cert.is_minimal_basis
+    assert ("normal_rank", None) not in M._sylvester_memo
 
 
 def test_classical_lower_bound_check_decides_every_sample_from_one_svd(monkeypatch):

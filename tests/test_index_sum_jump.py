@@ -122,10 +122,11 @@ def test_a_wrong_rank_near_the_tolerance_is_flagged_marginal():
 
 
 def test_jump_reads_the_last_index_off_one_sylvester_matrix(monkeypatch):
-    # Indices (1, 1, 1, 1, 20): the scan measures S_1, S_2 and the shortcut
-    # tried S_4, S_5; then R = 24 - 4 = 20, so S_20 gives the last index.  It
-    # has full row rank, as does the leading coefficient, so r_21 follows
-    # without S_21.  S_3, S_6 .. S_19 and S_21 are never factored.
+    # Indices (1, 1, 1, 1, 20): the scan measures S_1, S_2 and the
+    # full-Sylvester-rank tests tried S_4, S_5; then R = 24 - 4 = 20, so
+    # S_20 gives the last index.  It has full row rank, as does the leading
+    # coefficient, so r_21 follows without S_21.  S_3, S_6 .. S_19 and S_21
+    # are never factored.
     M = planted_indices((1, 1, 1, 1, 20), np.random.default_rng(7))
     spy = LinalgSpy(monkeypatch)
     cert = mb.certify_minimal_basis(M)
@@ -199,7 +200,7 @@ def test_an_index_one_too_small_next_to_the_source_is_caught_by_the_next_matrix(
     prefix = [minimal.sylvester_rank(M, k).rank for k in (1, 2, 3)]
     _one_short_at(monkeypatch, 5)
     spy = LinalgSpy(monkeypatch)
-    assert minimal._index_sum_jump(M, None, prefix) is None
+    assert minimal._index_sum_jump(M, None, prefix, True) is None
     assert sorted(c.key[1] for c in spy.take() if c.key is not None) == [4, 5, 6]
     # The scan then stops at the miscounted S_5, as the forced scan does, and
     # the decision it rests on cuts between two singular values far above the
@@ -235,9 +236,9 @@ def test_jump_does_not_fire_on_a_non_convex_prefix(monkeypatch):
     # increment after a non-convex start is refused before any factorization.
     M = planted_indices((1, 2, 5), np.random.default_rng(2024))
     spy = LinalgSpy(monkeypatch)
-    assert minimal._index_sum_jump(M, None, [9, 21, 30]) is None
+    assert minimal._index_sum_jump(M, None, [9, 21, 30], True) is None
     assert spy.take() == []
     ranks = [11, 21, 30]
-    assert minimal._index_sum_jump(M, None, ranks) == ([11, 21, 30, 39, 48, 56], [5])
+    assert minimal._index_sum_jump(M, None, ranks, True) == ([11, 21, 30, 39, 48, 56], [5])
     # S_5 = S_R factored; it has full row rank, so r_6 follows without S_6.
     assert ranks == [11, 21, 30]

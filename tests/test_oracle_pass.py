@@ -182,9 +182,9 @@ def _count_restarts(monkeypatch) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("batch", ["bad_first", "bad_alone"])
 def test_a_bad_prime_in_the_batch_still_gives_the_proven_profile(batch, monkeypatch):
     # Row 0 times a prime p: modulo p, every S_k and M(lam) lose rank.  With
-    # good primes beside it, p leaves the batch at its first wrong pivot;
-    # alone, it proves nothing, and the pass starts over once, with the
-    # primes below p.
+    # good primes beside it, p disagrees with them at its first wrong pivot;
+    # alone, it proves nothing.  Either way the pass starts over once, with
+    # the primes below p.
     bad = next(itertools.islice(oracle._primes(2**26), 5, None))
     M = _scaled_row(planted_indices((1, 2, 5), np.random.default_rng(1)), bad)
     reference = per_k_exact_profile(M)
@@ -193,10 +193,11 @@ def test_a_bad_prime_in_the_batch_still_gives_the_proven_profile(batch, monkeypa
     monkeypatch.setattr(oracle, "_PASS_PRIMES", primes)
     restarts = _count_restarts(monkeypatch)
     assert oracle.exact_rank_profile(M) == reference
-    assert restarts == ([] if batch == "bad_first" else [(bad,)])
+    assert restarts == [primes]
+    # Beside good primes, the bad one restarts the pass in the first block.
     sweep = oracle._ModularPass(oracle._integer_coeffs(M))
     sweep.extend()
-    assert sweep.p.tolist() == list(primes[1:] or primes)
+    assert sweep.blocks == (0 if batch == "bad_first" else 1)
 
 
 def test_a_row_divisible_by_the_whole_batch_restarts_the_pass_once(monkeypatch):

@@ -283,6 +283,19 @@ _ZERO_K_LIFICATION = build_lification(PolyMat.zeros(1, 4, 1),
      "eps must be a finite positive number, got 0.0"),
     (lambda: mb.fragile_neighbor(example1(), float("nan")), mb.ShapeError,
      "eps must be a finite positive number, got nan"),
+    # A bool or a non-number is no eps, and no scale factor.
+    (lambda: mb.fragile_neighbor(example1(), True), mb.ShapeError,
+     "eps must be a finite positive number, got True"),
+    (lambda: mb.fragile_neighbor(example1(), "x"), mb.ShapeError,
+     "eps must be a finite positive number, got 'x'"),
+    (lambda: mb.fragile_neighbor(example1(), None), mb.ShapeError,
+     "eps must be a finite positive number, got None"),
+    (lambda: mb.scale(example1(), "x"), mb.InputFormatError,
+     "scale factor must be a number, got 'x'"),
+    (lambda: mb.scale(example1(), True), mb.InputFormatError,
+     "scale factor must be a number, got True"),
+    (lambda: mb.scale(example1(), None), mb.InputFormatError,
+     "scale factor must be a number, got None"),
     (lambda: mb.fragile_neighbor(_LEAD_WITHOUT_ZERO_ROW, 1e-3), mb.PreconditionError,
      "rank-deficient leading coefficient without a zero row"),
     (lambda: mb.sharp_witness_flat(PolyMat.from_coeff_list([[[1, 0, 0, 0]], [[2, 0, 0, 0]]])),
