@@ -54,7 +54,7 @@ class RankProfile:
     scan.  A larger S_k that the index sum jump checked may lie past the
     ranks kept.
     ``decisions`` holds the floating-point rank decision of each S_k in
-    ``decided_k``; the exact profile measures every k and keeps none.
+    ``decided_k``; the exact profile keeps none.
     """
 
     ranks: tuple[int, ...]
@@ -154,17 +154,24 @@ def _implies_full_next(M: PolyMat, full_leading: bool, k: int, rank: int) -> boo
     return full_leading and rank == (k + M.degree_bound) * M.rows
 
 
-def _float_jump(
-    M: PolyMat, tol: float | None, full_leading: bool, ranks: list[int]
+def _full_row_stop(
+    M: PolyMat, full_leading: bool, ranks: list[int]
 ) -> tuple[list[int], list[int]] | None:
-    """The float scan's ``jump``: the stop at the first S_k of full row rank
-    when C_d has full row rank, which ends the scan with d' = k and the
-    implied r_{k+1} = (k+1+d)m without factoring S_{k+1}; else the index sum
-    jump."""
+    """The stop of both scans at the first S_k of full row rank when C_d has
+    full row rank (``_implies_full_next``): it ends the scan with d' = k and
+    the implied r_{k+1} = (k+1+d)m, measuring nothing more; else None."""
     k = len(ranks)
     if _implies_full_next(M, full_leading, k, ranks[-1]):
         return ranks + [(k + 1 + M.degree_bound) * M.rows], []
-    return _index_sum_jump(M, tol, ranks, full_leading)
+    return None
+
+
+def _float_jump(
+    M: PolyMat, tol: float | None, full_leading: bool, ranks: list[int]
+) -> tuple[list[int], list[int]] | None:
+    """The float scan's ``jump``: the full-row-rank stop, else the index sum
+    jump."""
+    return _full_row_stop(M, full_leading, ranks) or _index_sum_jump(M, tol, ranks, full_leading)
 
 
 def _index_sum_jump(

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputFormatError
-from .minimal import RankProfile, _default_scan_cap, _profile, _scan
+from .minimal import RankProfile, _default_scan_cap, _full_row_stop, _profile, _scan
 from .polymat import PolyMat
 from .sylvester import _require_wide, sylvester_array
 
@@ -349,23 +349,26 @@ class _ModularPass:
         # every _TERMS pivots.
         found: list[int] = []  # the pivot rows (in the window) of the new basis vectors
         taken: list[int] = []  # their rows in fresh
+        pp, primes = p[:, 0], self.p.tolist()
         for i, j in enumerate(open_.tolist()):
-            row = fresh[:, i] % p[:, 0]
-            nonzero = row[:, :window] != 0
-            if not nonzero.any():
+            row = fresh[:, i]  # a view: reduced and scaled in place
+            row %= pp
+            hit = row[:, :window].any(axis=0)
+            at = int(hit.argmax())  # the first nonzero row of any prime
+            if not hit[at]:
                 support = np.array(self.independent, dtype=np.intp)
                 self.events.append((b, b * q + j, support, row[:, window + support]))
                 self.dependent[j] = True
                 continue
-            at = int(nonzero.argmax(axis=1).min())  # the first nonzero row of any prime
             lead = row[:, at].tolist()
             if 0 in lead:  # a prime with a zero row, or a later first nonzero row
                 self._restart()
                 return
-            inverse = [[pow(x, -1, pp)] for x, pp in zip(lead, self.p.tolist())]
-            v = row * np.array(inverse, dtype=np.int64) % p[:, 0]
-            fresh -= (fresh[:, :, at] % p[:, 0])[:, :, None] * v[:, None, :]
-            fresh[:, i] = v
+            row *= np.array([pow(x, -1, prime) for x, prime in zip(lead, primes)])[:, None]
+            row %= pp
+            factor = fresh[:, :, at] % pp
+            factor[:, i] = 0  # one rank-1 update of every other row
+            fresh -= factor[:, :, None] * row[:, None, :]
             found.append(at)
             taken.append(i)
             self.independent.append(b * q + j)
@@ -465,15 +468,28 @@ def exact_rank(A) -> int:
 
 def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     """Tolerance-free counterpart of ``rank_profile``: the same scan, with
-    exact Sylvester ranks and the exact normal rank.  It always scans from
-    k = 1, without the full-Sylvester-rank tests or the jumps, so
-    ``decided_k`` lists every k, and it records no ``decisions``.  The rows
-    of M are scaled to integers once (``_integer_coeffs``), and one modular
-    pass (``_ModularPass``) proves the ranks of every S_k in turn.
+    exact Sylvester ranks and the exact normal rank, and no ``decisions``.
+    The rows of M are scaled to integers once (``_integer_coeffs``), and one
+    modular pass (``_ModularPass``) proves the ranks of every S_k in turn.
+
+    It scans from k = 1, without the full-Sylvester-rank tests or the index
+    sum jump.  Without ``k_max`` it has the float scan's stop at the first
+    S_k of full row rank (``minimal._full_row_stop``): an exact rank (k+d)m
+    proves that C_d, the last m rows of S_k, has full row rank, so d' = k,
+    r_{k+1} = (k+1+d)m is implied and ``decided_k`` ends at k.  A full-rank
+    C_d also gives full normal rank (see ``rank_profile``), so the normal
+    rank is proven from the pass (``_normal_rank``) only when no measured
+    S_k has full row rank.
     """
     _require_wide(M, "rank profile", graded=True)
     sweep = _ModularPass(_integer_coeffs(M))
-    ranks, stopped, measured = _scan(M, k_max, sweep.rank)
-    # The pass may run on to the default scan cap for the normal rank.
-    normal_rank = _normal_rank(sweep, _default_scan_cap(M))
+    # A full-row-rank S_k is the proof that C_d has full row rank.
+    jump = None if k_max is not None else lambda prefix: _full_row_stop(M, True, prefix)
+    ranks, stopped, measured = _scan(M, k_max, sweep.rank, jump)
+    m, d = M.rows, M.degree_bound
+    if any(r == (k + d) * m for k, r in enumerate(ranks, start=1)):
+        normal_rank = m
+    else:
+        # The pass may run on to the default scan cap for the normal rank.
+        normal_rank = _normal_rank(sweep, _default_scan_cap(M))
     return _profile(M, ranks, normal_rank, stopped, measured, (), None)

@@ -37,6 +37,9 @@ class PolyMat:
     # built from them, filled by ``sylvester.py``.  The coefficients never
     # change, so an entry stays valid as long as the matrix.
     _sylvester_memo: dict = field(default_factory=dict, init=False, repr=False)
+    # The row degrees as a tuple, set by the first ``row_degrees`` call.  A
+    # class attribute, not a field, so that building a matrix costs nothing.
+    _row_degrees = None
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs)
@@ -154,9 +157,14 @@ def _require_same_field(A: PolyMat, B: PolyMat, op: str) -> None:
 
 
 def row_degrees(P: PolyMat) -> list[int]:
-    """Degree of each row; zero rows have row degree 0 by convention."""
-    nonzero = P.coeffs.any(axis=2)  # [i, j]: coefficient i of row j is nonzero
-    return (np.arange(len(nonzero))[:, None] * nonzero).max(axis=0).tolist()
+    """Degree of each row; zero rows have row degree 0 by convention.
+    Computed once per matrix and kept with it."""
+    degrees = P._row_degrees
+    if degrees is None:
+        nonzero = P.coeffs.any(axis=2)  # [i, j]: coefficient i of row j is nonzero
+        degrees = tuple((np.arange(len(nonzero))[:, None] * nonzero).max(axis=0).tolist())
+        object.__setattr__(P, "_row_degrees", degrees)  # P is frozen
+    return list(degrees)
 
 
 def highest_row_degree_matrix(P: PolyMat) -> np.ndarray:

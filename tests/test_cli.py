@@ -359,6 +359,18 @@ def test_oracle_rank_command(capsys, ex2_file):
     assert report["tolerances"] == {"tol": None, "policy": "exact"}
 
 
+def test_oracle_rank_stops_at_the_first_full_row_rank_s_k(capsys, ex1_file):
+    # S_3 has full row rank 24: the exact scan stops there with d' = 3 and
+    # the implied r_4 = 30; with --kmax it measures S_4 as well.
+    code, report = run_json(capsys, ["oracle-rank", ex1_file, "--json"])
+    assert code == 0
+    assert (report["results"]["ranks"], report["results"]["d_prime"]) == ([8, 16, 24, 30], 3)
+    assert report["results"]["decided_k"] == [1, 2, 3]
+    _, capped = run_json(capsys, ["oracle-rank", ex1_file, "--kmax", "4", "--json"])
+    assert capped["results"]["ranks"] == [8, 16, 24, 30]
+    assert capped["results"]["decided_k"] == [1, 2, 3, 4]
+
+
 @pytest.mark.parametrize("k_max", [0, -3])
 @pytest.mark.parametrize("entry", ["rank_profile", "exact_rank_profile", "analyze", "oracle-rank"])
 def test_non_positive_scan_cap_is_rejected(capsys, ex2_file, entry, k_max):

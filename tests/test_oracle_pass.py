@@ -1,8 +1,10 @@
 """The exact profile in one modular pass: differential tests against the
-per-k profile (``helpers.per_k_exact_profile``), the p-adic lift of an event
-that the batch cannot lift, the pass under a bad prime and a bad batch, and
-the dyadic integer coefficients against their Fractions."""
+per-k profile (``helpers.per_k_exact_profile``), the stop at the first S_k of
+full row rank, the p-adic lift of an event that the batch cannot lift, the
+pass under a bad prime and a bad batch, and the dyadic integer coefficients
+against their Fractions."""
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -12,10 +14,11 @@ import numpy as np
 import pytest
 
 import minbasis as mb
-from minbasis import oracle
+from minbasis import minimal, oracle
 from minbasis.polymat import PolyMat
 
 from helpers import (
+    common_factor_2x4,
     example1,
     example2,
     example3,
@@ -23,6 +26,7 @@ from helpers import (
     near_common_factor,
     per_k_exact_profile,
     planted_indices,
+    raised_first_row,
 )
 
 pytest.importorskip("hypothesis")
@@ -35,8 +39,24 @@ KERNEL_PRIME = next(oracle._primes(2**31))
 PASS_PRIME = oracle._PASS_PRIMES[0]
 
 
+def _stops_at_full_row_rank(M: PolyMat, reference, k_max=None) -> bool:
+    """Whether the one-pass profile stops at d' without measuring S_{d'+1}:
+    no cap, and S_{d'} of full row rank (k+d)m in the per-k reference."""
+    dp = reference.d_prime
+    return k_max is None and bool(dp) and reference.ranks[dp - 1] == (dp + M.degree_bound) * M.rows
+
+
+def _expected(M: PolyMat, reference, k_max=None):
+    """The per-k reference as the one-pass profile gives it: every field
+    equal, ``decided_k`` without its last k when the pass stops at d'."""
+    if _stops_at_full_row_rank(M, reference, k_max):
+        return dataclasses.replace(reference, decided_k=reference.decided_k[:-1])
+    return reference
+
+
 def _assert_same_profile(M: PolyMat, k_max=None):
-    assert oracle.exact_rank_profile(M, k_max) == per_k_exact_profile(M, k_max)
+    reference = per_k_exact_profile(M, k_max)
+    assert oracle.exact_rank_profile(M, k_max) == _expected(M, reference, k_max)
 
 
 def _scaled_row(M: PolyMat, factor) -> PolyMat:
@@ -98,7 +118,8 @@ def test_one_pass_settles_the_structured_scan_inputs_alone(seed, tmp_path, monke
     scan = _scan_oracle_inputs(seed, tmp_path)
     assert len(scan) == 6
     for x in scan:
-        reference[x.label] = per_k_exact_profile(PolyMat(x.coeffs))
+        M = PolyMat(x.coeffs)
+        reference[x.label] = _expected(M, per_k_exact_profile(M))
 
     def no_fallback(*args):
         raise AssertionError("fallback ran")
@@ -170,6 +191,81 @@ def test_one_pass_equals_the_per_k_profile_on_planted_structure(indices, variant
         _assert_same_profile(M)
 
 
+def _spy_pass(monkeypatch) -> dict:
+    """The blocks the pass extends, the degree of each event whose null
+    vector it lifts, and its calls of ``point_rank``, as the profile runs."""
+    calls = {"blocks": 0, "lifted": [], "point_rank": 0}
+    pass_ = oracle._ModularPass
+    extend, verify, point_rank = pass_.extend, pass_._verify, pass_.point_rank
+
+    def spy_extend(self):
+        calls["blocks"] += 1
+        extend(self)
+
+    def spy_verify(self, event):
+        calls["lifted"].append(event[0])
+        return verify(self, event)
+
+    def spy_point_rank(self, lam):
+        calls["point_rank"] += 1
+        return point_rank(self, lam)
+
+    monkeypatch.setattr(pass_, "extend", spy_extend)
+    monkeypatch.setattr(pass_, "_verify", spy_verify)
+    monkeypatch.setattr(pass_, "point_rank", spy_point_rank)
+    return calls
+
+
+STOPPING = {
+    "planted_0_1_3": lambda: planted_indices((0, 1, 3), np.random.default_rng(2)),
+    "near_common_factor": near_common_factor,
+    "full_sylvester_4_3_2": lambda: mb.sample_full_sylvester(4, 3, 2, seed=1),
+}
+
+
+@pytest.mark.parametrize("make", STOPPING.values(), ids=STOPPING.keys())
+def test_the_pass_stops_at_the_first_full_row_rank_s_k(make, monkeypatch):
+    # S_{d'} of full row rank (k+d)m proves C_d of full row rank, so r_{d'+1}
+    # and the full normal rank follow: the pass extends d' blocks, never the
+    # block of the degree-d' events, and evaluates M at no point.
+    M = make()
+    reference = per_k_exact_profile(M)
+    assert _stops_at_full_row_rank(M, reference)
+    calls = _spy_pass(monkeypatch)
+    profile = oracle.exact_rank_profile(M)
+    dp = profile.d_prime
+    assert profile == _expected(M, reference)
+    assert profile.decided_k == tuple(range(1, dp + 1))
+    assert calls["blocks"] == dp
+    assert dp not in calls["lifted"]
+    assert calls["point_rank"] == 0
+
+
+NOT_STOPPING = {
+    "common_factor_2x4": common_factor_2x4,
+    "hr_deficient": lambda: raised_first_row(planted_indices((1, 2), np.random.default_rng(5))),
+    "duplicate_row": lambda: VARIANTS["duplicate_row"](
+        planted_indices((1, 2), np.random.default_rng(5)), None),
+}
+
+
+@pytest.mark.parametrize("make", NOT_STOPPING.values(), ids=NOT_STOPPING.keys())
+def test_without_a_full_row_rank_s_k_the_pass_runs_as_the_capped_scan(make, monkeypatch):
+    # No S_k has full row rank, so the stop never fires: the profile, every
+    # k included, is the per-k reference, and the pass takes the same blocks,
+    # lifts and points as the scan with the default cap, which has no stop.
+    M = make()
+    reference = per_k_exact_profile(M)
+    assert not _stops_at_full_row_rank(M, reference)
+    calls = _spy_pass(monkeypatch)
+    assert oracle.exact_rank_profile(M) == reference
+    uncapped = dict(calls, lifted=list(calls["lifted"]))
+    calls.update(blocks=0, lifted=[], point_rank=0)
+    assert oracle.exact_rank_profile(M, minimal._default_scan_cap(M)) == reference
+    assert calls == uncapped
+    assert calls["point_rank"] > 0
+
+
 def _count_restarts(monkeypatch) -> list[tuple[int, ...]]:
     """The batch of each restart of the pass, in order."""
     restarts = []
@@ -187,7 +283,7 @@ def test_a_bad_prime_in_the_batch_still_gives_the_proven_profile(batch, monkeypa
     # the primes below p.
     bad = next(itertools.islice(oracle._primes(2**26), 5, None))
     M = _scaled_row(planted_indices((1, 2, 5), np.random.default_rng(1)), bad)
-    reference = per_k_exact_profile(M)
+    reference = _expected(M, per_k_exact_profile(M))
     assert reference.alphas == (0, 1, 1, 0, 0, 1)
     primes = (bad,) + oracle._PASS_PRIMES[:2] if batch == "bad_first" else (bad,)
     monkeypatch.setattr(oracle, "_PASS_PRIMES", primes)
@@ -206,7 +302,7 @@ def test_a_row_divisible_by_the_whole_batch_restarts_the_pass_once(monkeypatch):
     # prime of the batch undercounts the rank of S_1, no event of that batch
     # holds over Z, and the next three primes prove the profile.
     M = planted_indices((1, 2, 5), np.random.default_rng(1))
-    reference = per_k_exact_profile(M)
+    reference = _expected(M, per_k_exact_profile(M))
     convert = oracle._integer_coeffs
 
     def scaled(M):
@@ -236,7 +332,7 @@ def test_the_dixon_lift_proves_the_event_the_batch_cannot_lift(monkeypatch):
     assert lifts == [(396, 388)]  # the rows of S_11, 387 independent columns and the event
     lifts.clear()
     restarts = _count_restarts(monkeypatch)
-    assert oracle.exact_rank_profile(M) == per_k_exact_profile(M)
+    _assert_same_profile(M)
     assert len(lifts) == 1
     assert restarts == []
 

@@ -58,6 +58,22 @@ def test_row_degrees_examples():
     assert mb.row_degrees(example3()) == [1, 1, 1, 1, 2, 2]
 
 
+def test_row_degrees_are_kept_with_the_matrix():
+    # The first call computes them; later calls, the certificate's and the
+    # highest-row-degree matrix's included, read them back, each as a new list.
+    M = example3()
+    first = mb.row_degrees(M)
+    first.append(9)
+    assert mb.row_degrees(M) == [1, 1, 1, 1, 2, 2]
+    assert M._row_degrees == (1, 1, 1, 1, 2, 2)
+    object.__setattr__(M, "_row_degrees", (2, 2, 2, 2, 2, 2))  # read, not recomputed
+    assert mb.row_degrees(M) == [2, 2, 2, 2, 2, 2]
+    assert mb.certify_minimal_basis(M).degree_sum_expected == 12
+    fresh = example3()
+    mb.certify_minimal_basis(fresh)
+    assert fresh._row_degrees == (1, 1, 1, 1, 2, 2)
+
+
 def test_row_degrees_and_highest_row_degree_matrix_match_loop_reference():
     # Sparse random stacks: zero rows, zero leading and trailing coefficients.
     rng = np.random.default_rng(8)

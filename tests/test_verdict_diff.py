@@ -20,6 +20,10 @@ def test_differences_name_each_field_and_each_input_of_one_tree():
     assert verdict_diff.differences(base, change) == [
         "a: ranks [3, 5] -> [3, 6]", "b: only in base", "c: only in change"]
     assert verdict_diff.differences(base, base) == []
+    # An exact profile's record holds the profile's fields only.
+    exact = {"d_prime": 3, "indices": [1, 3], "ranks": [2, 5, 8, 11], "normal_rank_full": True}
+    assert verdict_diff.differences({"e": exact}, {"e": dict(exact, indices=[2, 2])}) == [
+        "e: indices [1, 3] -> [2, 2]"]
 
 
 def test_this_tree_against_itself_has_no_difference():
@@ -29,6 +33,8 @@ def test_this_tree_against_itself_has_no_difference():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
-    assert lines[0] == "24 inputs, 0 differences"
+    # 9 scan inputs, the 6 of them marked oracle once more for the exact
+    # profile, and 15 pipeline inputs.
+    assert lines[0] == "30 inputs, 0 differences"
     calls = {line.split(":")[0]: line.split(":")[1] for line in lines[1:]}
     assert calls["base"] == calls["change"]

@@ -1,5 +1,5 @@
-"""Certificate differences between this tree and a base tree, on the
-benchmark's inputs.
+"""Certificate and exact-profile differences between this tree and a base
+tree, on the benchmark's inputs.
 
     python3 tools/verdict_diff.py BASE_DIR [--scan-seeds 30] [--pipeline-seeds 3]
 
@@ -7,14 +7,16 @@ BASE_DIR is another checkout of the repository, such as a clone of the
 parent commit.  Each tree certifies, in a fresh process with its own
 ``src`` on the path, every input of ``benchmarks/inputs.scan_inputs`` at
 seeds 1 .. --scan-seeds and of ``pipeline_inputs`` (the timed shapes) at
-seeds 1 .. --pipeline-seeds, each on a fresh matrix.  Both trees build the
-inputs with this tree's ``benchmarks/inputs.py``, which is only read; the
-input files it writes go to a temporary directory.
+seeds 1 .. --pipeline-seeds, each on a fresh matrix, and takes the
+``exact_rank_profile`` of each scan input marked ``oracle``.  Both trees
+build the inputs with this tree's ``benchmarks/inputs.py``, which is only
+read; the input files it writes go to a temporary directory.
 
 The script prints every input whose verdict, reason, d', right minimal
 indices, marginal flag, Sylvester ranks or normal-rank flag differ between
-the trees, then each tree's count of ``numpy.linalg.svd`` calls during the
-certificates.  It exits 1 on any difference, else 0.
+the trees, and every exact profile whose ranks, d', normal-rank flag or
+indices differ, then each tree's count of ``numpy.linalg.svd`` calls during
+the certificates.  It exits 1 on any difference, else 0.
 """
 
 from __future__ import annotations
@@ -31,26 +33,29 @@ ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("verdict", "reason", "d_prime", "indices", "marginal", "ranks", "normal_rank_full")
 
 
-def _record(cert) -> dict:
-    """The compared fields of one certificate."""
-    profile = cert.profile
+def _profile_record(profile) -> dict:
+    """The compared fields of one rank profile, float or exact."""
     indices = None
     if profile.d_prime is not None and profile.normal_rank_full:
         indices = [j for j, count in enumerate(profile.alphas) for _ in range(count)]
     return {
-        "verdict": cert.is_minimal_basis,
-        "reason": cert.reason,
-        "d_prime": cert.d_prime,
+        "d_prime": profile.d_prime,
         "indices": indices,
-        "marginal": cert.marginal,
         "ranks": list(profile.ranks),
         "normal_rank_full": profile.normal_rank_full,
     }
 
 
+def _record(cert) -> dict:
+    """The compared fields of one certificate."""
+    return {"verdict": cert.is_minimal_basis, "reason": cert.reason,
+            "marginal": cert.marginal, **_profile_record(cert.profile)}
+
+
 def collect(scan_seeds: int, pipeline_seeds: int) -> dict:
-    """Certify every input with the ``minbasis`` on the path: the records by
-    input, and the SVD calls the certificates took."""
+    """Certify every input, and take the exact profile of the oracle inputs,
+    with the ``minbasis`` on the path: the records by input, and the SVD
+    calls the certificates took."""
     import numpy as np
 
     import minbasis as mb
@@ -76,6 +81,9 @@ def collect(scan_seeds: int, pipeline_seeds: int) -> dict:
         for seed in range(1, scan_seeds + 1):
             for x in inputs.scan_inputs(seed, Path(tmp)):
                 records[f"scan seed {seed} {x.label}"] = certify(x.coeffs)
+                if x.oracle:
+                    exact = mb.exact_rank_profile(mb.PolyMat(x.coeffs))
+                    records[f"scan seed {seed} {x.label} exact"] = _profile_record(exact)
         for seed in range(1, pipeline_seeds + 1):
             for i, x in enumerate(inputs.pipeline_inputs(seed, inputs.PIPELINE_SHAPES, Path(tmp))):
                 records[f"pipeline seed {seed} #{i} {x.label}"] = certify(x.coeffs)
@@ -96,14 +104,14 @@ def run_tree(tree: Path, scan_seeds: int, pipeline_seeds: int) -> dict:
 
 def differences(base: dict, change: dict) -> list[str]:
     """One line per input and field that differ, and per input only one
-    tree has."""
+    tree has; an exact profile's record lacks the certificate's fields."""
     lines = []
     for key in sorted(set(base) | set(change)):
         if key not in base or key not in change:
             lines.append(f"{key}: only in {'change' if key not in base else 'base'}")
             continue
         for field in FIELDS:
-            if base[key][field] != change[key][field]:
+            if base[key].get(field) != change[key].get(field):
                 lines.append(f"{key}: {field} {base[key][field]!r} -> {change[key][field]!r}")
     return lines
 
