@@ -56,16 +56,18 @@ from .sylvester import (
 RESIDUAL_FACTOR = 1e-10
 
 
-def product_residual(M: PolyMat, N: PolyMat) -> float:
-    """Frobenius norm of the coefficients of M(lambda) * N(lambda)^T."""
-    prod = poly_multiply_transpose(M, N)
-    return float(np.linalg.norm(prod.coeffs))
-
-
-def _residual_threshold(M: PolyMat, N: PolyMat) -> float:
-    norm_m = float(np.linalg.norm(s1_stack(M)))
-    norm_n = float(np.linalg.norm(s1_stack(N)))
-    return RESIDUAL_FACTOR * (1.0 + norm_m * norm_n)
+def _residuals(M: PolyMat, N: PolyMat) -> tuple[float, float]:
+    """The Frobenius norm of the coefficients of M(lambda) * N(lambda)^T,
+    and that norm relative to those of M and N: from copies of M and N
+    scaled by their largest entries, so that it neither underflows nor
+    overflows at any scale."""
+    a, b = float(np.abs(M.coeffs).max()), float(np.abs(N.coeffs).max())
+    if a == 0 or b == 0:
+        return 0.0, 0.0
+    Ms, Ns = PolyMat(M.coeffs / a), PolyMat(N.coeffs / b)
+    norm = float(np.linalg.norm(poly_multiply_transpose(Ms, Ns).coeffs))
+    relative = norm / float(np.linalg.norm(Ms.coeffs)) / float(np.linalg.norm(Ns.coeffs))
+    return norm * a * b, relative
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,11 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
         failures.append(
             f"dimension sum: rows {M.rows}+{N.rows} != cols {M.cols}"
         )
-    residual = product_residual(M, N)
-    if residual > _residual_threshold(M, N):
-        failures.append(f"duality residual {residual:.3e} above tolerance")
+    residual, relative = _residuals(M, N)
+    if relative > RESIDUAL_FACTOR:
+        failures.append(
+            f"duality residual {residual:.3e} (relative {relative:.3e}) above tolerance"
+        )
     cert_m = certify_minimal_basis(M, tol)
     if not cert_m.is_minimal_basis:
         failures.append(f"M is not a minimal basis ({cert_m.reason})")
@@ -274,14 +278,14 @@ def _propagated(pair: DualPair, delta_M: PolyMat, tol: float | None) -> PerturbR
     # The Frobenius norm bounds the spectral norm of the stack.
     norm_delta_n = float(np.linalg.norm(s1_stack(delta_N)))
     N_new = add(N, delta_N)
-    residual = product_residual(M_new, N_new)
+    residual, relative = _residuals(M_new, N_new)
     # Inside the admissible radius the parents' memos usually decide the
     # checks of verify_duality without a factorization: the bounds keep the
     # row degrees, so both degree sums stay m*d (M's property, N's split).
     decisive = [_HR] + [c.k for c in has_full_sylvester_rank(M, tol).checked_ranks]
     if (weyl_full_rank(M, M_new, decisive, applied, tol)
             and weyl_full_rank(N, N_new, [_HR], norm_delta_n, tol)
-            and residual <= _residual_threshold(M_new, N_new)):
+            and relative <= RESIDUAL_FACTOR):
         new_pair = DualPair(M_new, N_new, residual, pair.k_prime_t)
     else:
         new_pair = _verified(M_new, N_new, tol, "perturbed pair")

@@ -154,26 +154,6 @@ def _implies_full_next(M: PolyMat, full_leading: bool, k: int, rank: int) -> boo
     return full_leading and rank == (k + M.degree_bound) * M.rows
 
 
-def _full_row_stop(
-    M: PolyMat, full_leading: bool, ranks: list[int]
-) -> tuple[list[int], list[int]] | None:
-    """The stop of both scans at the first S_k of full row rank when C_d has
-    full row rank (``_implies_full_next``): it ends the scan with d' = k and
-    the implied r_{k+1} = (k+1+d)m, measuring nothing more; else None."""
-    k = len(ranks)
-    if _implies_full_next(M, full_leading, k, ranks[-1]):
-        return ranks + [(k + 1 + M.degree_bound) * M.rows], []
-    return None
-
-
-def _float_jump(
-    M: PolyMat, tol: float | None, full_leading: bool, ranks: list[int]
-) -> tuple[list[int], list[int]] | None:
-    """The float scan's ``jump``: the full-row-rank stop, else the index sum
-    jump."""
-    return _full_row_stop(M, full_leading, ranks) or _index_sum_jump(M, tol, ranks, full_leading)
-
-
 def _index_sum_jump(
     M: PolyMat, tol: float | None, ranks: list[int], full_leading: bool
 ) -> tuple[list[int], list[int]] | None:
@@ -235,18 +215,23 @@ def _scan(
     rank_at: Callable[[int], int],
     jump: Callable[[list[int]], tuple[list[int], list[int]] | None] | None = None,
     start: int = 1,
+    full_leading: bool = False,
 ) -> tuple[list[int], bool, list[int]]:
     """The rank scan shared by the floating-point and the exact profile: the
     ranks r_1, r_2, ..., whether the last increment is m, and the k whose
     S_k were measured, in increasing order.
 
-    ``rank_at(k)`` is the rank of S_k.  ``jump(ranks)``, called after each
-    rank that does not stop the scan, may end it early with the whole rank
-    list up to d'+1 and the k beyond the scanned ones it measured, or return
-    None to go on.  The scan measures from k = ``start``, where S_k must be
-    known to have full column rank kq when ``start`` > 1: the first jq
-    columns of S_k are S_j padded with zero rows, so r_j = jq below it, an
-    increment q > m that neither stops the scan nor calls ``jump``.
+    ``rank_at(k)`` is the rank of S_k.  The scan stops at the first
+    increment m, and with ``full_leading`` (C_d of full row rank, which an
+    exact full row rank of S_k proves) at the first S_k of full row rank,
+    S_{d'}: r_{k+1} = (k+1+d)m is then implied (``_implies_full_next``).
+    ``jump(ranks)``, called after each rank that does not stop the scan,
+    may end it early with the whole rank list up to d'+1 and the k beyond
+    the scanned ones it measured, or return None to go on.  The scan
+    measures from k = ``start``, where S_k must be known to have full
+    column rank kq when ``start`` > 1: the first jq columns of S_k are S_j
+    padded with zero rows, so r_j = jq below it, an increment q > m that
+    neither stops the scan nor calls ``jump``.
     """
     m, q = M.rows, M.cols
     cap = _block_count(k_max, "scan cap") if k_max is not None else _default_scan_cap(M)
@@ -256,6 +241,8 @@ def _scan(
         ranks.append(rank_at(k))
         if ranks[-1] - prev == m:
             return ranks, True, list(range(start, k + 1))
+        if _implies_full_next(M, full_leading, k, ranks[-1]):
+            return ranks + [(k + 1 + M.degree_bound) * m], True, list(range(start, k + 1))
         prev = ranks[-1]
         jumped = jump(ranks) if jump is not None else None
         if jumped is not None:
@@ -309,9 +296,10 @@ def _float_scan(M: PolyMat, k_max: int | None, tol: float | None) -> RankProfile
             first = has_full_sylvester_rank(M, tol).checked_ranks[0]
             if first.rank == first.k * M.cols:
                 start = first.k
-        jump = lambda prefix: _float_jump(M, tol, full_leading, prefix)  # noqa: E731
+        jump = lambda prefix: _index_sum_jump(M, tol, prefix, full_leading)  # noqa: E731
     ranks, stopped, measured = _scan(
-        M, k_max, lambda k: sylvester_rank(M, k, tol).rank, jump, start
+        M, k_max, lambda k: sylvester_rank(M, k, tol).rank, jump, start,
+        full_leading and k_max is None,
     )
     decisions = [sylvester_rank(M, k, tol) for k in measured]
     full_rows = full_leading or highest_row_degree_rank(M, tol).rank == m

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputFormatError
-from .minimal import RankProfile, _default_scan_cap, _full_row_stop, _profile, _scan
+from .minimal import RankProfile, _default_scan_cap, _profile, _scan
 from .polymat import PolyMat
 from .sylvester import _require_wide, sylvester_array
 
@@ -473,9 +473,9 @@ def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     modular pass (``_ModularPass``) proves the ranks of every S_k in turn.
 
     It scans from k = 1, without the full-Sylvester-rank tests or the index
-    sum jump.  Without ``k_max`` it has the float scan's stop at the first
-    S_k of full row rank (``minimal._full_row_stop``): an exact rank (k+d)m
-    proves that C_d, the last m rows of S_k, has full row rank, so d' = k,
+    sum jump.  Without ``k_max``, ``minimal._scan`` stops at the first S_k
+    of full row rank, as on the float path: an exact rank (k+d)m proves
+    that C_d, the last m rows of S_k, has full row rank, so d' = k,
     r_{k+1} = (k+1+d)m is implied and ``decided_k`` ends at k.  A full-rank
     C_d also gives full normal rank (see ``rank_profile``), so the normal
     rank is proven from the pass (``_normal_rank``) only when no measured
@@ -483,9 +483,7 @@ def exact_rank_profile(M: PolyMat, k_max: int | None = None) -> RankProfile:
     """
     _require_wide(M, "rank profile", graded=True)
     sweep = _ModularPass(_integer_coeffs(M))
-    # A full-row-rank S_k is the proof that C_d has full row rank.
-    jump = None if k_max is not None else lambda prefix: _full_row_stop(M, True, prefix)
-    ranks, stopped, measured = _scan(M, k_max, sweep.rank, jump)
+    ranks, stopped, measured = _scan(M, k_max, sweep.rank, full_leading=k_max is None)
     m, d = M.rows, M.degree_bound
     if any(r == (k + d) * m for k, r in enumerate(ranks, start=1)):
         normal_rank = m

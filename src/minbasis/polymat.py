@@ -285,35 +285,19 @@ def vstack_polymats(blocks: Iterable[PolyMat]) -> PolyMat:
 # entries are [re, im] pairs.
 
 
-# Types of the numbers that ``json`` parses.
-_JSON_NUMBERS = frozenset((int, float))
-
-
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_entries(row: list, field: str, where: str) -> None:
-    """InputFormatError naming the first entry of ``row`` that is not a real
-    number, or in a complex field not an [re, im] pair of real numbers, by
-    the isinstance rule that also accepts subclasses such as np.float64 (and
-    tuple pairs) and refuses booleans."""
-    for c, value in enumerate(row):
-        if field == "real":
-            if not _is_real(value):
-                raise InputFormatError(f"{where}[{c}]: expected a real number, got {value!r}")
-        elif not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_real, value)):
-            raise InputFormatError(f"{where}[{c}]: expected an [re, im] pair, got {value!r}")
-
-
 def _json_values(coeff_obj: list, rows: int, cols: int, field: str) -> list | None:
-    """The numbers of a list of ``rows`` lists of ``cols`` JSON numbers each,
+    """The floats of a list of ``rows`` lists of ``cols`` JSON floats each,
     or in a complex field of [re, im] lists of them, in order, a pair as two
-    numbers; None when ``coeff_obj`` is not one.
+    floats; None when ``coeff_obj`` is not one.
 
     One pass over the types of all the numbers, and in a complex field one
     over the types and one over the lengths of the pairs, replace the walk
-    entry by entry that only a list which fails them needs.
+    entry by entry in ``from_dict`` that only a list which fails them
+    needs, such as one with integer literals.
     """
     if not all(type(mat) is list and len(mat) == rows for mat in coeff_obj):
         return None
@@ -324,23 +308,7 @@ def _json_values(coeff_obj: list, rows: int, cols: int, field: str) -> list | No
         if not ({list}.issuperset(map(type, values)) and {2}.issuperset(map(len, values))):
             return None
         values = list(chain.from_iterable(values))
-    return values if _JSON_NUMBERS.issuperset(map(type, values)) else None
-
-
-def _raise_too_large(coeff_obj: list) -> None:
-    """InputFormatError naming the first entry of a checked coefficient list
-    that has no float: an integer literal past the float range (a float
-    literal such as 1e400 reads as inf, which PolyMat rejects as
-    non-finite)."""
-    for i, mat in enumerate(coeff_obj):
-        for r, row in enumerate(mat):
-            for c, value in enumerate(row):
-                try:
-                    np.array(value, dtype=_REAL_DTYPE)
-                except OverflowError:
-                    raise InputFormatError(
-                        f"coefficients[{i}][{r}][{c}]: number too large for a float"
-                    ) from None
+    return values if {float}.issuperset(map(type, values)) else None
 
 
 def from_dict(obj: dict) -> PolyMat:
@@ -367,6 +335,13 @@ def from_dict(obj: dict) -> PolyMat:
         )
     values = _json_values(coeff_obj, rows, cols, field)
     if values is None:
+        # One walk entry by entry names the first matrix or row of the wrong
+        # length, or the first entry that is not a real number (in a complex
+        # field an [re, im] pair of them), by the isinstance rule that also
+        # accepts subclasses such as np.float64 (and tuple pairs) and refuses
+        # booleans, or that is an integer past the float range (a float
+        # literal such as 1e400 reads as inf, which PolyMat rejects).
+        values = []
         for i, mat in enumerate(coeff_obj):
             if not isinstance(mat, list) or len(mat) != rows:
                 raise InputFormatError(
@@ -379,18 +354,21 @@ def from_dict(obj: dict) -> PolyMat:
                         f"coefficients[{i}][{r}]: expected {cols} columns, got "
                         f"{len(row) if isinstance(row, list) else type(row).__name__}"
                     )
-                _check_entries(row, field, f"coefficients[{i}][{r}]")
-        # The checks above fix the shape, so the numbers are read in one
-        # flat pass: np.array over the nested lists takes about twice as long.
-        values = chain.from_iterable(chain.from_iterable(coeff_obj))
-        if field == "complex":
-            values = chain.from_iterable(values)
+                for c, value in enumerate(row):
+                    where = f"coefficients[{i}][{r}][{c}]"
+                    if field == "real":
+                        if not _is_real(value):
+                            raise InputFormatError(
+                                f"{where}: expected a real number, got {value!r}")
+                    elif not (isinstance(value, (list, tuple)) and len(value) == 2
+                              and all(map(_is_real, value))):
+                        raise InputFormatError(f"{where}: expected an [re, im] pair, got {value!r}")
+                    try:
+                        values.extend(map(float, value) if field == "complex" else [float(value)])
+                    except OverflowError:
+                        raise InputFormatError(f"{where}: number too large for a float") from None
     shape = (db + 1, rows, cols) if field == "real" else (db + 1, rows, cols, 2)
-    try:
-        arr = np.fromiter(values, dtype=_REAL_DTYPE, count=math.prod(shape)).reshape(shape)
-    except OverflowError:
-        _raise_too_large(coeff_obj)
-        raise
+    arr = np.fromiter(values, dtype=_REAL_DTYPE, count=math.prod(shape)).reshape(shape)
     if field == "complex":
         # The [re, im] pairs of a contiguous array are its complex entries,
         # signed zeros included.

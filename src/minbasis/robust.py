@@ -22,7 +22,7 @@ from .errors import (
 )
 from .fullsyl import _require_full_sylvester, has_full_sylvester_rank
 from .minimal import _full_leading_certificate
-from .polymat import PolyMat, _block_count, _require_congruent, evaluate, s1_stack
+from .polymat import PolyMat, _block_count, _require_congruent, evaluate, evaluate_array, s1_stack
 from .sylvester import (
     _nearest_lower_rank,
     _require_wide,
@@ -185,6 +185,12 @@ class LowerBoundReport:
     violations: int
 
 
+def _is_positive(x) -> bool:
+    """Whether x is a finite positive real number (not a bool)."""
+    real = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    return real and math.isfinite(x) and x > 0
+
+
 _SLACK = 1e-12
 # Radii of the circles that classical_lower_bound_check samples.
 _CLASSICAL_RADII = (0.5, 1.0, 2.0, 10.0)
@@ -203,6 +209,8 @@ def classical_lower_bound_check(
     num_samples = _block_count(num_samples, "num_samples")
     seed = _block_count(seed, "seed", least=0)
     _block_count(len(radii), "number of radii")
+    if not all(_is_positive(r) for r in radii):
+        raise ShapeError(f"radii must be finite positive numbers, got {tuple(radii)!r}")
     dp = _require_robust_minimal(M, tol, "classical_lower_bound_check")
     m = M.rows
     lower = float(sylvester_singular_values(M, dp)[-1])
@@ -240,8 +248,7 @@ def fragile_neighbor(M: PolyMat, eps: float) -> tuple[PolyMat, float]:
     is subtracted so the result vanishes at a far-away point.
     """
     _require_wide(M, "fragile_neighbor")
-    real = isinstance(eps, (int, float, np.integer, np.floating)) and not isinstance(eps, bool)
-    if not (real and math.isfinite(eps) and eps > 0):
+    if not _is_positive(eps):
         raise ShapeError(f"eps must be a finite positive number, got {eps!r}")
     m, q, d = M.rows, M.cols, M.degree_bound
     lead = M.coeffs[d]
@@ -252,13 +259,18 @@ def fragile_neighbor(M: PolyMat, eps: float) -> tuple[PolyMat, float]:
         )
     coeffs = np.array(M.coeffs)
     if m == 1:
-        # Leading row is zero; push a root out near infinity.
-        lam = 2.0
+        # Leading row is zero; push a root out near infinity: M(lam) / lam^d
+        # is the reversed stack at mu = 1/lam, and sqrt(q) max|row| bounds
+        # the norm of the row without squaring its entries, which underflow.
+        # The row is zero at mu = 0, where no root is left to push.
+        mu = 0.5
         while True:
-            row = evaluate(M, lam)[0] / lam**d
-            if np.linalg.norm(row) < eps / 2.0:
+            row = evaluate_array(M.coeffs[::-1], np.array(mu))[0]
+            if 2.0 * math.sqrt(q) * np.abs(row).max() < eps:
                 break
-            lam *= 2.0
+            mu /= 2.0
+        if mu == 0.0:
+            raise ShapeError(f"eps = {eps!r} is too small for a floating-point witness")
         coeffs[d, 0, :] -= row
         witness = PolyMat(coeffs)
         return witness, distance(M, witness)

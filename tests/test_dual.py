@@ -98,6 +98,42 @@ def test_verify_duality_flags_nonzero_residual():
     assert any("residual" in f for f in pair.failures)
 
 
+def test_verify_duality_of_a_zero_matrix_has_zero_residual():
+    # A zero M or N has no largest entry to scale by; the product is zero.
+    zero = PolyMat.zeros(1, 2, 1)
+    assert verify_duality(one_lambda(), zero).failures == (
+        "N is not a minimal basis (hr_rank_deficient)",)
+    assert verify_duality(zero, one_lambda()).failures == (
+        "M is not a minimal basis (not_full_normal_rank)",)
+    assert verify_duality(zero, one_lambda()).residual == 0.0
+
+
+# The extracted dual of this M with every nonzero coefficient moved: the
+# same row degrees [3, 3], itself a minimal basis, and no dual of M.
+_WRONG_DUAL_M = mb.sample_full_sylvester(3, 2, 2, seed=1)
+
+
+def _wrong_dual() -> PolyMat:
+    coeffs = np.array(dual_minimal_basis(_WRONG_DUAL_M).N.coeffs)
+    moved = coeffs != 0
+    coeffs[moved] += 0.5 * np.random.default_rng(5).standard_normal(int(moved.sum()))
+    return PolyMat(coeffs)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-12, 1e-11, 1e-10, 1.0, 1e150, 1e300])
+def test_verify_duality_residual_test_is_scale_free(s):
+    # An absolute floor accepted any N at tiny scales, where M N^T falls
+    # below it or underflows, and an overflowing product and threshold
+    # accepted any N at huge ones.
+    wrong = _wrong_dual()
+    assert row_degrees(wrong) == [3, 3] and mb.certify_minimal_basis(wrong).is_minimal_basis
+    M = mb.scale(_WRONG_DUAL_M, s)
+    pair = verify_duality(M, wrong)
+    assert not pair.is_valid
+    assert any("duality residual" in f for f in pair.failures)
+    assert verify_duality(M, dual_minimal_basis(M).N).is_valid
+
+
 def test_verify_duality_flags_dimension_sum():
     M = mb.sample_full_sylvester(1, 3, 1, seed=2)
     pair = verify_duality(M, M)

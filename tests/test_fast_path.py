@@ -61,8 +61,9 @@ def _scan_certificate(M, monkeypatch):
     """M's certificate, on a fresh memo, with every scan started at k = 1."""
     scan = minimal._scan
     with monkeypatch.context() as patch:
-        patch.setattr(minimal, "_scan", lambda M, k_max, rank_at, jump=None, start=1:
-                      scan(M, k_max, rank_at, jump))
+        patch.setattr(minimal, "_scan",
+                      lambda M, k_max, rank_at, jump=None, start=1, full_leading=False:
+                      scan(M, k_max, rank_at, jump, full_leading=full_leading))
         return mb.certify_minimal_basis(_fresh(M))
 
 

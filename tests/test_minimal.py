@@ -16,6 +16,7 @@ from minbasis.minimal import (
     _indices_or_none,
     _minimal_index_sum,
     _profile,
+    _scan,
     certify_full_leading,
     certify_minimal_basis,
     rank_profile,
@@ -171,6 +172,35 @@ def test_a_scan_that_exhausts_the_default_cap_at_full_normal_rank_is_marginal():
     assert cert.marginal
     assert mb.exact_rank_profile(M).d_prime == 6
     assert certify_minimal_basis(M).is_minimal_basis
+
+
+def _fake_scan(full_leading):
+    """``_scan`` of a 2x5 grade-2 shape on the ranks 5, 8, 10, with the k
+    that ``rank_at`` and the ranks that ``jump`` were called with."""
+    asked, jumped = [], []
+
+    def rank_at(k):
+        asked.append(k)
+        return {1: 5, 2: 8, 3: 10}[k]
+
+    def jump(ranks):
+        jumped.append(list(ranks))
+
+    out = _scan(PolyMat.zeros(2, 5, 2), None, rank_at, jump, full_leading=full_leading)
+    return out, asked, jumped
+
+
+def test_scan_stops_at_the_first_full_row_rank_s_k_with_full_leading():
+    # r_2 = 8 = (2 + d)m: S_2 has full row rank, so r_3 = 10 is implied.
+    (ranks, stopped, measured), asked, jumped = _fake_scan(True)
+    assert (ranks, stopped, measured) == ([5, 8, 10], True, [1, 2])
+    assert asked == [1, 2] and jumped == [[5]]
+
+
+def test_scan_measures_on_without_full_leading():
+    (ranks, stopped, measured), asked, jumped = _fake_scan(False)
+    assert (ranks, stopped, measured) == ([5, 8, 10], True, [1, 2, 3])
+    assert asked == [1, 2, 3] and jumped == [[5], [5, 8]]
 
 
 def test_certify_full_leading_example1():

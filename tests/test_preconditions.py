@@ -93,6 +93,16 @@ def test_a_minimal_certificate_with_full_leading_rank_gives_full_row_rank_at_d_p
      "num_samples must be an integer"),
     (lambda: mb.classical_lower_bound_check(example1(), radii=()),
      "number of radii must be positive"),
+    (lambda: mb.classical_lower_bound_check(example1(), radii=("a",)),
+     r"radii must be finite positive numbers, got \('a',\)"),
+    (lambda: mb.classical_lower_bound_check(example1(), radii=(float("inf"),)),
+     r"radii must be finite positive numbers, got \(inf,\)"),
+    (lambda: mb.classical_lower_bound_check(example1(), radii=(0,)),
+     r"radii must be finite positive numbers, got \(0,\)"),
+    (lambda: mb.classical_lower_bound_check(example1(), radii=(-1,)),
+     r"radii must be finite positive numbers, got \(-1,\)"),
+    (lambda: mb.classical_lower_bound_check(example1(), radii=(1.0, -1)),
+     r"radii must be finite positive numbers, got \(1.0, -1\)"),
     (lambda: mb.robustness_radius_minimal(example1(), scan_extra=True),
      "scan_extra must be an integer"),
     (lambda: mb.robustness_radius_minimal(example1(), scan_extra=-1),
@@ -290,6 +300,9 @@ _ZERO_K_LIFICATION = build_lification(PolyMat.zeros(1, 4, 1),
      "eps must be a finite positive number, got 'x'"),
     (lambda: mb.fragile_neighbor(example1(), None), mb.ShapeError,
      "eps must be a finite positive number, got None"),
+    # Below every floating-point witness of [1, lambda] at grade 2.
+    (lambda: mb.fragile_neighbor(mb.embed(one_lambda(), 2), 5e-324), mb.ShapeError,
+     "eps = 5e-324 is too small for a floating-point witness"),
     (lambda: mb.scale(example1(), "x"), mb.InputFormatError,
      "scale factor must be a number, got 'x'"),
     (lambda: mb.scale(example1(), True), mb.InputFormatError,

@@ -200,10 +200,13 @@ def test_fragile_neighbor_degree_raise_example1():
     assert not mb.certify_minimal_basis(witness).is_minimal_basis
 
 
-def test_fragile_neighbor_single_row():
+@pytest.mark.parametrize("eps", [1e-3, 1e-100, 1e-200, 1e-300])
+def test_fragile_neighbor_single_row(eps):
+    # The root goes out to about 1/eps: lam^d overflowed there, and the
+    # norm of the row underflowed.
     embedded = mb.embed(one_lambda(), 2)
-    witness, dist = fragile_neighbor(embedded, 1e-3)
-    assert dist < 1e-3
+    witness, dist = fragile_neighbor(embedded, eps)
+    assert 0 < dist < eps
     assert not mb.certify_minimal_basis(witness).is_minimal_basis
 
 
