@@ -33,9 +33,10 @@ from .fullsyl import (
 from .minimal import REASON_DEGREE_SUM, REASON_HR, certify_minimal_basis
 from .polymat import (
     PolyMat,
+    _multiply_transpose,
     _require_congruent,
+    _require_same_field,
     add,
-    poly_multiply_transpose,
     row_degrees,
     s1_stack,
 )
@@ -64,9 +65,9 @@ def _residuals(M: PolyMat, N: PolyMat) -> tuple[float, float]:
     a, b = float(np.abs(M.coeffs).max()), float(np.abs(N.coeffs).max())
     if a == 0 or b == 0:
         return 0.0, 0.0
-    Ms, Ns = PolyMat(M.coeffs / a), PolyMat(N.coeffs / b)
-    norm = float(np.linalg.norm(poly_multiply_transpose(Ms, Ns).coeffs))
-    relative = norm / float(np.linalg.norm(Ms.coeffs)) / float(np.linalg.norm(Ns.coeffs))
+    Ms, Ns = M.coeffs / a, N.coeffs / b
+    norm = float(np.linalg.norm(_multiply_transpose(Ms, Ns)))
+    relative = norm / float(np.linalg.norm(Ms)) / float(np.linalg.norm(Ns))
     return norm * a * b, relative
 
 
@@ -98,6 +99,7 @@ def verify_duality(M: PolyMat, N: PolyMat, tol: float | None = None) -> DualPair
     failures = []
     if M.cols != N.cols:
         raise ShapeError(f"column counts differ ({M.cols} vs {N.cols})")
+    _require_same_field(M, N, "verify_duality")
     if M.rows + N.rows != M.cols:
         failures.append(
             f"dimension sum: rows {M.rows}+{N.rows} != cols {M.cols}"

@@ -213,14 +213,21 @@ def poly_multiply_transpose(A: PolyMat, B: PolyMat) -> PolyMat:
             f"column counts differ ({A.cols} vs {B.cols}); cannot form A*B^T"
         )
     _require_same_field(A, B, "poly_multiply_transpose")
-    da, db = A.degree_bound, B.degree_bound
+    return PolyMat(_multiply_transpose(A.coeffs, B.coeffs))
+
+
+def _multiply_transpose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficients of A(lambda) * B(lambda)^T from the coefficient
+    arrays a, of shape (da + 1, m, q), and b, of shape (db + 1, n, q), of
+    one dtype, as a new array of shape (da + db + 1, m, n)."""
+    (ga, m, q), (gb, n, _) = a.shape, b.shape
     # Block (i, j) of the one product is A_i B_j^T; block row i adds into
     # coefficients i .. i + db, in the order of i of a double loop.
-    blocks = (s1_stack(A) @ s1_stack(B).T).reshape(da + 1, A.rows, db + 1, B.rows)
-    out = np.zeros((da + db + 1, A.rows, B.rows), dtype=A.coeffs.dtype)
-    for i in range(da + 1):
-        out[i : i + db + 1] += blocks[i].transpose(1, 0, 2)
-    return PolyMat(out)
+    blocks = (a.reshape(ga * m, q) @ b.reshape(gb * n, q).T).reshape(ga, m, gb, n)
+    out = np.zeros((ga + gb - 1, m, n), dtype=a.dtype)
+    for i in range(ga):
+        out[i : i + gb] += blocks[i].transpose(1, 0, 2)
+    return out
 
 
 def s1_stack(P: PolyMat) -> np.ndarray:

@@ -282,7 +282,10 @@ def fragile_neighbor(M: PolyMat, eps: float) -> tuple[PolyMat, float]:
         )
     nonzero_rows = [j for j in range(m) if np.any(lead[j])]
     if nonzero_rows:
+        # Divided by its largest entry first, the row's norm neither
+        # underflows nor overflows at any scale of M.
         w = lead[nonzero_rows[0]]
+        w = w / np.abs(w).max()
         coeffs[d, zero_rows[0], :] = (0.5 * eps / np.linalg.norm(w)) * w
     else:
         v = np.zeros(q, dtype=M.coeffs.dtype)

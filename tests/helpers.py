@@ -409,7 +409,8 @@ def qr_min_norm_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 class Call(NamedTuple):
     """One logged factorization: ``kind`` is "svd", "qr" or "lstsq"; ``key``
-    is (id(P), k) for S_k(P) or its conjugate transpose, else None;
+    is (id(P), k) for S_k(P), its conjugate transpose, its banded R or a
+    panel of the sweep that builds R, else None;
     ``detail`` is whether an SVD computes vectors, or the mode of a QR;
     ``hr_of`` is id(P) for the highest-row-degree matrix of P, else None."""
 
@@ -431,9 +432,11 @@ class LinalgSpy:
     """Logs every ``numpy.linalg`` ``svd``, ``qr`` and ``lstsq`` call while
     installed.
 
-    A call is keyed by content: its input is compared with each S_k(P) that
-    ``sylvester`` in any module of the package built since installation, and
-    with each highest-row-degree matrix that the memo in
+    A call made inside the memo's banded sweep of S_k(P) (a panel QR) is
+    keyed to (id(P), k).  Any other call is keyed by content: its input is
+    compared with each S_k(P) that ``sylvester`` in any module of the
+    package built since installation, each R that the sweep built for
+    S_k(P), and each highest-row-degree matrix that the memo in
     ``minbasis.sylvester`` built, newest first.  Built matrices are kept
     alive, so ids stay unique.
     """
@@ -442,23 +445,35 @@ class LinalgSpy:
         memo_module = sys.modules["minbasis.sylvester"]
         build = memo_module.sylvester
         build_hr = memo_module.highest_row_degree_matrix
+        sweep = memo_module._banded_r
         originals = {name: getattr(np.linalg, name) for name in ("svd", "qr", "lstsq")}
         self.calls: list[Call] = []
-        self._built: list[tuple[object, np.ndarray, bool]] = []
+        # (P, matrix, k), with k = None for a highest-row-degree matrix.
+        self._built: list[tuple[object, np.ndarray, int | None]] = []
+        self._sweeping: tuple[int, int] | None = None
 
         def spy_build(P, k):
             S = build(P, k)
-            self._built.append((P, S, False))
+            self._built.append((P, S, S.shape[1] // P.cols))
             return S
 
         def spy_build_hr(P):
             H = build_hr(P)
-            self._built.append((P, H, True))
+            self._built.append((P, H, None))
             return H
+
+        def spy_sweep(P, k):
+            self._sweeping = (id(P), k)
+            try:
+                R = sweep(P, k)
+            finally:
+                self._sweeping = None
+            self._built.append((P, R, k))
+            return R
 
         def spy(kind, detail):
             def call(a, *args, **kwargs):
-                key, hr_of = self._key(a)
+                key, hr_of = (self._sweeping, None) if self._sweeping else self._key(a)
                 self.calls.append(Call(kind, key, detail(args, kwargs), hr_of))
                 return originals[kind](a, *args, **kwargs)
             return call
@@ -467,6 +482,7 @@ class LinalgSpy:
             if name.startswith("minbasis.") and getattr(module, "sylvester", None) is build:
                 monkeypatch.setattr(module, "sylvester", spy_build)
         monkeypatch.setattr(memo_module, "highest_row_degree_matrix", spy_build_hr)
+        monkeypatch.setattr(memo_module, "_banded_r", spy_sweep)
         monkeypatch.setattr(np.linalg, "svd", spy("svd", lambda args, kw: bool(
             kw.get("compute_uv", args[1] if len(args) > 1 else True))))
         monkeypatch.setattr(np.linalg, "qr", spy("qr", lambda args, kw: kw.get(
@@ -476,11 +492,11 @@ class LinalgSpy:
     def _key(self, a) -> tuple[tuple[int, int] | None, int | None]:
         """(key, hr_of) of a logged input."""
         a = np.asarray(a)
-        for P, data, hr in reversed(self._built):
+        for P, data, k in reversed(self._built):
             if (a.shape == data.shape and np.array_equal(a, data)) or (
                 a.shape == data.shape[::-1] and np.array_equal(a, data.conj().T)
             ):
-                return (None, id(P)) if hr else ((id(P), data.shape[1] // P.cols), None)
+                return (None, id(P)) if k is None else ((id(P), k), None)
         return None, None
 
     def take(self, *kinds: str) -> list[Call]:

@@ -134,6 +134,13 @@ def test_verify_duality_residual_test_is_scale_free(s):
     assert verify_duality(M, dual_minimal_basis(M).N).is_valid
 
 
+def test_verify_duality_rejects_mixed_fields():
+    M = example1()
+    N = PolyMat(dual_minimal_basis(M).N.coeffs + 0j)
+    with pytest.raises(mb.FieldMismatchError, match="verify_duality"):
+        verify_duality(M, N)
+
+
 def test_verify_duality_flags_dimension_sum():
     M = mb.sample_full_sylvester(1, 3, 1, seed=2)
     pair = verify_duality(M, M)

@@ -13,7 +13,7 @@ from minbasis import minimal
 from minbasis.minimal import RankProfile
 from minbasis.polymat import PolyMat
 
-from helpers import LinalgSpy, planted_indices
+from helpers import Call, LinalgSpy, planted_indices
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
@@ -60,10 +60,20 @@ INDEX_SETS = st.builds(
 @example(indices=[0, 1, 4], seed=3)  # a zero index
 @example(indices=[0, 0, 2], seed=4)
 @example(indices=[2, 4, 4, 4, 9], seed=4)  # marginal, see the test below
+@example(indices=[0, 3, 4, 2, 4, 8], seed=8885)  # only the forced scan's S_{d'+1} is marginal
 def test_jump_profile_matches_the_forced_scan(indices, seed):
     M = planted_indices(tuple(indices), np.random.default_rng(seed))
     profile = mb.rank_profile(M)
-    assert _fields(profile) == _fields(_forced(M))
+    forced = _forced(M)
+    assert _fields(profile)[:-1] == _fields(forced)[:-1]
+    # The forced scan may measure S_{d'+1}, which the full-row-rank stop
+    # implies, and only its own decisions can make it marginal.  Where both
+    # scans measured an S_k they decide it alike.
+    measured = dict(zip(forced.decided_k, forced.decisions))
+    for k, dec in zip(profile.decided_k, profile.decisions):
+        assert k not in measured or dec == measured[k]
+    assert profile.marginal == (not minimal._convex(profile.ranks)
+                                or any(dec.marginal for dec in profile.decisions))
     # A marginal profile may be wrong; it must only say so.
     if profile.marginal:
         return
@@ -126,12 +136,15 @@ def test_jump_reads_the_last_index_off_one_sylvester_matrix(monkeypatch):
     # full-Sylvester-rank tests tried S_4, S_5; then R = 24 - 4 = 20, so
     # S_20 gives the last index.  It has full row rank, as does the leading
     # coefficient, so r_21 follows without S_21.  S_3, S_6 .. S_19 and S_21
-    # are never factored.
+    # are never factored.  S_20, 504x580, is wide enough that its singular
+    # values are read off its banded R, built by 20 panel QRs.
     M = planted_indices((1, 1, 1, 1, 20), np.random.default_rng(7))
     spy = LinalgSpy(monkeypatch)
     cert = mb.certify_minimal_basis(M)
-    ks = [c.key[1] for c in spy.take() if c.key is not None]
+    calls = spy.take()
+    ks = [c.key[1] for c in calls if c.kind == "svd" and c.key is not None]
     assert sorted(ks) == [1, 2, 4, 5, 20]
+    assert [c for c in calls if c.kind == "qr"] == [Call("qr", (id(M), 20), "r")] * 20
     assert (cert.is_minimal_basis, cert.d_prime) == (True, 20)
     assert cert.profile.decided_k == (1, 2, 20)
     assert len(cert.profile.decisions) == 3

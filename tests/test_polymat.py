@@ -7,6 +7,7 @@ import pytest
 import minbasis as mb
 from minbasis.polymat import (
     PolyMat,
+    _multiply_transpose,
     evaluate,
     evaluate_array,
     from_dict,
@@ -464,6 +465,14 @@ def _double_loop_cases():
                         return x + 1j * rng.standard_normal(shape) if field == "complex" else x
                     yield (PolyMat(draw((da + 1, rows_a, cols))),
                            PolyMat(draw((db + 1, rows_b, cols))))
+
+
+def test_array_product_is_poly_multiply_transpose_bit_for_bit():
+    # The duality residual multiplies coefficient arrays without a PolyMat.
+    for A, B in _double_loop_cases():
+        got = _multiply_transpose(A.coeffs, B.coeffs)
+        assert got.dtype == A.coeffs.dtype
+        assert np.array_equal(got, poly_multiply_transpose(A, B).coeffs)
 
 
 def test_poly_multiply_transpose_matches_the_double_loop_reference():

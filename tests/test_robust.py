@@ -5,7 +5,7 @@ import pytest
 
 import minbasis as mb
 from minbasis.dual import admissible_radius
-from minbasis.polymat import PolyMat, evaluate, s1_stack
+from minbasis.polymat import PolyMat, evaluate, s1_stack, scale
 from minbasis.robust import (
     LowerBoundReport,
     classical_lower_bound_check,
@@ -206,6 +206,17 @@ def test_fragile_neighbor_single_row(eps):
     # norm of the row underflowed.
     embedded = mb.embed(one_lambda(), 2)
     witness, dist = fragile_neighbor(embedded, eps)
+    assert 0 < dist < eps
+    assert not mb.certify_minimal_basis(witness).is_minimal_basis
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-170, 1e200, 1e300])
+def test_fragile_neighbor_multi_row_at_any_scale(s):
+    # The witness row is a scaled copy of a nonzero leading row: its norm
+    # underflowed to 0 at 1e-170 and overflowed at 1e200 and 1e300.  The
+    # suite turns that RuntimeWarning into an error.
+    eps = 1e-3 * s
+    witness, dist = fragile_neighbor(scale(example3(), s), eps)
     assert 0 < dist < eps
     assert not mb.certify_minimal_basis(witness).is_minimal_basis
 
