@@ -12,8 +12,18 @@ asked to keep, under (name, tol); and, under ("perturb", tol), the latest
 propagation of a perturbation to a dual basis, with the dual basis and the
 perturbation it was built from (``memoized_for``).  It never keeps the
 factored arrays or a nullspace basis (a QR of S_k^H, taken only of S_k of
-full row rank).  The singular values of an S_k wide enough to pay for it
-are those of its banded R factor (``_banded_r``), not of S_k itself.
+full row rank).
+
+``_banded_r`` sweeps the block band of S_k^H with one small QR per block
+row.  Where ``_sweep_pays`` finds it cheaper for the shape, its R gives the
+singular values of S_k, its complete panel QRs give the nullspace the dual
+is built from (a complete QR of S_k^H forms all of its kq x kq Q), and its
+R gives the minimum-norm corrections.  On the benchmark that is S_20 of
+planted indices (1, 1, 1, 1, 20) for its spectrum, and S_k'+1 of the
+(20, 5, 3) and (30, 10, 2) pipeline inputs, 320 x 325 and 270 x 280, for
+the dual: 1.7-2.2 ms of sweep against 3.5-4 ms of complete QR at the
+first, on one thread of a 2-vCPU x86_64 host.
+
 ``weyl_full_rank`` reads a parent's memo to bound the ranks of a
 perturbation of it and writes nothing.  A few helpers factor the other
 constant matrices: orthogonal complements, minimum-norm solves and nearest
@@ -67,20 +77,30 @@ def sylvester(P: PolyMat, k: int) -> np.ndarray:
     return data
 
 
-def _banded_r(P: PolyMat, k: int) -> np.ndarray:
+def _banded_r(P: PolyMat, k: int, nullspace: bool = False):
     """The upper triangular factor R of a QR of S_k(P)^H, so that
     R^H R = S_k S_k^H and R has the singular values of S_k; for a wide S_k
-    it is square, of (k + d) * m rows.
+    it is square, of (k + d) * m rows.  With ``nullspace``, (R, Z) with Z
+    max(kq - (k + d) m, 0) orthonormal columns that S_k annihilates: a
+    basis of the right nullspace of an S_k of full row rank.
 
     Block row j of S_k^H is the same q x (d + 1) * m block
     B = [C_0^H .. C_d^H] for every j, at column blocks j .. j + d, so one
-    block-row Householder sweep factors it: step j takes ``qr(mode="r")``
-    of the rows carried so far stacked on B, keeps the first m rows of the
-    result as rows of R, whose column block j no later row touches, and
-    carries the rest one block to the left.  This is the R-SVD of Chan
-    (ACM TOMS 8, 1982) on the banded Sylvester structure; Householder QR
-    is backward stable, so the singular values of R are as accurate as
-    those of S_k itself.
+    block-row Householder sweep factors it: step j takes a QR of the rows
+    carried so far stacked on B, keeps the first m rows of the result as
+    rows of R, whose column block j no later row touches, and carries the
+    rest one block to the left.  This is the R-SVD of Chan (ACM TOMS 8,
+    1982) on the banded Sylvester structure; Householder QR is backward
+    stable, so the singular values of R are as accurate as those of S_k
+    itself.
+
+    For Z each step takes a complete QR, panel = Q_j r_j.  Once the panel
+    has more rows than columns, the rows of r_j past its columns are zero:
+    the columns of Q_j past them combine rows of S_k^H into zero rows, that
+    is into vectors that S_k annihilates, orthonormal as columns of the
+    product of the Q_j.  Each panel row is block row j of S_k^H or a row
+    carried by Q_{j-1}[:, m:], so one backward pass maps the emitted
+    columns to the columns of S_k, with one small product per step.
     """
     k = _block_count(k)
     grade, m, q = P.coeffs.shape
@@ -89,34 +109,76 @@ def _banded_r(P: PolyMat, k: int) -> np.ndarray:
     B = P.coeffs.reshape(window, q).conj().T
     R = np.zeros((min(rows, k * q), rows), dtype=P.coeffs.dtype)
     panel = np.zeros((carry_cols + q, window), dtype=P.coeffs.dtype)
+    # (rows carried into step j, Q_j[:, m:kept], Q_j[:, kept:]) per step.
+    steps = []
     carried = 0
     for j in range(k):
         panel[carried : carried + q] = B
-        r = np.linalg.qr(panel[: carried + q], mode="r")
+        kept = min(carried + q, window)
+        if nullspace:
+            Q, r = np.linalg.qr(panel[: carried + q], mode="complete")
+            steps.append((carried, Q[:, m:kept], Q[:, kept:]))
+        else:
+            r = np.linalg.qr(panel[: carried + q], mode="r")
         R[j * m : (j + 1) * m, j * m : j * m + window] = r[:m]
-        carried = r.shape[0] - m
-        panel[:carried, :carry_cols] = r[m:, m:]
+        carried = kept - m
+        panel[:carried, :carry_cols] = r[m:kept, m:]
         panel[:carried, carry_cols:] = 0
     R[k * m :, k * m :] = panel[:carried, :carry_cols]
-    return R
+    if not nullspace:
+        return R
+    # Y: the columns emitted at step j and later, in the coordinates of the
+    # rows of the panel of step j; its last q rows are block row j of Z.
+    Z = np.zeros((k * q, k * q - R.shape[0]), dtype=R.dtype)
+    Y = np.zeros((carried, 0), dtype=R.dtype)
+    for j in reversed(range(k)):
+        before, carry, emitted = steps[j]
+        Y = np.concatenate([emitted, carry @ Y], axis=1)
+        Z[j * q : (j + 1) * q, Z.shape[1] - Y.shape[1] :] = Y[before:]
+        Y = Y[:before]
+    return R, Z
 
 
-# Flops that one panel QR of the sweep costs beyond its own count: about
-# 15-20 us of call overhead, and a margin for the SVD of R running a few
-# percent slower per flop than that of S_k, at about 10 GFLOP/s on one
-# thread.  With it, S_k within about 5% of the break-even stay dense.
-_PANEL_EXTRA_FLOPS = 1e6
+def _q_flops(n: int, reflectors: int) -> float:
+    """Flops that forming the complete n x n Q of a Householder QR from
+    ``reflectors`` reflectors takes."""
+    return 4 * n * n * reflectors - 4 * n * reflectors**2 + 4 * reflectors**3 / 3
 
 
-def _sweep_pays(k: int, m: int, q: int, d: int) -> bool:
-    """Whether the singular values of S_k, (k + d) m x k q, cost fewer
-    flops through ``_banded_r``: a values-only SVD of p x r takes
-    4 p^2 r - 4 p^3 / 3 flops, so R saves 4 p^2 (r - p), against k
+# The panel QRs of the sweep run at about 2/3 of the flop rate of one large
+# factorization, and each costs about 20 us of call overhead beyond its
+# flops, 5e5 flops at the 25 GFLOP/s of one large QR on one thread; a step
+# of the nullspace sweep costs as much again to keep its Q and map its
+# emitted columns back.  Fitted on 133 wide S_k of 40 x 42 to 420 x 450
+# per kind (2-vCPU x86_64, one OpenBLAS thread), no S_k takes the sweep
+# where it was more than 10% slower.
+_PANEL_SLOWDOWN = 1.5
+_PANEL_EXTRA_FLOPS = 5e5
+
+
+def _sweep_pays(k: int, m: int, q: int, d: int, dense: str = "svd") -> bool:
+    """Whether ``_banded_r`` of S_k, (k + d) m x k q, costs fewer flops than
+    the dense factorization it replaces: a values-only SVD of S_k at
+    ``dense`` = "svd", an R-only QR of S_k^H at "r", and a complete QR of
+    S_k^H for its nullspace at "complete".
+
+    A values-only SVD of p x r takes 4 p^2 r - 4 p^3 / 3 flops, so R saves
+    4 p^2 (r - p); an R-only QR of the r x p S_k^H takes 2 p^2 (r - p / 3),
+    and a complete one ``_q_flops(r, p)`` more.  The sweep takes k
     Householder QRs of (d m + q) x (d + 1) m panels, 2 w^2 (d m + q - w / 3)
-    flops each for w = (d + 1) m, as q > m where S_k is wide."""
+    flops each for w = (d + 1) m, as q > m where S_k is wide, and
+    ``_q_flops(d m + q, w)`` more each at "complete"."""
     p, r, w = (k + d) * m, k * q, (d + 1) * m
-    panel = 2 * w * w * (d * m + q - w / 3) + _PANEL_EXTRA_FLOPS
-    return r > p and 4 * p * p * (r - p) > k * panel
+    if r <= p:
+        return False
+    rows = d * m + q
+    panel, extra = 2 * w * w * (rows - w / 3), _PANEL_EXTRA_FLOPS
+    replaced = 4 * p * p * (r - p) if dense == "svd" else 2 * p * p * (r - p / 3)
+    if dense == "complete":
+        replaced += _q_flops(r, p)
+        panel += _q_flops(rows, w)
+        extra *= 2
+    return replaced > k * (_PANEL_SLOWDOWN * panel + extra)
 
 
 def _as_array(A, stack: bool = False) -> np.ndarray:
@@ -280,14 +342,16 @@ def _triangular_solve(T: np.ndarray, B: np.ndarray, lower: bool) -> np.ndarray:
     return X
 
 
-def _min_norm_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _min_norm_solve(A: np.ndarray, B: np.ndarray, r: np.ndarray | None = None) -> np.ndarray:
     # Minimum-norm solution of A X = B for a wide A of full row rank, by the
     # semi-normal equations: with A^H = QR, A A^H = R^H R, so
-    # X = A^H (A A^H)^{-1} B = A^H R^{-1} R^{-H} B needs R alone.  They are
-    # as accurate as the solution through Q for minimum-norm problems (Paige
-    # 1973; Bjorck, Numerical Methods for Least Squares Problems, 1996).
+    # X = A^H (A A^H)^{-1} B = A^H R^{-1} R^{-H} B needs R alone, ``r`` when
+    # given and else qr(A^H, mode="r").  They are as accurate as the
+    # solution through Q for minimum-norm problems (Paige 1973; Bjorck,
+    # Numerical Methods for Least Squares Problems, 1996).
     AH = A.conj().T
-    r = np.linalg.qr(AH, mode="r")
+    if r is None:
+        r = np.linalg.qr(AH, mode="r")
     smallest = float(np.abs(np.diag(r)).min())
     if not smallest > 0.0:
         raise NumericalInconsistencyError(
@@ -443,7 +507,9 @@ def sylvester_nullspace(P: PolyMat, k: int, tol: float | None = None) -> np.ndar
 
     S_k(P) must have full row rank at ``tol``; then the nullspace is the
     orthogonal complement of its row space, that is of the columns of
-    S_k^H.  Its rank decision comes from P's memo; the basis is not kept.
+    S_k^H, taken by the sweep of ``_banded_r`` where ``_sweep_pays``
+    against a complete QR, and else by a complete QR of S_k^H.  Its rank
+    decision comes from P's memo; the basis is not kept.
     """
     dec = sylvester_rank(P, k, tol)
     rows = _shape(P, k)[0]
@@ -452,7 +518,18 @@ def sylvester_nullspace(P: PolyMat, k: int, tol: float | None = None) -> np.ndar
             f"S_{k} has rank {dec.rank} below its {rows} rows (nullity "
             f"{dec.nullity}); a QR nullspace needs full row rank"
         )
+    if _sweep_pays(_block_count(k), P.rows, P.cols, P.degree_bound, "complete"):
+        return _banded_r(P, k, nullspace=True)[1]
     return _complement(sylvester(P, k).conj().T)[0]
+
+
+def sylvester_min_norm_solve(P: PolyMat, k: int, B: np.ndarray) -> np.ndarray:
+    """Minimum-norm solution X of S_k(P) X = B for a wide S_k(P) of full row
+    rank, from the R of a QR of S_k^H: ``_banded_r``'s where ``_sweep_pays``
+    against an R-only QR, else a dense one."""
+    k = _block_count(k)
+    r = _banded_r(P, k) if _sweep_pays(k, P.rows, P.cols, P.degree_bound, "r") else None
+    return _min_norm_solve(sylvester(P, k), B, r)
 
 
 def sylvester_rank(P: PolyMat, k: int, tol: float | None = None) -> RankDecision:

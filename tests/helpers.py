@@ -410,7 +410,7 @@ def qr_min_norm_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class Call(NamedTuple):
     """One logged factorization: ``kind`` is "svd", "qr" or "lstsq"; ``key``
     is (id(P), k) for S_k(P), its conjugate transpose, its banded R or a
-    panel of the sweep that builds R, else None;
+    panel of the sweep that builds R or the nullspace, else None;
     ``detail`` is whether an SVD computes vectors, or the mode of a QR;
     ``hr_of`` is id(P) for the highest-row-degree matrix of P, else None."""
 
@@ -432,12 +432,12 @@ class LinalgSpy:
     """Logs every ``numpy.linalg`` ``svd``, ``qr`` and ``lstsq`` call while
     installed.
 
-    A call made inside the memo's banded sweep of S_k(P) (a panel QR) is
-    keyed to (id(P), k).  Any other call is keyed by content: its input is
-    compared with each S_k(P) that ``sylvester`` in any module of the
-    package built since installation, each R that the sweep built for
-    S_k(P), and each highest-row-degree matrix that the memo in
-    ``minbasis.sylvester`` built, newest first.  Built matrices are kept
+    A call made inside the banded sweep of S_k(P) (a panel QR), for its R
+    or for its nullspace, is keyed to (id(P), k).  Any other call is keyed
+    by content: its input is compared with each S_k(P) that ``sylvester``
+    in any module of the package built since installation, each R that the
+    sweep built for S_k(P), and each highest-row-degree matrix that the
+    memo in ``minbasis.sylvester`` built, newest first.  Built matrices are kept
     alive, so ids stay unique.
     """
 
@@ -462,14 +462,14 @@ class LinalgSpy:
             self._built.append((P, H, None))
             return H
 
-        def spy_sweep(P, k):
+        def spy_sweep(P, k, nullspace=False):
             self._sweeping = (id(P), k)
             try:
-                R = sweep(P, k)
+                result = sweep(P, k, nullspace)
             finally:
                 self._sweeping = None
-            self._built.append((P, R, k))
-            return R
+            self._built.append((P, result[0] if nullspace else result, k))
+            return result
 
         def spy(kind, detail):
             def call(a, *args, **kwargs):

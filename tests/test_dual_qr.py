@@ -3,11 +3,12 @@ references, of its triangular and minimum-norm solves against numpy's solve
 and a solve through Q, and of the dual-degree check of N against its full
 certificate."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import minbasis as mb
-from minbasis import dual
 from minbasis.dual import (
     admissible_radius,
     dual_minimal_basis,
@@ -59,7 +60,8 @@ def test_qr_correction_matches_lstsq_reference(sample, monkeypatch):
     report = propagate_perturbation(pair, delta)
     assert report.relative_change <= report.guaranteed_bound
     monkeypatch.setattr(
-        dual, "_min_norm_solve", lambda A, B: np.linalg.lstsq(A, B, rcond=None)[0]
+        sys.modules["minbasis.sylvester"], "_min_norm_solve",
+        lambda A, B, r=None: np.linalg.lstsq(A, B, rcond=None)[0],
     )
     # A copy of delta, so that the propagation is not read from M's memo.
     reference = propagate_perturbation(pair, PolyMat(delta.coeffs)).delta_N.coeffs

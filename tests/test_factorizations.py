@@ -206,6 +206,23 @@ def test_dual_and_perturbation_with_t_positive_factor_by_qr(monkeypatch):
     assert svds_of(perturb, report.perturbed_pair.M) == []
 
 
+def test_dual_and_perturbation_of_a_large_shape_sweep_instead_of_a_dense_qr(monkeypatch):
+    # (20, 5, 3): k' = 12, t = 0, so the dual takes the nullspace of S_13,
+    # 320x325, and the correction solves against S_13 of M + delta: each by
+    # the 13 panel QRs of one banded sweep, and no QR of all of S_13^H.
+    M = PolyMat(mb.sample_full_sylvester(20, 5, 3, seed=5).coeffs)
+    spy = LinalgSpy(monkeypatch)
+    pair = mb.dual_minimal_basis(M)
+    dual = spy.take("qr")
+    delta = random_perturbation(M, 0.25 * admissible_radius(M, pair.N),
+                                np.random.default_rng(6))
+    spy.take()
+    report = mb.propagate_perturbation(pair, delta)
+    perturb = spy.take("qr")
+    assert dual == [Call("qr", (id(M), 13), "complete")] * 13
+    assert perturb == [Call("qr", (id(report.perturbed_pair.M), 13), "r")] * 13
+
+
 def test_genericity_experiment_runs_one_svd_per_decisive_test_and_block(monkeypatch):
     m, n, d, trials = 3, 2, 2, 50
     plan = decisive_rank_tests(kprime_t(m, n, d), m, m + n, d)

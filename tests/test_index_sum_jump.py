@@ -90,10 +90,12 @@ def test_jump_profile_matches_the_forced_scan(indices, seed):
 @example(indices=[1, 1, 1, 1, 9], seed=1, delta=0)  # the jump's eps = R
 @example(indices=[0, 3, 3], seed=1, delta=0)  # the scan's own stop
 @example(indices=[1, 2, 5], seed=5, delta=2)
+@example(indices=[0, 3, 4, 2, 4, 8], seed=8885, delta=0)  # S_{d'+1} marginal, S_{d'} not
 def test_an_implied_last_rank_is_the_rank_the_forced_scan_measures(indices, seed, delta):
     # r_{d'+1} is left unmeasured only where S_{d'} and the leading
     # coefficient have full row rank; the forced scan then measures that
-    # rank on S_{d'+1}, and a marginal S_{d'+1} only with a marginal S_{d'}.
+    # rank on S_{d'+1}.  Its decision there has its own threshold and gap,
+    # so only the S_k that both scans measured are decided alike.
     M = planted_indices(tuple(indices), np.random.default_rng(seed))
     if delta:
         M = _with_finite_eigenvalue(M, delta)
@@ -105,7 +107,10 @@ def test_an_implied_last_rank_is_the_rank_the_forced_scan_measures(indices, seed
     assert minimal.full_leading_rank(M) is not None
     forced = _forced(M)
     assert forced.ranks[dp] == profile.ranks[dp] == (dp + 1 + M.degree_bound) * M.rows
-    assert not forced.decisions[dp].marginal or forced.decisions[dp - 1].marginal
+    measured = dict(zip(forced.decided_k, forced.decisions))
+    assert measured[dp + 1].rank == profile.ranks[dp]
+    for k, dec in zip(profile.decided_k, profile.decisions):
+        assert k not in measured or dec == measured[k]
 
 
 def test_the_scan_stops_at_the_first_sylvester_matrix_of_full_row_rank(monkeypatch):
